@@ -17,6 +17,7 @@ from .construction import (
     FlagCode,
     SandwichParams,
     build_code,
+    code_from_dict,
     code_from_json,
     code_to_json,
 )
@@ -66,7 +67,7 @@ def _load_code_or_flags(path: str):
     with open(path) as fh:
         doc = json.load(fh)
     if "params" in doc:
-        return code_from_json(json.dumps(doc))
+        return code_from_dict(doc)
     try:
         flags = [
             Flag(rowspace(parse_matrix(text)) for text in levels)
@@ -179,7 +180,7 @@ def cmd_erase(args) -> int:
 def cmd_decode(args) -> int:
     code = _load_code(args.code)
     with open(args.received) as fh:
-        received = received_from_json(fh.read())
+        received = received_from_json(fh.read(), code.params.field)
     outcome = decode(code, received)
     doc = outcome.to_dict()
     lines = [f"{k}: {v}" for k, v in doc.items()]

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .construction import Flag, FlagCode
+from .fields import FiniteField
 from .linalg import (
     MatrixFq,
     Subspace,
@@ -64,20 +65,6 @@ class ReceivedSequence:
 
     def __len__(self):
         return len(self.shots)
-
-
-class AccumulatedSequence:
-    """Nested sums Y_i: zero up to k1, then the running span of X_{k1+1}..X_i."""
-
-    __slots__ = ("ambient", "k1", "shots")
-
-    def __init__(self, ambient: int, k1: int, shots):
-        self.ambient = ambient
-        self.k1 = k1
-        self.shots = tuple(shots)
-
-    def __getitem__(self, i: int) -> Subspace:
-        return self.shots[i - 1]
 
 
 @dataclass(frozen=True)
@@ -173,8 +160,8 @@ def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequen
     return ReceivedSequence(n, shots)
 
 
-def accumulate(received: ReceivedSequence, k1: int) -> AccumulatedSequence:
-    """Y_i = {0} for i <= k1, the running span of X_{k1+1}..X_i above."""
+def accumulate(received: ReceivedSequence, k1: int) -> tuple:
+    """(Y_1, ..., Y_{n-1}): {0} up to k1, then the running span of X_{k1+1}..X_i."""
     n = received.ambient
     field = received.shots[0].field
     shots = []
@@ -183,7 +170,7 @@ def accumulate(received: ReceivedSequence, k1: int) -> AccumulatedSequence:
         if i > k1:
             current = subspace_sum(current, received[i])
         shots.append(current if i > k1 else Subspace.zero(field, n))
-    return AccumulatedSequence(n, k1, shots)
+    return tuple(shots)
 
 
 def _unique_containing(code: FlagCode, level: int, sub: Subspace, step: int) -> DecodeOutcome:
@@ -216,11 +203,11 @@ def decode(code: FlagCode, received: ReceivedSequence) -> DecodeOutcome:
             return _unique_containing(code, i, received[i], step=1)
     acc = accumulate(received, k1)
     for i in range(k1 + 1, k1 + r + 1):
-        if acc[i].dim > i - k1:
-            return _unique_containing(code, i, acc[i], step=2)
+        if acc[i - 1].dim > i - k1:
+            return _unique_containing(code, i, acc[i - 1], step=2)
     for i in range(k1 + r + 1, n):
-        if acc[i].dim > 2 * i - n:
-            return _unique_containing(code, i, acc[i], step=3)
+        if acc[i - 1].dim > 2 * i - n:
+            return _unique_containing(code, i, acc[i - 1], step=3)
     return DecodeOutcome(FAILURE)
 
 
@@ -289,11 +276,12 @@ def received_to_json(received: ReceivedSequence) -> str:
     )
 
 
-def received_from_json(text: str) -> ReceivedSequence:
+def received_from_json(text: str, field: FiniteField) -> ReceivedSequence:
+    """Shots are parsed over `field`: the file's q does not fix a modulus."""
     try:
         doc = json.loads(text)
         ambient = doc["ambient"]
-        shots = [rowspace(parse_matrix(t)) for t in doc["shots"]]
+        shots = [rowspace(parse_matrix(t, field)) for t in doc["shots"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ChannelError(f"malformed received-sequence file: {exc}") from exc
     return ReceivedSequence(ambient, shots)

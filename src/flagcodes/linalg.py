@@ -258,13 +258,11 @@ def intersect_dim(U: Subspace, V: Subspace) -> int:
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
-    _check_same_ambient(U, V)
     return rowspace(U.basis.stack(V.basis))
 
 
 def contains(U: Subspace, V: Subspace) -> bool:
     """True iff V is a subspace of U."""
-    _check_same_ambient(U, V)
     return sum_dim(U, V) == U.dim
 
 

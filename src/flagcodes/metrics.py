@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .construction import Flag, FlagCode
@@ -31,28 +32,6 @@ def _flags_of(code) -> tuple:
     return tuple(code)
 
 
-def min_flag_distance(code) -> int:
-    """Minimum pairwise flag distance; 0 for a single flag."""
-    if isinstance(code, FlagCode):
-        cached = code._cache.get("d_f")
-        if cached is not None:
-            return cached
-    flags = _flags_of(code)
-    if not flags:
-        raise MetricsError("empty flag list")
-    if len(flags) == 1:
-        d = 0
-    else:
-        d = min(
-            flag_distance(flags[a], flags[b])
-            for a in range(len(flags))
-            for b in range(a + 1, len(flags))
-        )
-    if isinstance(code, FlagCode):
-        code._cache["d_f"] = d
-    return d
-
-
 def max_distance(n: int, type_vector=None) -> int:
     """Largest achievable flag distance for the given type on F_q^n.
 
@@ -71,32 +50,78 @@ def max_distance(n: int, type_vector=None) -> int:
 
 @dataclass(frozen=True)
 class ProjectedCode:
-    """The deduplicated set of i-th subspaces of a flag code."""
+    """The distinct i-th subspaces of a flag code and their pairwise distances."""
 
     index: int
-    subspaces: frozenset
+    subspaces: tuple
+    distances: tuple  # distances[a][b] = d_S(subspaces[a], subspaces[b])
+    of_flag: tuple  # of_flag[f] = position of flag f's i-th subspace
 
     def __len__(self):
         return len(self.subspaces)
 
+    def meeting_pair(self):
+        """The first pair of flags (1-based, in order) whose i-th subspaces
+        meet beyond {0}, i.e. d_S = 2i - 2 dim(U ∩ V) < 2i; None if none do."""
+        of = self.of_flag
+        for a, b in itertools.combinations(range(len(of)), 2):
+            if self.distances[of[a]][of[b]] < 2 * self.index:
+                return a + 1, b + 1
+        return None
+
 
 def projected_code(code, i: int) -> ProjectedCode:
+    """Projected code of level i: one sum_dim per pair of distinct subspaces."""
     flags = _flags_of(code)
     n = flags[0].ambient
     if not (1 <= i <= n - 1):
         raise MetricsError(f"projected index {i} out of range for n={n}")
-    return ProjectedCode(i, frozenset(f[i] for f in flags))
+    position = {}
+    of_flag = tuple(position.setdefault(f[i], len(position)) for f in flags)
+    subs = tuple(position)
+    rows = [[0] * len(subs) for _ in subs]
+    for a, b in itertools.combinations(range(len(subs)), 2):
+        rows[a][b] = rows[b][a] = subspace_distance(subs[a], subs[b])
+    return ProjectedCode(i, subs, tuple(map(tuple, rows)), of_flag)
 
 
 def projected_min_distance(pc: ProjectedCode) -> int:
-    subs = list(pc.subspaces)
-    if len(subs) == 1:
-        return 0
-    return min(
-        subspace_distance(subs[a], subs[b])
-        for a in range(len(subs))
-        for b in range(a + 1, len(subs))
-    )
+    """Minimum distance between distinct members; 0 for a single member."""
+    return min((d for row in pc.distances for d in row if d), default=0)
+
+
+@dataclass(frozen=True)
+class PairwiseSweep:
+    """d_f and the projected code and its distance at each level 1..n-1."""
+
+    d_f: int
+    projected: tuple
+    projected_distances: tuple
+
+
+def pairwise_sweep(code) -> PairwiseSweep:
+    """The only O(N^2) pass over a code, cached on a FlagCode; see projected_code."""
+    cache = code._cache if isinstance(code, FlagCode) else {}
+    if "pairwise" in cache:
+        return cache["pairwise"]
+    flags = _flags_of(code)
+    if not flags:
+        raise MetricsError("empty flag list")
+    n = flags[0].ambient
+    if any(f.ambient != n for f in flags):
+        raise MetricsError("flags have different ambient/type")
+    projected = tuple(projected_code(flags, i) for i in range(1, n))
+    levels = [(pc.distances, pc.of_flag) for pc in projected]
+    pairs = itertools.combinations(range(len(flags)), 2)
+    d_f = min((sum(d[of[a]][of[b]] for d, of in levels) for a, b in pairs), default=0)
+    distances = tuple(projected_min_distance(pc) for pc in projected)
+    cache["pairwise"] = PairwiseSweep(d_f, projected, distances)
+    return cache["pairwise"]
+
+
+def min_flag_distance(code) -> int:
+    """Minimum pairwise flag distance; 0 for a single flag."""
+    return pairwise_sweep(code).d_f
 
 
 def partial_spread_bound(q: int, n: int, k: int) -> int:
@@ -179,17 +204,16 @@ def classify(code) -> CodeReport:
     if len(flags) < 2:
         raise MetricsError("classification needs at least 2 flags")
     n = flags[0].ambient
-    d_f = min_flag_distance(code)
+    sweep = pairwise_sweep(code)
     D_n = max_distance(n)
-    l2 = D_n - d_f
+    l2 = D_n - sweep.d_f
     if l2 % 2:
         raise MetricsError(f"odd distance deficit {l2} (corrupt input)")
     l = l2 // 2
     classification = {0: "ODFC", 1: "QODFC"}.get(l, "OTHER")
 
-    projected = [projected_code(flags, i) for i in range(1, n)]
-    proj_dist = tuple(projected_min_distance(pc) for pc in projected)
-    proj_card = tuple(len(pc) for pc in projected)
+    proj_dist = sweep.projected_distances
+    proj_card = tuple(len(pc) for pc in sweep.projected)
 
     L = n // 2  # max i with 2i <= n
     R = (n + 1) // 2  # min i with 2i >= n
@@ -225,7 +249,7 @@ def classify(code) -> CodeReport:
 
     return CodeReport(
         cardinality=len(flags),
-        d_f=d_f,
+        d_f=sweep.d_f,
         D_n=D_n,
         l=l,
         classification=classification,

@@ -13,7 +13,7 @@ from .linalg import (
     intersect_dim,
     rank,
 )
-from .metrics import min_flag_distance, projected_code, projected_min_distance
+from .metrics import pairwise_sweep
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -69,15 +69,9 @@ def check_flag_nesting(code: FlagCode) -> CheckResult:
 
 def check_spread_disjoint(code: FlagCode) -> CheckResult:
     """Pairwise trivial intersection of the k1-th projected subspaces."""
-    k1 = code.params.k1
-    subs = [flag[k1] for flag in code.flags]
-    for a in range(len(subs)):
-        for b in range(a + 1, len(subs)):
-            if intersect_dim(subs[a], subs[b]) != 0:
-                return CheckResult(
-                    "spread_disjoint", FAIL, f"members {a + 1} and {b + 1} intersect"
-                )
-    return CheckResult("spread_disjoint", PASS)
+    pair = pairwise_sweep(code).projected[code.params.k1 - 1].meeting_pair()
+    detail = f"members {pair[0]} and {pair[1]} intersect" if pair else ""
+    return _result("spread_disjoint", pair is None, detail)
 
 
 def check_spread_maximal(code: FlagCode, max_enumeration: int = 10**6) -> CheckResult:
@@ -100,10 +94,7 @@ def check_spread_maximal(code: FlagCode, max_enumeration: int = 10**6) -> CheckR
 
 def check_distance_profile(code: FlagCode) -> CheckResult:
     expected = expected_projected_distances(code)
-    actual = tuple(
-        projected_min_distance(projected_code(code, i))
-        for i in range(1, code.ambient)
-    )
+    actual = pairwise_sweep(code).projected_distances
     return _result(
         "distance_profile",
         actual == expected,
@@ -113,11 +104,8 @@ def check_distance_profile(code: FlagCode) -> CheckResult:
 
 def check_distance_sum_identity(code: FlagCode) -> CheckResult:
     """Code distance equals the sum of projected-code distances."""
-    total = sum(
-        projected_min_distance(projected_code(code, i))
-        for i in range(1, code.ambient)
-    )
-    d_f = min_flag_distance(code)
+    sweep = pairwise_sweep(code)
+    d_f, total = sweep.d_f, sum(sweep.projected_distances)
     return _result(
         "distance_sum_identity",
         d_f == total,

@@ -152,6 +152,30 @@ def test_erase_decode_round_trip(code_file, tmp_path, capsys):
     assert doc["step"] == 1
 
 
+def test_erase_decode_round_trip_non_default_modulus(tmp_path, capsys):
+    # F_8 built from x^3 + x + 1 rather than the default x^3 + x^2 + 1
+    code = tmp_path / "code.json"
+    received = tmp_path / "received.json"
+    exit_code, _ = run(
+        capsys,
+        "construct", "--p", "2", "--m", "3", "--modulus", "1,1,0,1",
+        "--k1", "2", "--out", str(code),
+    )
+    assert exit_code == EXIT_OK
+    exit_code, _ = run(
+        capsys,
+        "erase", "--code", str(code), "--codeword", "3",
+        "--erasures", "1,0,0", "--out", str(received),
+    )
+    assert exit_code == EXIT_OK
+    exit_code, out = run(
+        capsys, "decode", "--code", str(code), "--received", str(received)
+    )
+    assert exit_code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["status"], doc["flag_index"]) == ("DECODED", 3)
+
+
 def test_decode_failure_exit_code(code_file, tmp_path, capsys):
     received = tmp_path / "received.json"
     run(

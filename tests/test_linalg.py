@@ -16,6 +16,7 @@ from flagcodes.linalg import (
     rank,
     rowspace,
     rref,
+    subspace_sum,
     sum_dim,
 )
 
@@ -90,6 +91,10 @@ def test_ambient_mismatch(F2):
     V = Subspace.zero(F2, 4)
     with pytest.raises(LinAlgError):
         sum_dim(U, V)
+    with pytest.raises(LinAlgError):
+        contains(U, V)
+    with pytest.raises(LinAlgError):
+        subspace_sum(U, V)
 
 
 def test_contains(F2):

@@ -1,7 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+import flagcodes.metrics
+from flagcodes import MatrixFq, SandwichParams, build_code, field_new
+from flagcodes.construction import flag_from_generator
+from flagcodes.linalg import intersect_dim
 from flagcodes.metrics import (
     MetricsError,
     aq_exact,
@@ -10,11 +15,20 @@ from flagcodes.metrics import (
     flag_distance,
     max_distance,
     min_flag_distance,
+    pairwise_sweep,
     partial_spread_bound,
     projected_code,
     projected_min_distance,
     subspace_distance,
 )
+from flagcodes.verify import (
+    PASS,
+    check_distance_profile,
+    check_distance_sum_identity,
+    check_spread_disjoint,
+    verify_code,
+)
+from conftest import three_flags_f2_7
 
 
 def test_subspace_distance_equal(example_flags):
@@ -155,3 +169,84 @@ def test_flag_distance_symmetry_and_triangle(code_221):
         f, g, h = (flags[rng.randrange(len(flags))] for _ in range(3))
         assert flag_distance(f, g) == flag_distance(g, f)
         assert flag_distance(f, h) <= flag_distance(f, g) + flag_distance(g, h)
+
+
+def _shared_level_flags():
+    """Flags of F_3^4 from reordered unit vectors, so that several share
+    their 1- and 2-dimensional subspaces."""
+    field = field_new(3)
+    e = [[1 if j == i else 0 for j in range(4)] for i in range(4)]
+    orders = [(0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (3, 2, 1, 0)]
+    flags = [
+        flag_from_generator(MatrixFq.from_rows(field, [e[i] for i in o])) for o in orders
+    ]
+    skew = MatrixFq.from_rows(field, [[1, 2, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2], e[3]])
+    return flags + [flag_from_generator(skew)]
+
+
+def _case_flags(case):
+    if case == "example":
+        return three_flags_f2_7()
+    if case == "shared-levels":
+        return _shared_level_flags()
+    q, k1, r = case
+    return build_code(SandwichParams(field_new(q), k1, r)).flags
+
+
+@pytest.mark.parametrize(
+    "case", [(2, 2, 1), (2, 3, 2), (3, 2, 1), "example", "shared-levels"], ids=str
+)
+def test_pairwise_sweep_matches_the_oracles(case):
+    flags = _case_flags(case)
+    sweep = pairwise_sweep(flags)
+    pairs = list(itertools.combinations(range(len(flags)), 2))
+    assert sweep.d_f == min(flag_distance(flags[a], flags[b]) for a, b in pairs)
+    n = flags[0].ambient
+    for i in range(1, n):
+        distinct = list(dict.fromkeys(f[i] for f in flags))
+        brute = min(
+            (subspace_distance(U, V) for U, V in itertools.combinations(distinct, 2)),
+            default=0,
+        )
+        pc = projected_code(flags, i)
+        assert sweep.projected_distances[i - 1] == projected_min_distance(pc) == brute
+        swept = sweep.projected[i - 1]
+        assert len(swept) == len(pc) == len(distinct)
+        for a, b in pairs:
+            d = swept.distances[swept.of_flag[a]][swept.of_flag[b]]
+            assert d == subspace_distance(flags[a][i], flags[b][i])
+        meeting = next(
+            ((a + 1, b + 1) for a, b in pairs if intersect_dim(flags[a][i], flags[b][i])),
+            None,
+        )
+        assert swept.meeting_pair() == meeting
+
+
+def test_shared_level_flags_have_short_projections():
+    cards = [len(projected_code(_shared_level_flags(), i)) for i in range(1, 4)]
+    assert cards == [4, 3, 4]
+
+
+def test_min_flag_distance_rejects_mixed_ambients(example_flags, code_221):
+    with pytest.raises(MetricsError):
+        min_flag_distance([example_flags[0], code_221.flags[0]])
+
+
+def test_report_and_verify_share_one_sweep(monkeypatch):
+    calls = []
+    real = flagcodes.metrics.sum_dim
+
+    def counting(U, V):
+        calls.append(1)
+        return real(U, V)
+
+    code = build_code(SandwichParams(field_new(2), 2, 1))
+    monkeypatch.setattr(flagcodes.metrics, "sum_dim", counting)
+    classify(code)
+    # one sum_dim per pair of the 9 flags at each of the 4 levels
+    assert len(calls) == 4 * 36
+    checks = [check_spread_disjoint, check_distance_profile, check_distance_sum_identity]
+    assert all(check(code).status == PASS for check in checks)
+    assert all(r.status == PASS for r in verify_code(code))
+    assert min_flag_distance(code) == 12
+    assert len(calls) == 4 * 36

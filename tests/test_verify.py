@@ -41,6 +41,7 @@ def test_verify_flags_duplicate_codeword(code_221):
         code_221.generators[:-1] + code_221.generators[:1],
         code_221.flags[:-1] + code_221.flags[:1],
     )
-    statuses = _statuses(verify_code(doctored))
-    assert statuses["cardinality"] == FAIL
-    assert statuses["spread_disjoint"] == FAIL
+    results = {r.name: r for r in verify_code(doctored)}
+    assert results["cardinality"].status == FAIL
+    assert results["spread_disjoint"].status == FAIL
+    assert results["spread_disjoint"].detail == "members 1 and 9 intersect"

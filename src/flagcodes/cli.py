@@ -30,7 +30,7 @@ from .decoder import (
     received_to_json,
     simulate,
 )
-from .fields import FieldError, field_new
+from .fields import FieldError, field_new, parse_field_spec
 from .linalg import LinAlgError, parse_matrix, rowspace
 from .metrics import aq_exact, classify, max_distance, partial_spread_bound
 from .verify import FAIL, verify_code
@@ -62,18 +62,21 @@ def _load_code(path: str) -> FlagCode:
 def _load_code_or_flags(path: str):
     """Code JSON (with params) or a bare flag-list fixture.
 
-    Fixture format: {"ambient": n, "flags": [[matrix-text per level], ...]}.
+    Fixture format: {"ambient": n, "flags": [[matrix-text per level], ...]},
+    optionally with "field": FiniteField.spec(), the field every matrix is
+    parsed over. Without it each matrix's q gives the default-modulus field.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if "params" in doc:
         return code_from_dict(doc)
     try:
+        field = parse_field_spec(doc["field"]) if "field" in doc else None
         flags = [
-            Flag(rowspace(parse_matrix(text)) for text in levels)
+            Flag(rowspace(parse_matrix(text, field)) for text in levels)
             for levels in doc["flags"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"malformed flag fixture {path}: {exc}") from exc
     return flags
 

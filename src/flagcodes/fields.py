@@ -3,7 +3,9 @@
 Elements are plain ints in [0, q) encoding the coefficient vector
 c_0 + c_1*p + ... + c_{m-1}*p^(m-1) of the element in the polynomial basis.
 All operations go through a FiniteField instance; ints are never interpreted
-without one.
+without one. The scalar methods define the arithmetic; each field also
+carries lookup tables derived from them, which the row operations of
+linalg use, so q is limited to MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import itertools
 
 class FieldError(ValueError):
     """Invalid field construction or illegal field operation."""
+
+
+# Largest supported field order: every field carries q x q kernel tables.
+MAX_ORDER = 256
 
 
 def is_prime(n: int) -> bool:
@@ -91,6 +97,11 @@ class FiniteField:
             raise FieldError(f"p = {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree m = {m} must be >= 1")
+        # p >= 2, so m > 8 means q > 256; p**m is never formed for a huge m.
+        if m > 8 or p**m > MAX_ORDER:
+            raise FieldError(
+                f"q = {p}^{m} exceeds the largest supported field order {MAX_ORDER}"
+            )
         self.p = p
         self.m = m
         self.q = p**m
@@ -110,12 +121,13 @@ class FiniteField:
             if not _is_irreducible(modulus, p):
                 raise FieldError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
-        # Multiplication table for small extensions; prime fields use % p directly.
-        self._mul_table = None
-        if m > 1 and self.q <= 256:
-            self._mul_table = [
-                [self._mul_slow(a, b) for b in range(self.q)] for a in range(self.q)
-            ]
+        # The kernel tables, derived from the scalar methods below:
+        # mul_table[a][b] = a*b, sub_table[a][b] = a-b, inv_table[a] = 1/a
+        # (inv_table[0] is None). Row operations in linalg index them.
+        elements = range(self.q)
+        self.mul_table = [[self.mul(a, b) for b in elements] for a in elements]
+        self.sub_table = [[self.sub(a, b) for b in elements] for a in elements]
+        self.inv_table = [None] + [self.inv(a) for a in elements[1:]]
 
     # -- element <-> coefficient vector ------------------------------------
 
@@ -153,16 +165,11 @@ class FiniteField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.to_coeffs(a), self.to_coeffs(b), self.p)
-        return self.from_coeffs(_poly_mod(prod, self.modulus, self.p))
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
+        prod = _poly_mul(self.to_coeffs(a), self.to_coeffs(b), self.p)
+        return self.from_coeffs(_poly_mod(prod, self.modulus, self.p))
 
     def inv(self, a: int) -> int:
         if a == 0:

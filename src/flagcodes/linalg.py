@@ -30,7 +30,7 @@ class MatrixFq:
             raise LinAlgError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}"
             )
-        if any(not (0 <= e < field.q) for e in entries):
+        if entries and not (0 <= min(entries) and max(entries) < field.q):
             raise LinAlgError("entry out of field range")
         self.field = field
         self.rows = rows
@@ -74,16 +74,19 @@ class MatrixFq:
         if self.cols != other.rows or self.field != other.field:
             raise LinAlgError("matmul shape/field mismatch")
         F = self.field
+        mul, sub = F.mul_table, F.sub_table
+        neg = sub[0]
+        other_rows = [other.row(k) for k in range(other.rows)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = 0
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        acc = F.add(acc, F.mul(a, other.entries[k * other.cols + j]))
-                out.append(acc)
+            # Row i of the product is sum_k a_k * other_row_k, accumulated
+            # as acc - (-a_k) * other_row_k: the elimination step of RREF.
+            acc = [0] * other.cols
+            for a, row in zip(self.row(i), other_rows):
+                if a:
+                    m = mul[neg[a]]
+                    acc = [sub[x][m[y]] for x, y in zip(acc, row)]
+            out.extend(acc)
         return MatrixFq(F, self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
@@ -110,34 +113,63 @@ class MatrixFq:
 
 
 def _rref_rows(field: FiniteField, rows):
-    """In-place Gaussian elimination to RREF; returns (rows, rank, pivots)."""
+    """Gauss-Jordan elimination to RREF on a list of rows, by table lookups.
+
+    Rows are replaced, never mutated, so they may be any sequences of
+    elements. Returns (rows, rank, pivots).
+    """
+    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
         for i in range(r, nrows):
             if rows[i][c]:
-                pivot_row = i
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r]
+        if pivot[c] != 1:
+            m = mul[inv[pivot[c]]]
+            pivot = rows[r] = [m[x] for x in pivot]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])
-                ]
+            f = rows[i][c]
+            if f and i != r:
+                m = mul[f]
+                rows[i] = [sub[x][m[y]] for x, y in zip(rows[i], pivot)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return rows, r, tuple(pivots)
+
+
+def _pack(rows) -> tuple:
+    """Rows as ints, one byte per entry (entries are below 256)."""
+    return tuple(int.from_bytes(bytes(row), "big") for row in rows)
+
+
+def _rank_packed(field: FiniteField, cols: int, packed) -> int:
+    """Rank of packed rows of length `cols`: the one rank entry point.
+
+    Over F_2 the packed rows are eliminated directly, by XOR on their
+    leading bit, as M4RI does with packed words. Every other field unpacks
+    them and runs the table RREF.
+    """
+    if field.q == 2:
+        pivots = {}
+        for row in packed:
+            while row:
+                lead = row.bit_length()
+                p = pivots.get(lead)
+                if p is None:
+                    pivots[lead] = row
+                    break
+                row ^= p
+        return len(pivots)
+    return _rref_rows(field, [row.to_bytes(cols, "big") for row in packed])[1]
 
 
 def rref(A: MatrixFq):
@@ -147,74 +179,39 @@ def rref(A: MatrixFq):
     return R, rank, pivots
 
 
-def _pack_gf2_row(row) -> int:
-    acc = 0
-    for x in row:
-        acc = (acc << 1) | x
-    return acc
-
-
-def _rank_gf2_packed(packed_rows) -> int:
-    pivots = {}
-    rank = 0
-    for row in packed_rows:
-        while row:
-            msb = row.bit_length()
-            p = pivots.get(msb)
-            if p is None:
-                pivots[msb] = row
-                rank += 1
-                break
-            row ^= p
-    return rank
-
-
 def rank(A: MatrixFq) -> int:
-    if A.field.q == 2:
-        return _rank_gf2_packed(_pack_gf2_row(A.row(i)) for i in range(A.rows))
-    _, r, _ = rref(A)
-    return r
+    return _rank_packed(A.field, A.cols, _pack(A.row_lists()))
 
 
 class Subspace:
     """A k-dimensional subspace of F_q^n, canonically an RREF basis matrix.
 
     The zero subspace is the 0 x n basis. Equality and hashing are entry-wise
-    on the canonical basis.
+    on the canonical basis. `packed` keeps the basis rows in the form the
+    rank entry point `_rank_packed` takes, so `sum_dim` packs nothing.
     """
 
-    __slots__ = ("ambient", "dim", "basis", "_packed")
+    __slots__ = ("field", "ambient", "dim", "basis", "packed")
 
     def __init__(self, basis: MatrixFq):
+        self.field = basis.field
         self.ambient = basis.cols
         self.dim = basis.rows
         self.basis = basis
-        self._packed = None
-        self._check_rref()
+        rows = basis.row_lists()
+        self._check_rref(rows)
+        self.packed = _pack(rows)
 
-    def _check_rref(self):
+    def _check_rref(self, rows):
         prev_pivot = -1
-        for i in range(self.dim):
-            row = self.basis.row(i)
+        for i, row in enumerate(rows):
             pivot = next((c for c, x in enumerate(row) if x), None)
             if pivot is None or pivot <= prev_pivot or row[pivot] != 1:
                 raise LinAlgError("basis is not in RREF")
-            for j in range(self.dim):
-                if j != i and self.basis.entries[j * self.ambient + pivot]:
+            for j, other in enumerate(rows):
+                if j != i and other[pivot]:
                     raise LinAlgError("basis is not in RREF (pivot column not cleared)")
             prev_pivot = pivot
-
-    @property
-    def field(self) -> FiniteField:
-        return self.basis.field
-
-    def packed_rows(self):
-        """Bit-packed basis rows; only meaningful for q = 2."""
-        if self._packed is None:
-            self._packed = tuple(
-                _pack_gf2_row(self.basis.row(i)) for i in range(self.dim)
-            )
-        return self._packed
 
     @classmethod
     def zero(cls, field: FiniteField, ambient: int) -> "Subspace":
@@ -241,16 +238,14 @@ def rowspace(A: MatrixFq) -> Subspace:
 
 
 def _check_same_ambient(U: Subspace, V: Subspace):
-    if U.ambient != V.ambient or U.field != V.field:
+    if U.ambient != V.ambient or (U.field is not V.field and U.field != V.field):
         raise LinAlgError("subspaces live in different ambient spaces")
 
 
 def sum_dim(U: Subspace, V: Subspace) -> int:
-    """dim(U + V), the rank of the vertically stacked bases."""
+    """dim(U + V), the rank of the basis rows of U and V together."""
     _check_same_ambient(U, V)
-    if U.field.q == 2:
-        return _rank_gf2_packed(itertools.chain(U.packed_rows(), V.packed_rows()))
-    return rank(U.basis.stack(V.basis))
+    return _rank_packed(U.field, U.ambient, U.packed + V.packed)
 
 
 def intersect_dim(U: Subspace, V: Subspace) -> int:

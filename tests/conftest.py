@@ -2,6 +2,9 @@ import pytest
 
 from flagcodes import MatrixFq, Flag, SandwichParams, build_code, field_new, rowspace
 
+# (p, m) of the fields every field-level test runs over.
+SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
 
 @pytest.fixture(scope="session")
 def F2():
@@ -36,6 +39,11 @@ def code_221():
 @pytest.fixture(scope="session")
 def code_232():
     return _code(2, 3, 2)
+
+
+@pytest.fixture(scope="session")
+def code_321():
+    return _code(3, 2, 1)
 
 
 def _unit(n, *positions):

@@ -79,6 +79,32 @@ def test_report_example_fixture(tmp_path, capsys):
     assert doc["projected_cardinalities"] == [2, 3, 3, 3, 3, 2]
 
 
+def test_report_fixture_over_non_default_modulus(tmp_path, capsys):
+    # Six flags over F_8 built from x^3 + x + 1, not the default x^3 + x^2 + 1
+    from flagcodes import classify, code_from_json
+    from flagcodes.linalg import dump_matrix
+
+    code_path = tmp_path / "code.json"
+    exit_code, _ = run(
+        capsys,
+        "construct", "--p", "2", "--m", "3", "--modulus", "1,1,0,1",
+        "--k1", "2", "--out", str(code_path),
+    )
+    assert exit_code == EXIT_OK
+    code = code_from_json(code_path.read_text())
+    flags = code.flags[:6]
+    fixture = {
+        "ambient": code.ambient,
+        "field": code.params.field.spec(),
+        "flags": [[dump_matrix(sub.basis) for sub in flag.subspaces] for flag in flags],
+    }
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture))
+    exit_code, out = run(capsys, "report", "--code", str(path))
+    assert exit_code == EXIT_OK
+    assert json.loads(out) == classify(list(flags)).to_dict()
+
+
 def test_verify_passes(code_file, capsys):
     exit_code, out = run(capsys, "verify", "--code", str(code_file))
     assert exit_code == EXIT_OK

@@ -181,6 +181,33 @@ def test_exhaustive_round_trip_220(code_220):
             assert outcome.step != 2  # no middle band when r = 0
 
 
+def _erasures_of_weight(n, weight, rng):
+    """e_1..e_{n-1} with e_i <= i summing to exactly `weight`."""
+    e = [0] * (n - 1)
+    for _ in range(weight):
+        e[rng.choice([i for i in range(n - 1) if e[i] <= i])] += 1
+    return e
+
+
+@pytest.mark.parametrize("name", ["code_221", "code_232", "code_321"])
+def test_decoder_safety_at_every_erasure_weight(name, request):
+    # Beyond the budget decoding may fail, but it never returns a codeword
+    # other than the one sent.
+    code = request.getfixturevalue(name)
+    n = code.ambient
+    rng = random.Random(name)
+    seen = set()
+    for weight in range(n * (n - 1) // 2 + 1):
+        for _ in range(12):
+            sent = rng.randrange(len(code))
+            received = erase(code.flags[sent], _erasures_of_weight(n, weight, rng), rng)
+            outcome = decode(code, received)
+            result = (outcome.status, outcome.flag_index)
+            assert result in {(DECODED, sent + 1), (FAILURE, None)}
+            seen.add(outcome.status)
+    assert seen == {DECODED, FAILURE}
+
+
 def test_step2_threshold_soundness(code_232):
     # distinct codewords share at most dimension j - k1 in the middle band
     p = code_232.params

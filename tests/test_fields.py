@@ -1,13 +1,16 @@
 import pytest
 
+from flagcodes import fields
+from flagcodes.cli import EXIT_USAGE, main
 from flagcodes.fields import (
+    MAX_ORDER,
     FieldError,
+    FiniteField,
     field_from_order,
     field_new,
     parse_field_spec,
 )
-
-SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+from conftest import SMALL_ORDERS
 
 
 def test_prime_field_basics():
@@ -87,3 +90,34 @@ def test_spec_round_trip():
     for p, m in SMALL_ORDERS:
         F = field_new(p, m)
         assert parse_field_spec(F.spec()) == F
+
+
+@pytest.mark.parametrize("p,m", SMALL_ORDERS)
+def test_kernel_tables_match_scalar_methods(p, m):
+    F = field_new(p, m)
+    els = list(F.elements())
+    for a in els:
+        for b in els:
+            assert F.mul_table[a][b] == F.mul(a, b)
+            assert F.sub_table[a][b] == F.sub(a, b)
+    assert F.inv_table[0] is None
+    assert F.inv_table[1:] == [F.inv(a) for a in els[1:]]
+
+
+@pytest.mark.parametrize("p,m", [(257, 1), (2, 9), (3, 6), (2, 10**9)])
+def test_orders_above_the_limit_rejected_before_building(p, m, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("field construction started")
+
+    monkeypatch.setattr(fields, "_smallest_irreducible", forbidden)
+    monkeypatch.setattr(FiniteField, "mul", forbidden)
+    monkeypatch.setattr(FiniteField, "sub", forbidden)
+    with pytest.raises(FieldError, match=str(MAX_ORDER)):
+        field_new(p, m)
+
+
+def test_cli_rejects_field_above_the_limit(capsys):
+    assert main(["construct", "--p", "2", "--m", "9", "--k1", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(MAX_ORDER) in err
+    assert "Traceback" not in err

@@ -41,6 +41,13 @@ def test_construct_rejects_bad_r(capsys):
     assert exit_code == EXIT_USAGE
 
 
+def test_construct_rejects_field_above_the_limit(capsys):
+    assert main(["construct", "--p", "2", "--m", "9", "--k1", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "256" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture()
 def code_file(tmp_path, capsys):
     path = tmp_path / "code221.json"

@@ -1,7 +1,6 @@
 import pytest
 
 from flagcodes import fields
-from flagcodes.cli import EXIT_USAGE, main
 from flagcodes.fields import (
     MAX_ORDER,
     FieldError,
@@ -114,10 +113,3 @@ def test_orders_above_the_limit_rejected_before_building(p, m, monkeypatch):
     monkeypatch.setattr(FiniteField, "sub", forbidden)
     with pytest.raises(FieldError, match=str(MAX_ORDER)):
         field_new(p, m)
-
-
-def test_cli_rejects_field_above_the_limit(capsys):
-    assert main(["construct", "--p", "2", "--m", "9", "--k1", "2"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(MAX_ORDER) in err
-    assert "Traceback" not in err

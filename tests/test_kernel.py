@@ -1,8 +1,7 @@
 """The table-driven kernel of linalg against scalar-method oracles.
 
 The oracles are the textbook algorithms written with the field's scalar
-methods only (`add`, `sub`, `mul`, `inv`), as linalg computed before it
-used the field's lookup tables.
+methods only (`add`, `sub`, `mul`, `inv`), never its lookup tables.
 """
 
 import random

@@ -232,7 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("verify", cmd_verify, "run the invariant suite on a code file")
     sub.add_argument("--code", required=True)
-    sub.add_argument("--max-enumeration", type=int, default=10**6)
+    sub.add_argument(
+        "--max-enumeration",
+        type=int,
+        default=10**6,
+        help="most points of PG(n-1, q) that spread maximality enumerates; "
+        "above it the check is SKIPPED",
+    )
 
     sub = add("bounds", cmd_bounds, "cardinality bounds for (q, n, k) or a code file")
     _add_field_args(sub)

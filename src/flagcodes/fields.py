@@ -121,13 +121,38 @@ class FiniteField:
             if not _is_irreducible(modulus, p):
                 raise FieldError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
-        # The kernel tables, derived from the scalar methods below:
-        # mul_table[a][b] = a*b, sub_table[a][b] = a-b, inv_table[a] = 1/a
-        # (inv_table[0] is None). Row operations in linalg index them.
-        elements = range(self.q)
-        self.mul_table = [[self.mul(a, b) for b in elements] for a in elements]
-        self.sub_table = [[self.sub(a, b) for b in elements] for a in elements]
-        self.inv_table = [None] + [self.inv(a) for a in elements[1:]]
+        self.mul_table, self.sub_table, self.inv_table = self._kernel_tables()
+
+    def _kernel_tables(self):
+        """The lookup tables that row operations in linalg index, derived
+        from the scalar methods: mul_table[a][b] = a*b, sub_table[a][b] = a-b
+        and inv_table[a] = 1/a (inv_table[0] is None).
+
+        An a with p^j <= a < p^(j+1) is x^j + a', where x^j is encoded p^j and
+        a' = a - p^j < a. So a row of the addition table is the row of a'
+        shifted by x^j, and a*b = a*b' + a*x^j for b = x^j + b': each entry is
+        one lookup, and scalar methods are called m times a row.
+        """
+        p, q = self.p, self.q
+        add = [list(range(q))]
+        for j in range(self.m):
+            e = p**j
+            add_e = [self.add(e, c) for c in range(q)]
+            for a in range(e, p * e):
+                add.append([add_e[x] for x in add[a - e]])
+        mul = []
+        for a in range(q):
+            row = [0]
+            for j in range(self.m):
+                e = p**j
+                ae = self.mul(a, e)
+                for b in range(e, p * e):
+                    row.append(add[row[b - e]][ae])
+            mul.append(row)
+        neg = [self.neg(b) for b in range(q)]
+        sub = [[row[b] for b in neg] for row in add]
+        inv = [None] + [self.inv(a) for a in range(1, q)]
+        return mul, sub, inv
 
     # -- element <-> coefficient vector ------------------------------------
 

@@ -261,6 +261,27 @@ def contains(U: Subspace, V: Subspace) -> bool:
     return sum_dim(U, V) == U.dim
 
 
+def normalized_vectors(U: Subspace) -> list:
+    """The nonzero vectors of U with leading entry 1, one per 1-dim subspace
+    of U, as tuples in the form of a 1-dim subspace's `basis.entries`.
+
+    They are the combinations of U's RREF rows whose first nonzero
+    coefficient is 1: that row's pivot then carries the leading 1.
+    """
+    mul, sub = U.field.mul_table, U.field.sub_table
+    neg = sub[0]
+    rows = U.basis.row_lists()
+    span = [(0,) * U.ambient]  # the span of the rows below row i
+    out = []
+    for i in reversed(range(len(rows))):
+        # w + c*row, computed as w - (-c*row) for every multiplier c.
+        negated = [[neg[m[x]] for x in rows[i]] for m in mul]
+        out.extend(tuple(sub[a][b] for a, b in zip(w, negated[1])) for w in span)
+        if i:
+            span = [tuple(sub[a][b] for a, b in zip(w, nc)) for nc in negated for w in span]
+    return out
+
+
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """[n choose k]_q by the product formula."""
     if k < 0 or k > n:

@@ -3,15 +3,19 @@ checked by brute force at desk scale."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .construction import FlagCode
+from .fields import FiniteField
 from .linalg import (
     EnumerationCapExceeded,
+    MatrixFq,
     contains,
     enumerate_subspaces,
-    intersect_dim,
+    normalized_vectors,
     rank,
+    rowspace,
 )
 from .metrics import pairwise_sweep
 
@@ -74,21 +78,75 @@ def check_spread_disjoint(code: FlagCode) -> CheckResult:
     return _result("spread_disjoint", pair is None, detail)
 
 
-def check_spread_maximal(code: FlagCode, max_enumeration: int = 10**6) -> CheckResult:
-    """No k1-subspace of the ambient space is disjoint from every member."""
+def spread_holes(code: FlagCode, max_enumeration: int = 10**6) -> list:
+    """The holes of the k1-level partial spread: the points of PG(n-1, q)
+    that no member covers, as normalized vectors in enumeration order.
+
+    Raises EnumerationCapExceeded when the [n,1]_q points exceed the cap.
+    """
     p = code.params
     members = {flag[p.k1] for flag in code.flags}
+    covered = {v for m in members for v in normalized_vectors(m)}
+    points = enumerate_subspaces(p.field, p.n, 1, max_enumeration)
+    return [P.basis.entries for P in points if P.basis.entries not in covered]
+
+
+def _find_hole_subspace(field: FiniteField, holes: list, k: int):
+    """A basis of some k-subspace whose points are all holes, or None.
+
+    A span grows one hole at a time, and only by a hole h with a larger
+    index than the last one chosen whose new points are all holes with an
+    index of at least h's. Then h is the first point of the grown span
+    outside the old one, so each span is reached by one sequence of choices
+    and visited once. A hole is tried only while enough holes follow it to
+    complete a k-subspace.
+    """
+    q = field.q
+    index = {v: i for i, v in enumerate(holes)}
+    # others[i][j]: the q - 1 points on the line through holes i and j other
+    # than those two, as hole indices (-1 for a point that is no hole). The
+    # diagonal reads as no hole, so a hole already in a span cannot extend it.
+    others = [[(-1,)] * len(holes) for _ in holes]
+    for i, j in itertools.combinations(range(len(holes)), 2):
+        line = rowspace(MatrixFq.from_rows(field, [holes[i], holes[j]]))
+        on_line = (index.get(v, -1) for v in normalized_vectors(line))
+        others[i][j] = others[j][i] = tuple(x for x in on_line if x != i and x != j)
+
+    def grow(points, chosen):
+        # The points of span(chosen) + <h> outside span(chosen) are h and
+        # the others on the lines from h to each point of span(chosen).
+        needed = (q**k - q ** len(chosen)) // (q - 1)  # points still missing
+        for h in range(chosen[-1] + 1 if chosen else 0, len(holes) - needed + 1):
+            row, new = others[h], [h]
+            for s in points:
+                if min(row[s]) < h:
+                    break
+                new.extend(row[s])
+            else:
+                if len(chosen) + 1 == k:
+                    return chosen + [h]
+                found = grow(points + new, chosen + [h])
+                if found:
+                    return found
+        return None
+
+    found = grow([], [])
+    return [holes[i] for i in found] if found else None
+
+
+def check_spread_maximal(code: FlagCode, max_enumeration: int = 10**6) -> CheckResult:
+    """No k1-subspace of the ambient space is disjoint from every member,
+    i.e. the holes (the points no member covers) contain no k1-subspace.
+
+    `max_enumeration` caps the points of PG(n-1, q) enumerated; above it
+    the check is SKIPPED.
+    """
     try:
-        candidates = enumerate_subspaces(p.field, p.n, p.k1, max_enumeration)
-        for cand in candidates:
-            if cand in members:
-                continue
-            if all(intersect_dim(cand, m) == 0 for m in members):
-                return CheckResult(
-                    "spread_maximal", FAIL, "found an extendable k1-subspace"
-                )
+        holes = spread_holes(code, max_enumeration)
     except EnumerationCapExceeded as exc:
         return CheckResult("spread_maximal", SKIPPED, str(exc))
+    if _find_hole_subspace(code.params.field, holes, code.params.k1):
+        return CheckResult("spread_maximal", FAIL, "found an extendable k1-subspace")
     return CheckResult("spread_maximal", PASS)
 
 

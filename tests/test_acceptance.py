@@ -26,9 +26,12 @@ from flagcodes import (
     rowspace,
     rref,
     sum_dim,
+    verify_code,
 )
 from flagcodes.decoder import DECODED, _trial_rng, random_erasure_vector
+from flagcodes.fields import field_from_order
 from flagcodes.metrics import aq_exact, partial_spread_bound
+from flagcodes.verify import PASS, spread_holes
 from conftest import three_flags_f2_7
 
 
@@ -53,13 +56,16 @@ MATRIX = [
     (3, 2, 1, "ODFC"),
 ]
 
+# The matrix and the rest of the north-star grid: (3,3,1) and F_4 with (3,0).
+GRID = [(q, k1, r) for q, k1, r, _ in MATRIX] + [(3, 3, 1), (4, 3, 0)]
+
 _codes = {}
 
 
 def _get_code(q, k1, r):
     key = (q, k1, r)
     if key not in _codes:
-        _codes[key] = build_code(SandwichParams(field_new(q), k1, r))
+        _codes[key] = build_code(SandwichParams(field_from_order(q), k1, r))
     return _codes[key]
 
 
@@ -109,6 +115,24 @@ def test_criterion_3_partial_spread_oracle():
         else:
             assert any(intersect_dim(plane, m) > 0 for m in members)
     _report("criterion 3: maximal partial spread over all 155 planes", started, 1.0)
+
+
+def test_spread_holes_closed_form():
+    started = time.time()
+    for q, k1, r in GRID:
+        # q^k1 (q^r - 1)/(q - 1): none when r = 0, where the spread is full.
+        assert len(spread_holes(_get_code(q, k1, r))) == q**k1 * (q**r - 1) // (q - 1)
+    _report("hole count q^k1 (q^r - 1)/(q - 1) on the grid", started, 10.0)
+
+
+def test_verify_all_pass_on_the_grid():
+    started = time.time()
+    for q, k1, r in GRID:
+        code_started = time.time()
+        results = verify_code(_get_code(q, k1, r))
+        assert all(c.status == PASS for c in results), ((q, k1, r), results)
+        _report(f"verify_code on ({q},{k1},{r})", code_started, 10.0)
+    _report("verify_code all PASS, none SKIPPED, on the grid", started, 60.0)
 
 
 def test_criterion_4_projected_distance_profile():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flagcodes.fields import field_new
 from flagcodes.linalg import (
     EnumerationCapExceeded,
     LinAlgError,
@@ -12,6 +13,7 @@ from flagcodes.linalg import (
     enumerate_subspaces,
     gaussian_binomial,
     intersect_dim,
+    normalized_vectors,
     parse_matrix,
     rank,
     rowspace,
@@ -19,6 +21,7 @@ from flagcodes.linalg import (
     subspace_sum,
     sum_dim,
 )
+from conftest import SMALL_ORDERS
 
 
 def _random_matrix(field, rows, cols, rng):
@@ -125,6 +128,21 @@ def test_enumeration_counts_f2(F2, n, k, expected):
 
 def test_enumeration_counts_f3(F3):
     assert len(list(enumerate_subspaces(F3, 4, 2))) == gaussian_binomial(4, 2, 3) == 130
+
+
+@pytest.mark.parametrize("p,m", SMALL_ORDERS)
+def test_normalized_vectors_are_the_points_of_the_subspace(p, m):
+    # Each point of PG(n-1, q) is listed by its 1-dim subspace's basis
+    # entries; U's normalized vectors are exactly the points U contains.
+    field, n = field_new(p, m), 4
+    points = [P.basis.entries for P in enumerate_subspaces(field, n, 1)]
+    rng = random.Random(p * 10 + m)
+    for k in range(n + 1):
+        U = rowspace(_random_matrix(field, k, n, rng)) if k else Subspace.zero(field, n)
+        vectors = normalized_vectors(U)
+        assert len(vectors) == len(set(vectors)) == gaussian_binomial(U.dim, 1, field.q)
+        inside = [v for v in points if contains(U, rowspace(MatrixFq(field, 1, n, v)))]
+        assert set(vectors) == set(inside)
 
 
 def test_enumeration_cap(F2):

@@ -1,9 +1,16 @@
+import pytest
+
+from flagcodes import MatrixFq, SandwichParams, build_code, field_new, rowspace
 from flagcodes.construction import FlagCode
+from flagcodes.linalg import enumerate_subspaces, intersect_dim
 from flagcodes.verify import (
     FAIL,
     PASS,
     SKIPPED,
+    _find_hole_subspace,
+    check_spread_maximal,
     expected_projected_distances,
+    spread_holes,
     verify_code,
 )
 
@@ -12,13 +19,51 @@ def _statuses(results):
     return {r.name: r.status for r in results}
 
 
+def oracle_spread_maximal(code):
+    """Maximality by brute force over every k1-subspace of F_q^n: PASS iff
+    none but a member is disjoint from every member."""
+    p = code.params
+    members = {flag[p.k1] for flag in code.flags}
+    for cand in enumerate_subspaces(p.field, p.n, p.k1):
+        if cand not in members and all(intersect_dim(cand, m) == 0 for m in members):
+            return FAIL
+    return PASS
+
+
+def _without_last_flag(code):
+    return FlagCode(code.params, code.generators[:-1], code.flags[:-1])
+
+
+def _with_duplicate_codeword(code):
+    return FlagCode(
+        code.params,
+        code.generators[:-1] + code.generators[:1],
+        code.flags[:-1] + code.flags[:1],
+    )
+
+
+@pytest.mark.parametrize("q, k1, r", [(2, 2, 1), (2, 3, 1), (3, 2, 0), (3, 2, 1), (2, 3, 2)])
+def test_hole_set_maximality_matches_the_oracle(q, k1, r):
+    code = build_code(SandwichParams(field_new(q), k1, r))
+    assert check_spread_maximal(code).status == oracle_spread_maximal(code) == PASS
+    for broken in (_without_last_flag(code), _with_duplicate_codeword(code)):
+        result = check_spread_maximal(broken)
+        assert result.status == oracle_spread_maximal(broken) == FAIL
+        assert result.detail == "found an extendable k1-subspace"
+        # The subspace found lies in the holes: it meets no member.
+        basis = _find_hole_subspace(code.params.field, spread_holes(broken), k1)
+        found = rowspace(MatrixFq.from_rows(code.params.field, basis))
+        assert found.dim == k1
+        assert all(intersect_dim(found, flag[k1]) == 0 for flag in broken.flags)
+
+
 def test_verify_221_all_pass(code_221):
     statuses = _statuses(verify_code(code_221))
     assert all(s == PASS for s in statuses.values()), statuses
 
 
 def test_verify_232_within_default_cap(code_232):
-    # [8,3]_2 = 1395 candidate subspaces, inside the default cap
+    # [8,1]_2 = 255 points of PG(7,2), inside the default cap
     statuses = _statuses(verify_code(code_232))
     assert statuses["spread_maximal"] == PASS
     assert all(s == PASS for s in statuses.values())

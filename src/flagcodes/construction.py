@@ -20,6 +20,7 @@ from .linalg import (
     Subspace,
     contains,
     dump_matrix,
+    normalized_vectors,
     parse_matrix,
     rank,
     rowspace,
@@ -347,6 +348,25 @@ def build_code(params: SandwichParams) -> FlagCode:
     if len(set(flags)) != params.num_generators:
         raise ConstructionError("constructed flags are not pairwise distinct")
     return FlagCode(params, generators, flags)
+
+
+def spread_points(code: FlagCode) -> dict:
+    """Point -> bitmask of the codewords whose level-k1 subspace covers it.
+
+    Points are the normalized vectors of `linalg.normalized_vectors`, in the
+    form of a 1-dim subspace's `basis.entries`; bit i - 1 of a mask stands
+    for codeword i. On a partial spread every mask has one bit. Cached on
+    the code.
+    """
+    table = code._cache.get("spread_points")
+    if table is None:
+        table = {}
+        k1 = code.params.k1
+        for bit, flag in enumerate(code.flags):
+            for v in normalized_vectors(flag[k1]):
+                table[v] = table.get(v, 0) | 1 << bit
+        code._cache["spread_points"] = table
+    return table
 
 
 # -- code serialization --------------------------------------------------------

@@ -5,6 +5,16 @@ subspace X_i of the sent flag's i-dimensional subspace. Decoding exploits
 that the first k1 projected codes form a partial spread (step 1), that the
 middle band has pairwise intersections of dimension at most i - k1 (step 2),
 and that above the middle band intersections are at most 2i - n (step 3).
+
+Every step looks its trigger subspace Y up in one table, the point ->
+codeword map of the level-k1 spread (`construction.spread_points`), instead
+of testing all |C| codewords. At level i, let W be the span of the first
+w = max(1, i - k1 + 1) RREF rows of Y. A codeword c with V_i(c) ⊇ Y has a
+point of V_k1(c) in W: for i <= k1, W lies in V_k1(c); above k1, W and
+V_k1(c) both lie in V_i(c), so dim(W ∩ V_k1(c)) >= w + k1 - i = 1. So the
+codewords covering a point of W include every match, and testing just those
+with `contains` gives the same matches as the full scan, for any FlagCode.
+Each trigger guarantees dim Y >= w.
 """
 
 from __future__ import annotations
@@ -13,13 +23,14 @@ import json
 import random
 from dataclasses import dataclass
 
-from .construction import Flag, FlagCode
+from .construction import Flag, FlagCode, spread_points
 from .fields import FiniteField
 from .linalg import (
     MatrixFq,
     Subspace,
     contains,
     dump_matrix,
+    normalized_vectors,
     parse_matrix,
     rank,
     rowspace,
@@ -174,9 +185,26 @@ def accumulate(received: ReceivedSequence, k1: int) -> tuple:
 
 
 def _unique_containing(code: FlagCode, level: int, sub: Subspace, step: int) -> DecodeOutcome:
-    matches = [
-        idx for idx, flag in enumerate(code.flags, start=1) if contains(flag[level], sub)
-    ]
+    """The codeword whose level-`level` subspace contains `sub`, if exactly one.
+
+    Only the codewords covering a point of W, the span of the first
+    w = max(1, level - k1 + 1) RREF rows of `sub`, are tested: any codeword
+    containing `sub` meets W in a point of its level-k1 subspace (see the
+    module docstring), so the matches are those of a scan over all of C.
+    Needs dim sub >= w, which each step's trigger guarantees.
+    """
+    w = max(1, level - code.params.k1 + 1)
+    table = spread_points(code)
+    candidates = 0
+    for v in normalized_vectors(Subspace(sub.basis.first_rows(w))):
+        candidates |= table.get(v, 0)
+    matches = []
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        idx = low.bit_length()
+        if contains(code.flags[idx - 1][level], sub):
+            matches.append(idx)
     if len(matches) > 1:
         raise AmbiguousDecodeError(
             f"step {step}: {len(matches)} codewords contain the shot-{level} subspace"
@@ -198,6 +226,8 @@ def decode(code: FlagCode, received: ReceivedSequence) -> DecodeOutcome:
     n, k1, r = p.n, p.k1, p.r
     if received.ambient != n:
         raise ChannelError("received sequence has wrong ambient dimension")
+    if any(x.field != p.field for x in received.shots):
+        raise ChannelError("received shots are not over the code's field")
     for i in range(1, k1 + 1):
         if received[i].dim > 0:
             return _unique_containing(code, i, received[i], step=1)

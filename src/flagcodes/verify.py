@@ -6,17 +6,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .construction import FlagCode
+from .construction import FlagCode, spread_points
 from .fields import FiniteField
-from .linalg import (
-    EnumerationCapExceeded,
-    MatrixFq,
-    contains,
-    enumerate_subspaces,
-    normalized_vectors,
-    rank,
-    rowspace,
-)
+from .linalg import EnumerationCapExceeded, contains, enumerate_subspaces, rank
 from .metrics import pairwise_sweep
 
 PASS = "PASS"
@@ -82,11 +74,12 @@ def spread_holes(code: FlagCode, max_enumeration: int = 10**6) -> list:
     """The holes of the k1-level partial spread: the points of PG(n-1, q)
     that no member covers, as normalized vectors in enumeration order.
 
+    The covered points are the keys of `construction.spread_points`, the
+    table the decoder looks its trigger subspaces up in.
     Raises EnumerationCapExceeded when the [n,1]_q points exceed the cap.
     """
     p = code.params
-    members = {flag[p.k1] for flag in code.flags}
-    covered = {v for m in members for v in normalized_vectors(m)}
+    covered = spread_points(code)
     points = enumerate_subspaces(p.field, p.n, 1, max_enumeration)
     return [P.basis.entries for P in points if P.basis.entries not in covered]
 
@@ -102,15 +95,26 @@ def _find_hole_subspace(field: FiniteField, holes: list, k: int):
     complete a k-subspace.
     """
     q = field.q
+    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
     index = {v: i for i, v in enumerate(holes)}
     # others[i][j]: the q - 1 points on the line through holes i and j other
     # than those two, as hole indices (-1 for a point that is no hole). The
     # diagonal reads as no hole, so a hole already in a span cannot extend it.
     others = [[(-1,)] * len(holes) for _ in holes]
     for i, j in itertools.combinations(range(len(holes)), 2):
-        line = rowspace(MatrixFq.from_rows(field, [holes[i], holes[j]]))
-        on_line = (index.get(v, -1) for v in normalized_vectors(line))
-        others[i][j] = others[j][i] = tuple(x for x in on_line if x != i and x != j)
+        hi, hj = holes[i], holes[j]
+        on_line = []
+        for c in range(1, q):
+            # h_i - c*h_j, scaled to a leading 1; nonzero, as two distinct
+            # points are linearly independent.
+            m = mul[c]
+            v = [sub[a][m[b]] for a, b in zip(hi, hj)]
+            lead = next(x for x in v if x)
+            if lead != 1:
+                m = mul[inv[lead]]
+                v = [m[x] for x in v]
+            on_line.append(index.get(tuple(v), -1))
+        others[i][j] = others[j][i] = tuple(on_line)
 
     def grow(points, chosen):
         # The points of span(chosen) + <h> outside span(chosen) are h and

@@ -46,6 +46,11 @@ def code_321():
     return _code(3, 2, 1)
 
 
+@pytest.fixture(scope="session")
+def code_f4_21():
+    return build_code(SandwichParams(field_new(2, 2), 2, 1))
+
+
 def _unit(n, *positions):
     v = [0] * n
     for pos in positions:

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from flagcodes import SandwichParams, build_code, decoder, field_new
+from flagcodes.construction import FlagCode
 from flagcodes.decoder import (
     DECODED,
     FAILURE,
     AmbiguousDecodeError,
     ChannelError,
+    DecodeOutcome,
     ReceivedSequence,
     accumulate,
     correctable_budget,
@@ -279,16 +282,130 @@ def test_received_from_json_rejects_garbage(F2):
         received_from_json("not json", F2)
 
 
+def _doubled(code):
+    """The code with its first codeword appended again."""
+    return FlagCode(
+        code.params, code.generators + code.generators[:1], code.flags + code.flags[:1]
+    )
+
+
 def test_ambiguous_decode_is_loud(code_221):
     # a duplicated codeword makes step-1 containment non-unique
-    from flagcodes.construction import FlagCode
-
-    params = code_221.params
-    doubled = FlagCode(
-        params,
-        code_221.generators + code_221.generators[:1],
-        code_221.flags + code_221.flags[:1],
-    )
     received = erase(code_221.flags[0], [0, 0, 0, 0], seed=2)
     with pytest.raises(AmbiguousDecodeError):
-        decode(doubled, received)
+        decode(_doubled(code_221), received)
+
+
+def test_decode_rejects_shots_over_another_modulus():
+    # Same q = 8, other modulus: the shots' entries mean other field elements.
+    code = build_code(SandwichParams(field_new(2, 3), 2, 0))
+    other = field_new(2, 3, (1, 1, 0, 1))
+    assert other != code.params.field
+    received = erase(code.flags[3], [0, 1, 2], seed=1)
+    foreign = received_from_json(received_to_json(received), other)
+    with pytest.raises(ChannelError, match="field"):
+        decode(code, foreign)
+
+
+# -- the decoder against the codeword scan ---------------------------------------
+
+
+def scan_decode(code, received):
+    """The three-step decoder with every step testing `contains` against all
+    |C| codewords: the oracle for the spread-point table."""
+    p = code.params
+    n, k1, r = p.n, p.k1, p.r
+
+    def scan(level, sub, step):
+        matches = [
+            idx for idx, flag in enumerate(code.flags, start=1) if contains(flag[level], sub)
+        ]
+        if len(matches) > 1:
+            raise AmbiguousDecodeError(
+                f"step {step}: {len(matches)} codewords contain the shot-{level} subspace"
+            )
+        if not matches:
+            return DecodeOutcome(FAILURE)
+        return DecodeOutcome(DECODED, flag_index=matches[0], step=step, shot_index=level)
+
+    for i in range(1, k1 + 1):
+        if received[i].dim > 0:
+            return scan(i, received[i], 1)
+    acc = accumulate(received, k1)
+    for i in range(k1 + 1, k1 + r + 1):
+        if acc[i - 1].dim > i - k1:
+            return scan(i, acc[i - 1], 2)
+    for i in range(k1 + r + 1, n):
+        if acc[i - 1].dim > 2 * i - n:
+            return scan(i, acc[i - 1], 3)
+    return DecodeOutcome(FAILURE)
+
+
+def _outcome(decoder_fn, code, received):
+    try:
+        return decoder_fn(code, received)
+    except AmbiguousDecodeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_decode_matches_the_scan_on_every_erasure_vector_221(code_221, doubled):
+    # Every vector with e_i <= i, beyond the budget too.
+    code = _doubled(code_221) if doubled else code_221
+    outcomes = set()
+    for idx, flag in enumerate(code.flags, start=1):
+        for vec in itertools.product(range(2), range(3), range(4), range(5)):
+            received = erase(flag, vec, seed=idx * 1000 + sum(vec))
+            outcome = _outcome(decode, code, received)
+            assert outcome == _outcome(scan_decode, code, received), (idx, vec)
+            outcomes.add(AmbiguousDecodeError if isinstance(outcome, str) else outcome.status)
+    assert {DECODED, FAILURE} <= outcomes
+    assert (AmbiguousDecodeError in outcomes) == doubled
+
+
+@pytest.mark.parametrize("name", ["code_232", "code_321", "code_f4_21"])
+def test_decode_matches_the_scan_on_random_erasures(name, request):
+    code = request.getfixturevalue(name)
+    n = code.ambient
+    rng = random.Random(name)
+    for _ in range(150):
+        sent = rng.randrange(len(code))
+        weight = rng.randint(0, n * (n - 1) // 2)
+        received = erase(code.flags[sent], _erasures_of_weight(n, weight, rng), rng)
+        assert decode(code, received) == scan_decode(code, received)
+
+
+def test_deep_erasure_decode_tests_fewer_codewords_than_the_scan(code_321, monkeypatch):
+    calls = []
+
+    def counting_contains(U, V):
+        calls.append(1)
+        return contains(U, V)
+
+    monkeypatch.setattr(decoder, "contains", counting_contains)
+    received = erase(code_321.flags[5], [1, 2, 1, 0], seed=4)
+    outcome = decode(code_321, received)
+    assert (outcome.status, outcome.flag_index) == (DECODED, 6)
+    assert outcome.step in (2, 3)
+    assert 0 < len(calls) < len(code_321)
+
+
+def _deep_vectors(code):
+    """Erasure vectors that wipe levels 1..k1 and spend at most the rest of
+    the budget on the levels above k1."""
+    p = code.params
+    wiped = tuple(range(1, p.k1 + 1))
+    rest = correctable_budget(code) - sum(wiped)
+    above = itertools.product(*(range(i + 1) for i in range(p.k1 + 1, p.n)))
+    return [wiped + e for e in above if sum(e) <= rest]
+
+
+@pytest.mark.parametrize("name, sent", [("code_221", None), ("code_232", (1, 12, 33))])
+def test_deep_erasures_decode_at_step_2_or_3(name, sent, request):
+    code = request.getfixturevalue(name)
+    vectors = _deep_vectors(code)
+    for idx in sent or range(1, len(code) + 1):
+        for k, vec in enumerate(vectors):
+            outcome = decode(code, erase(code.flags[idx - 1], vec, seed=idx * 1000 + k))
+            assert (outcome.status, outcome.flag_index) == (DECODED, idx), vec
+            assert outcome.step in (2, 3)

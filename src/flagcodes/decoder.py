@@ -114,6 +114,11 @@ class SimulationReport:
         }
 
 
+def _check_shot_fields(field: FiniteField, received: ReceivedSequence):
+    if any(x.field != field for x in received.shots):
+        raise ChannelError("received shots are not over the code's field")
+
+
 def error_count(sent: Flag, received: ReceivedSequence) -> int:
     """Total erasures: sum over shots of i - dim(X_i).
 
@@ -121,6 +126,7 @@ def error_count(sent: Flag, received: ReceivedSequence) -> int:
     """
     if sent.ambient != received.ambient:
         raise ChannelError("ambient mismatch")
+    _check_shot_fields(sent[1].field, received)
     total = 0
     for i in range(1, sent.ambient):
         if not contains(sent[i], received[i]):
@@ -226,8 +232,7 @@ def decode(code: FlagCode, received: ReceivedSequence) -> DecodeOutcome:
     n, k1, r = p.n, p.k1, p.r
     if received.ambient != n:
         raise ChannelError("received sequence has wrong ambient dimension")
-    if any(x.field != p.field for x in received.shots):
-        raise ChannelError("received shots are not over the code's field")
+    _check_shot_fields(p.field, received)
     for i in range(1, k1 + 1):
         if received[i].dim > 0:
             return _unique_containing(code, i, received[i], step=1)

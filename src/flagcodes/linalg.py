@@ -172,6 +172,31 @@ def _rank_packed(field: FiniteField, cols: int, packed) -> int:
     return _rref_rows(field, [row.to_bytes(cols, "big") for row in packed])[1]
 
 
+def _base_q(digits, q: int) -> int:
+    x = 0
+    for d in digits:
+        x = x * q + d
+    return x
+
+
+def _point_ints(U: Subspace) -> frozenset:
+    """The points of U, its `normalized_vectors`, as base-q integers.
+
+    Over F_2 every nonzero vector has leading entry 1 and vectors add by
+    XOR of their base-2 integers, so the points are the nonzero XOR
+    combinations of U's rows, and no vector is built. Every other field
+    reads the `normalized_vectors` tuples as base-q digits.
+    """
+    q = U.field.q
+    if q == 2:
+        span = [0]
+        for row in U.basis.row_lists():
+            row = _base_q(row, 2)
+            span += [x ^ row for x in span]
+        return frozenset(span[1:])
+    return frozenset(_base_q(v, q) for v in normalized_vectors(U))
+
+
 def rref(A: MatrixFq):
     """Reduced row echelon form of A: (rref_matrix, rank, pivot_columns)."""
     rows, rank, pivots = _rref_rows(A.field, A.row_lists())
@@ -189,9 +214,10 @@ class Subspace:
     The zero subspace is the 0 x n basis. Equality and hashing are entry-wise
     on the canonical basis. `packed` keeps the basis rows in the form the
     rank entry point `_rank_packed` takes, so `sum_dim` packs nothing.
+    `distance_points` is computed on first use and kept.
     """
 
-    __slots__ = ("field", "ambient", "dim", "basis", "packed")
+    __slots__ = ("field", "ambient", "dim", "basis", "packed", "_points")
 
     def __init__(self, basis: MatrixFq):
         self.field = basis.field
@@ -201,6 +227,19 @@ class Subspace:
         rows = basis.row_lists()
         self._check_rref(rows)
         self.packed = _pack(rows)
+        self._points = None
+
+    @property
+    def distance_points(self) -> frozenset:
+        """The points of U, or of U⊥ when 2 dim U > n, as base-q integers.
+
+        d_S(U, V) = d_S(U⊥, V⊥), so equal-dimension distances may use either
+        side, and no set is larger than that of a floor(n/2)-space.
+        """
+        if self._points is None:
+            side = orthogonal_complement(self) if 2 * self.dim > self.ambient else self
+            self._points = _point_ints(side)
+        return self._points
 
     def _check_rref(self, rows):
         prev_pivot = -1
@@ -237,14 +276,14 @@ def rowspace(A: MatrixFq) -> Subspace:
     return Subspace(R.first_rows(r))
 
 
-def _check_same_ambient(U: Subspace, V: Subspace):
+def check_same_ambient(U: Subspace, V: Subspace):
     if U.ambient != V.ambient or (U.field is not V.field and U.field != V.field):
         raise LinAlgError("subspaces live in different ambient spaces")
 
 
 def sum_dim(U: Subspace, V: Subspace) -> int:
     """dim(U + V), the rank of the basis rows of U and V together."""
-    _check_same_ambient(U, V)
+    check_same_ambient(U, V)
     return _rank_packed(U.field, U.ambient, U.packed + V.packed)
 
 
@@ -259,6 +298,30 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
 def contains(U: Subspace, V: Subspace) -> bool:
     """True iff V is a subspace of U."""
     return sum_dim(U, V) == U.dim
+
+
+def orthogonal_complement(U: Subspace) -> Subspace:
+    """U⊥ = {v : u·v = 0 for all u in U}, of dimension n - dim U.
+
+    A basis is read off U's RREF R: for each non-pivot column j, the vector
+    with 1 at j and -R[i][j] at row i's pivot is orthogonal to every row of
+    R, and these n - dim U vectors are independent. One `rowspace` makes it
+    canonical.
+    """
+    neg = U.field.sub_table[0]
+    rows = U.basis.row_lists()
+    pivots = [row.index(1) for row in rows]
+    free = [j for j in range(U.ambient) if j not in pivots]
+    vectors = []
+    for j in free:
+        v = [0] * U.ambient
+        v[j] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = neg[row[j]]
+        vectors.append(v)
+    if not vectors:
+        return Subspace.zero(U.field, U.ambient)
+    return rowspace(MatrixFq.from_rows(U.field, vectors))
 
 
 def normalized_vectors(U: Subspace) -> list:

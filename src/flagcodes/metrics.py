@@ -2,21 +2,38 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .construction import Flag, FlagCode
-from .linalg import Subspace, sum_dim
+from .linalg import Subspace, check_same_ambient, sum_dim
 
 
 class MetricsError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=None)
+def _dims_by_point_count(q: int, top: int) -> dict:
+    """log_q((q - 1) c + 1) for the point counts c = [j,1]_q, j <= top."""
+    return {(q**j - 1) // (q - 1): j for j in range(top + 1)}
+
+
 def subspace_distance(U: Subspace, V: Subspace) -> int:
-    """d_S(U, V) = dim(U+V) - dim(U ∩ V); always even for equal dimensions."""
-    s = sum_dim(U, V)
-    return 2 * s - U.dim - V.dim
+    """d_S(U, V) = dim(U+V) - dim(U ∩ V); always even for equal dimensions.
+
+    For equal dimensions k it is 2 m - 2 dim(U ∩ V) with m = min(k, n - k),
+    where the intersection is that of U and V when 2k <= n and of U⊥ and V⊥
+    otherwise (d_S(U, V) = d_S(U⊥, V⊥)); a j-space has [j,1]_q points, so
+    j is read off the size of the intersection of the `distance_points`.
+    """
+    check_same_ambient(U, V)
+    if U.dim != V.dim:
+        return 2 * sum_dim(U, V) - U.dim - V.dim
+    m = min(U.dim, U.ambient - U.dim)
+    shared = len(U.distance_points & V.distance_points)
+    return 2 * (m - _dims_by_point_count(U.field.q, m)[shared])
 
 
 def flag_distance(F: Flag, G: Flag) -> int:
@@ -71,7 +88,8 @@ class ProjectedCode:
 
 
 def projected_code(code, i: int) -> ProjectedCode:
-    """Projected code of level i: one sum_dim per pair of distinct subspaces."""
+    """Projected code of level i: one subspace_distance per pair of distinct
+    subspaces."""
     flags = _flags_of(code)
     n = flags[0].ambient
     if not (1 <= i <= n - 1):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,33 @@ def test_report(code_file, capsys):
     assert doc["d_f"] == 12
     assert doc["classification"] == "ODFC"
     assert doc["projected_cardinalities"] == [9, 9, 9, 9]
+
+
+# The report JSON of the north-star grid codes, generated with `report` and
+# committed, so a change to the pairwise sweep cannot drift silently.
+DATA = Path(__file__).parent / "data"
+# Name -> (p, m, k1, r), over F_{p^m}.
+GRID = {
+    "2-3-2": (2, 1, 3, 2),
+    "2-4-2": (2, 1, 4, 2),
+    "3-3-1": (3, 1, 3, 1),
+    "4-3-0": (2, 2, 3, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID))
+def test_report_on_the_grid_is_pinned(name, tmp_path, capsys):
+    p, m, k1, r = GRID[name]
+    path = tmp_path / f"code-{name}.json"
+    exit_code, _ = run(
+        capsys,
+        "construct", "--p", str(p), "--m", str(m), "--k1", str(k1), "--r", str(r),
+        "--out", str(path),
+    )
+    assert exit_code == EXIT_OK
+    exit_code, out = run(capsys, "report", "--code", str(path))
+    assert exit_code == EXIT_OK
+    assert out == (DATA / f"report-{name}.json").read_text()
 
 
 def test_report_example_fixture(tmp_path, capsys):

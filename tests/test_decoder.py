@@ -307,6 +307,15 @@ def test_decode_rejects_shots_over_another_modulus():
         decode(code, foreign)
 
 
+def test_error_count_rejects_shots_over_another_modulus():
+    code = build_code(SandwichParams(field_new(2, 3), 2, 0))
+    other = field_new(2, 3, (1, 1, 0, 1))
+    received = erase(code.flags[3], [0, 1, 2], seed=1)
+    foreign = received_from_json(received_to_json(received), other)
+    with pytest.raises(ChannelError, match="field"):
+        error_count(code.flags[3], foreign)
+
+
 # -- the decoder against the codeword scan ---------------------------------------
 
 

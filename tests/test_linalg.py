@@ -14,6 +14,7 @@ from flagcodes.linalg import (
     gaussian_binomial,
     intersect_dim,
     normalized_vectors,
+    orthogonal_complement,
     parse_matrix,
     rank,
     rowspace,
@@ -143,6 +144,39 @@ def test_normalized_vectors_are_the_points_of_the_subspace(p, m):
         assert len(vectors) == len(set(vectors)) == gaussian_binomial(U.dim, 1, field.q)
         inside = [v for v in points if contains(U, rowspace(MatrixFq(field, 1, n, v)))]
         assert set(vectors) == set(inside)
+
+
+@pytest.mark.parametrize("p,m", SMALL_ORDERS)
+def test_orthogonal_complement(p, m):
+    field, n = field_new(p, m), 5
+    rng = random.Random(p * 10 + m)
+    for k in range(n + 1):
+        for _ in range(4):
+            U = rowspace(_random_matrix(field, k, n, rng)) if k else Subspace.zero(field, n)
+            W = orthogonal_complement(U)
+            assert W.dim == n - U.dim
+            for u in U.basis.row_lists():
+                for w in W.basis.row_lists():
+                    dot = 0
+                    for x, y in zip(u, w):
+                        dot = field.add(dot, field.mul(x, y))
+                    assert dot == 0
+            assert orthogonal_complement(W) == U
+
+
+@pytest.mark.parametrize("p,m", SMALL_ORDERS)
+def test_distance_points_are_the_points_of_the_smaller_side(p, m):
+    field, n = field_new(p, m), 5
+    rng = random.Random(p * 10 + m)
+    for k in range(n + 1):
+        U = rowspace(_random_matrix(field, k, n, rng)) if k else Subspace.zero(field, n)
+        side = orthogonal_complement(U) if 2 * U.dim > n else U
+        expected = {
+            sum(x * field.q ** (n - 1 - c) for c, x in enumerate(v))
+            for v in normalized_vectors(side)
+        }
+        assert U.distance_points == expected
+        assert len(expected) == gaussian_binomial(min(U.dim, n - U.dim), 1, field.q)
 
 
 def test_enumeration_cap(F2):

@@ -6,7 +6,13 @@ import pytest
 import flagcodes.metrics
 from flagcodes import MatrixFq, SandwichParams, build_code, field_new
 from flagcodes.construction import flag_from_generator
-from flagcodes.linalg import intersect_dim
+from flagcodes.linalg import (
+    LinAlgError,
+    Subspace,
+    enumerate_subspaces,
+    intersect_dim,
+    sum_dim,
+)
 from flagcodes.metrics import (
     MetricsError,
     aq_exact,
@@ -171,6 +177,29 @@ def test_flag_distance_symmetry_and_triangle(code_221):
         assert flag_distance(f, h) <= flag_distance(f, g) + flag_distance(g, h)
 
 
+def _sum_dim_distance(U, V):
+    """The oracle: d_S = 2 dim(U + V) - dim U - dim V, by one rank."""
+    return 2 * sum_dim(U, V) - U.dim - V.dim
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 5), (3, 1, 4), (2, 2, 3)])
+def test_subspace_distance_matches_the_rank_oracle_on_every_pair(p, m, n):
+    # Every pair of subspaces of F_q^n, all dimensions 0..n: equal and
+    # unequal, below, at and above n/2 (the point sets of U⊥ above it).
+    field = field_new(p, m)
+    subs = [U for k in range(n + 1) for U in enumerate_subspaces(field, n, k)]
+    for a, U in enumerate(subs):
+        for V in subs[a:]:
+            assert subspace_distance(U, V) == _sum_dim_distance(U, V), (U.basis, V.basis)
+
+
+def test_subspace_distance_rejects_mixed_ambients(F2, F4):
+    with pytest.raises(LinAlgError):
+        subspace_distance(Subspace.zero(F2, 3), Subspace.zero(F2, 4))
+    with pytest.raises(LinAlgError):
+        subspace_distance(Subspace.full(F2, 2), Subspace.full(F4, 2))
+
+
 def _shared_level_flags():
     """Flags of F_3^4 from reordered unit vectors, so that several share
     their 1- and 2-dimensional subspaces."""
@@ -215,6 +244,7 @@ def test_pairwise_sweep_matches_the_oracles(case):
         for a, b in pairs:
             d = swept.distances[swept.of_flag[a]][swept.of_flag[b]]
             assert d == subspace_distance(flags[a][i], flags[b][i])
+            assert d == _sum_dim_distance(flags[a][i], flags[b][i])
         meeting = next(
             ((a + 1, b + 1) for a, b in pairs if intersect_dim(flags[a][i], flags[b][i])),
             None,
@@ -234,16 +264,16 @@ def test_min_flag_distance_rejects_mixed_ambients(example_flags, code_221):
 
 def test_report_and_verify_share_one_sweep(monkeypatch):
     calls = []
-    real = flagcodes.metrics.sum_dim
+    real = flagcodes.metrics.subspace_distance
 
     def counting(U, V):
         calls.append(1)
         return real(U, V)
 
     code = build_code(SandwichParams(field_new(2), 2, 1))
-    monkeypatch.setattr(flagcodes.metrics, "sum_dim", counting)
+    monkeypatch.setattr(flagcodes.metrics, "subspace_distance", counting)
     classify(code)
-    # one sum_dim per pair of the 9 flags at each of the 4 levels
+    # one subspace_distance per pair of the 9 flags at each of the 4 levels
     assert len(calls) == 4 * 36
     checks = [check_spread_disjoint, check_distance_profile, check_distance_sum_identity]
     assert all(check(code).status == PASS for check in checks)

@@ -32,8 +32,8 @@ from .decoder import (
 )
 from .fields import FieldError, field_new, parse_field_spec
 from .linalg import LinAlgError, parse_matrix, rowspace
-from .metrics import aq_exact, classify, max_distance, partial_spread_bound
-from .verify import FAIL, verify_code
+from .metrics import aq_exact, bound_verdict, classify, max_distance, partial_spread_bound
+from .verify import FAIL, CheckResult, verify_code
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -122,14 +122,14 @@ def cmd_verify(args) -> int:
         code = _load_code(args.code)
         results = verify_code(code, args.max_enumeration)
     except (ConstructionError, LinAlgError, FieldError) as exc:
-        print(f"FAIL load: {exc}")
-        return EXIT_VERIFY_FAIL
-    doc = {"checks": [r.to_dict() for r in results]}
-    lines = [
-        f"{r.status:7s} {r.name}" + (f"  ({r.detail})" if r.detail else "")
-        for r in results
-    ]
-    _emit(args, doc, lines)
+        results = [CheckResult("load", FAIL, str(exc))]
+        lines = [f"FAIL load: {exc}"]
+    else:
+        lines = [
+            f"{r.status:7s} {r.name}" + (f"  ({r.detail})" if r.detail else "")
+            for r in results
+        ]
+    _emit(args, {"checks": [r.to_dict() for r in results]}, lines)
     return EXIT_VERIFY_FAIL if any(r.status == FAIL for r in results) else EXIT_OK
 
 
@@ -138,13 +138,11 @@ def cmd_bounds(args) -> int:
         code = _load_code(args.code)
         p = code.params
         q, n, k = p.q, p.n, p.k1
-        extra = {"cardinality": len(code)}
     else:
         if args.n is None or args.k is None:
             raise CliError("bounds needs --code or both --n and --k")
         field = _build_field(args)
         q, n, k = field.q, args.n, args.k
-        extra = {}
     exact = aq_exact(q, n, k)
     doc = {
         "q": q,
@@ -153,12 +151,12 @@ def cmd_bounds(args) -> int:
         "lemma21": partial_spread_bound(q, n, k),
         "lemma22": exact if exact is not None else "n/a",
         "D_n": max_distance(n),
-        **extra,
     }
-    if "cardinality" in doc:
-        bound = exact if exact is not None else doc["lemma21"]
-        doc["satisfied"] = doc["cardinality"] <= bound
-        doc["equality"] = doc["cardinality"] == bound
+    if args.code:
+        verdict = bound_verdict(len(code), q, n, k)
+        doc["cardinality"] = len(code)
+        doc["satisfied"] = verdict["satisfied"]
+        doc["equality"] = verdict["equality"]
     _emit(args, doc, [f"{k_}: {v}" for k_, v in doc.items()])
     return EXIT_OK
 

@@ -9,6 +9,7 @@ the chain of row spaces of the leading j-row slices of S[i].
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
@@ -191,12 +192,49 @@ class SandwichParams:
     def companion(self) -> MatrixFq:
         return companion_matrix(self.prim_poly, self.field)
 
+    @functools.cached_property
+    def powers(self) -> tuple:
+        """The field F_q[M] of the companion matrix M in walk order:
+        powers[e] == field_power(M, e) for e = 0 .. q^k2 - 1, so the zero
+        matrix, M, M^2, ..., and the identity last. One matmul a step,
+        computed once per params."""
+        M = self.companion()
+        powers = [MatrixFq.zero(self.field, self.k2, self.k2), M]
+        while len(powers) < self.q**self.k2:
+            powers.append(powers[-1].matmul(M))
+        return tuple(powers)
+
 
 def _check_index(params: SandwichParams, i: int):
     if not (1 <= i <= params.num_generators):
         raise ConstructionError(
             f"index {i} outside [1, {params.num_generators}]"
         )
+
+
+def _unit(size: int, a: int) -> list:
+    """Row a of the identity of order size; all zeros when a >= size."""
+    return [1 if j == a else 0 for j in range(size)]
+
+
+def _upper_block(params: SandwichParams, i: int) -> MatrixFq:
+    """[A[i]; B[i]], the k2 x n top of S[i].
+
+    [O | I_k2] at i = 1, else [I_k1 over O | R] with R = M^(i-2) for i >= 3.
+    At i = 2, R is zero in its first k1 rows (field_power's zero at e = 0),
+    over the fixed rank-r middle block: first row (1 0 ... 0), then
+    [O_{(r-1) x (k1+1)} | I_{r-1}].
+    """
+    _check_index(params, i)
+    k1, k2 = params.k1, params.k2
+    if i == 1:
+        rows = [[0] * k1 + _unit(k2, a) for a in range(k2)]
+    else:
+        right = params.powers[i - 2].row_lists()
+        if i == 2:
+            right[k1:] = [_unit(k2, t if t > k1 else 0) for t in range(k1, k2)]
+        rows = [_unit(k1, a) + right[a] for a in range(k2)]
+    return MatrixFq.from_rows(params.field, rows)
 
 
 def layer_A(params: SandwichParams, i: int) -> MatrixFq:
@@ -206,31 +244,7 @@ def layer_A(params: SandwichParams, i: int) -> MatrixFq:
     with the zero-matrix convention at exponent 0 (so A[2]'s right block is
     zero).
     """
-    _check_index(params, i)
-    F, k1, n, r = params.field, params.k1, params.n, params.r
-    if i == 1:
-        rows = [
-            [0] * k1 + [1 if j == a else 0 for j in range(k1)] + [0] * r
-            for a in range(k1)
-        ]
-        return MatrixFq.from_rows(F, rows)
-    right = field_power(params.companion(), i - 2).first_rows(k1)
-    rows = [
-        [1 if j == a else 0 for j in range(k1)] + list(right.row(a))
-        for a in range(k1)
-    ]
-    return MatrixFq.from_rows(F, rows)
-
-
-def _middle_block(params: SandwichParams) -> MatrixFq:
-    """The fixed rank-r block inside B[2]: first row (1 0 ... 0), then
-    [O_{(r-1) x (k1+1)} | I_{r-1}], r x k2 overall."""
-    k2, r = params.k2, params.r
-    rows = [[1] + [0] * (k2 - 1)]
-    for a in range(r - 1):
-        row = [0] * (params.k1 + 1) + [1 if j == a else 0 for j in range(r - 1)]
-        rows.append(row)
-    return MatrixFq.from_rows(params.field, rows)
+    return _upper_block(params, i).first_rows(params.k1)
 
 
 def layer_B(params: SandwichParams, i: int) -> MatrixFq | None:
@@ -239,33 +253,15 @@ def layer_B(params: SandwichParams, i: int) -> MatrixFq | None:
     B[1] = [O | I_r] (rightmost columns); B[2] = [O | fixed rank-r block];
     B[i] = [O | last r rows of M^(i-2)] for i >= 3.
     """
-    _check_index(params, i)
-    if params.r == 0:
-        return None
-    F, k1, r, n = params.field, params.k1, params.r, params.n
-    if i == 1:
-        rows = [
-            [0] * (2 * k1) + [1 if j == a else 0 for j in range(r)] for a in range(r)
-        ]
-        return MatrixFq.from_rows(F, rows)
-    if i == 2:
-        right = _middle_block(params)
-    else:
-        right = field_power(params.companion(), i - 2).last_rows(r)
-    rows = [[0] * k1 + list(right.row(a)) for a in range(r)]
-    return MatrixFq.from_rows(F, rows)
+    block = _upper_block(params, i)
+    return block.last_rows(params.r) if params.r else None
 
 
 def layer_S(params: SandwichParams, i: int) -> MatrixFq:
     """Full n x n generator: A[i] over B[i] over A[i+1], wrapping A[1] in at
     the last index. Always full rank; anything else is an internal error."""
-    _check_index(params, i)
     nxt = 1 if i == params.num_generators else i + 1
-    S = layer_A(params, i)
-    B = layer_B(params, i)
-    if B is not None:
-        S = S.stack(B)
-    S = S.stack(layer_A(params, nxt))
+    S = _upper_block(params, i).stack(layer_A(params, nxt))
     if rank(S) != params.n:
         raise ConstructionError(
             f"generator S[{i}] is rank-deficient (internal error):\n{dump_matrix(S)}"

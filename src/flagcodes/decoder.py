@@ -180,13 +180,12 @@ def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequen
 def accumulate(received: ReceivedSequence, k1: int) -> tuple:
     """(Y_1, ..., Y_{n-1}): {0} up to k1, then the running span of X_{k1+1}..X_i."""
     n = received.ambient
-    field = received.shots[0].field
     shots = []
-    current = Subspace.zero(field, n)
+    current = Subspace.zero(received.shots[0].field, n)
     for i in range(1, n):
         if i > k1:
             current = subspace_sum(current, received[i])
-        shots.append(current if i > k1 else Subspace.zero(field, n))
+        shots.append(current)
     return tuple(shots)
 
 

@@ -93,15 +93,16 @@ class FiniteField:
     """
 
     def __init__(self, p: int, m: int = 1, modulus=None):
+        # Before the trial division of p, unbounded for a huge p. For p >= 2,
+        # m > 8 means q > 256, so p**m is never formed for a huge m.
+        if p >= 2 and (m > 8 or p**m > MAX_ORDER):
+            raise FieldError(
+                f"q = {p}^{m} exceeds the largest supported field order {MAX_ORDER}"
+            )
         if not is_prime(p):
             raise FieldError(f"p = {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree m = {m} must be >= 1")
-        # p >= 2, so m > 8 means q > 256; p**m is never formed for a huge m.
-        if m > 8 or p**m > MAX_ORDER:
-            raise FieldError(
-                f"q = {p}^{m} exceeds the largest supported field order {MAX_ORDER}"
-            )
         self.p = p
         self.m = m
         self.q = p**m
@@ -263,6 +264,8 @@ def field_from_order(q: int) -> FiniteField:
     """Build the field of order q (with the default modulus) from q alone."""
     if q < 2:
         raise FieldError(f"q = {q} is not a prime power")
+    if q > MAX_ORDER:
+        raise FieldError(f"q = {q} exceeds the largest supported field order {MAX_ORDER}")
     for p in range(2, q + 1):
         if is_prime(p) and q % p == 0:
             m = 0

@@ -191,23 +191,24 @@ class CodeReport:
         }
 
 
+def bound_verdict(size: int, q: int, n: int, k: int) -> dict:
+    """Compare a size against the exact bound (when applicable) or the
+    partial spread bound."""
+    exact = aq_exact(q, n, k)
+    bound = exact if exact is not None else partial_spread_bound(q, n, k)
+    return {"bound": bound, "satisfied": size <= bound, "equality": size == bound}
+
+
 def cardinality_bound_check(code: FlagCode) -> dict:
-    """Compare |C| against the exact bound (when applicable) or the partial
-    spread bound, for sandwich codes with r in {0, 1, 2}."""
+    """The bounds on |C| and, for sandwich codes with r in {0, 1, 2}, its
+    bound_verdict."""
     p = code.params
-    q, n, k1, r = p.q, p.n, p.k1, p.r
-    size = len(code)
-    report = {"applicable": r in (0, 1, 2), "cardinality": size}
-    exact = aq_exact(q, n, k1)
-    spread = partial_spread_bound(q, n, k1)
-    report["lemma21_bound"] = spread
-    report["lemma22_bound"] = exact
-    if not report["applicable"]:
-        return report
-    bound = exact if exact is not None else spread
-    report["bound"] = bound
-    report["satisfied"] = size <= bound
-    report["equality"] = size == bound
+    q, n, k1 = p.q, p.n, p.k1
+    report = {"applicable": p.r in (0, 1, 2), "cardinality": len(code)}
+    report["lemma21_bound"] = partial_spread_bound(q, n, k1)
+    report["lemma22_bound"] = aq_exact(q, n, k1)
+    if report["applicable"]:
+        report.update(bound_verdict(len(code), q, n, k1))
     return report
 
 

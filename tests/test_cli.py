@@ -43,7 +43,22 @@ def test_construct_rejects_bad_r(capsys):
 
 
 def test_construct_rejects_field_above_the_limit(capsys):
-    assert main(["construct", "--p", "2", "--m", "9", "--k1", "2"]) == EXIT_USAGE
+    # The prime p is refused before its trial division, which would run for
+    # many seconds.
+    for p, m in (("2", "9"), ("1000000000000000003", "1")):
+        assert main(["construct", "--p", p, "--m", m, "--k1", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "256" in err
+        assert "Traceback" not in err
+
+
+def test_report_rejects_a_huge_matrix_order_before_factoring(tmp_path, capsys):
+    # A bare fixture has no field key, so the header's q names the field.
+    levels = ["100000007 1 3\n1 0 0", "100000007 2 3\n1 0 0\n0 1 0"]
+    fixture = {"ambient": 3, "flags": [levels]}
+    path = tmp_path / "huge_q.json"
+    path.write_text(json.dumps(fixture))
+    assert main(["report", "--code", str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "256" in err
     assert "Traceback" not in err
@@ -166,6 +181,36 @@ def test_verify_tampered_file_fails(code_file, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     exit_code, out = run(capsys, "verify", "--code", str(bad))
     assert exit_code == EXIT_VERIFY_FAIL
+    [check] = json.loads(out)["checks"]
+    assert (check["name"], check["status"]) == ("load", "FAIL")
+
+
+def test_verify_load_failure_on_a_bare_fixture(tmp_path, capsys):
+    from flagcodes.linalg import dump_matrix
+
+    fixture = {
+        "ambient": 7,
+        "flags": [
+            [dump_matrix(sub.basis) for sub in flag.subspaces]
+            for flag in three_flags_f2_7()
+        ],
+    }
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture))
+    exit_code, out = run(capsys, "verify", "--code", str(path))
+    assert exit_code == EXIT_VERIFY_FAIL
+    assert json.loads(out) == {
+        "checks": [
+            {
+                "name": "load",
+                "status": "FAIL",
+                "detail": "malformed code document: 'params'",
+            }
+        ]
+    }
+    exit_code, out = run(capsys, "verify", "--code", str(path), "--format", "text")
+    assert exit_code == EXIT_VERIFY_FAIL
+    assert out == "FAIL load: malformed code document: 'params'\n"
 
 
 def test_bounds_by_parameters(capsys):

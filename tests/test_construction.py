@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from flagcodes.construction import (
@@ -16,6 +18,7 @@ from flagcodes.construction import (
     matrix_order,
     matrix_power,
 )
+from flagcodes.fields import field_from_order, field_new
 from flagcodes.linalg import MatrixFq, intersect_dim, rank, rowspace
 
 X2_X_1 = (1, 1, 1)  # x^2 + x + 1
@@ -229,3 +232,87 @@ def test_flag_from_generator_prefixes(code_221):
 def test_build_deterministic(F2, code_221):
     again = build_code(SandwichParams(F2, 2, 1))
     assert again.generators == code_221.generators
+
+
+def _paper_layers(params, i):
+    """(A[i], B[i]) as row lists, straight from the per-index formula with
+    every power taken by field_power."""
+    k1, k2, r = params.k1, params.k2, params.r
+    eye = lambda size, a: [1 if j == a else 0 for j in range(size)]
+    if i == 1:
+        A = [[0] * k1 + eye(k1, a) + [0] * r for a in range(k1)]
+        B = [[0] * (2 * k1) + eye(r, a) for a in range(r)]
+        return A, B
+    P = field_power(params.companion(), i - 2).row_lists()
+    A = [eye(k1, a) + P[a] for a in range(k1)]
+    if i == 2:
+        middle = [[1] + [0] * (k2 - 1)] if r else []
+        middle += [[0] * (k1 + 1) + eye(r - 1, a) for a in range(r - 1)]
+    else:
+        middle = P[k1:]
+    return A, [[0] * k1 + row for row in middle]
+
+
+# Every (q, k1, r) with k1 <= 4 and at most 128 codewords beyond the first:
+# all r < k1 over F_2, and the small ones over F_3, F_4 and F_5.
+DIFFERENTIAL_PARAMS = [
+    (q, k1, r)
+    for q in (2, 3, 4, 5)
+    for k1 in (2, 3, 4)
+    for r in range(k1)
+    if q ** (k1 + r) <= 128
+]
+
+
+@pytest.mark.parametrize("q,k1,r", DIFFERENTIAL_PARAMS)
+def test_layers_match_the_paper_formula(q, k1, r):
+    params = SandwichParams(field_from_order(q), k1, r)
+    M = params.companion()
+    assert len(params.powers) == q**params.k2
+    for e, power in enumerate(params.powers):
+        assert power == field_power(M, e)
+    N = params.num_generators
+    paper = {i: _paper_layers(params, i) for i in range(1, N + 1)}
+    for i, (A, B) in paper.items():
+        assert layer_A(params, i).row_lists() == A
+        if r:
+            assert layer_B(params, i).row_lists() == B
+        else:
+            assert layer_B(params, i) is None
+        A_next = paper[i % N + 1][0]
+        assert layer_S(params, i).row_lists() == A + B + A_next
+
+
+def test_layers_take_no_matrix_power(F3, monkeypatch):
+    import flagcodes.construction as construction
+
+    params = SandwichParams(F3, 2, 1)
+
+    def forbidden(*args):
+        raise AssertionError("per-index power")
+
+    monkeypatch.setattr(construction, "field_power", forbidden)
+    monkeypatch.setattr(construction, "matrix_power", forbidden)
+    for i in range(1, params.num_generators + 1):
+        layer_A(params, i)
+        layer_B(params, i)
+        layer_S(params, i)
+
+
+# sha256 of code_to_json for (p, m, modulus, k1, r): the benchmark grid, an
+# r = 3 code, and F_8 over x^3 + x + 1 (the default modulus is x^3 + x^2 + 1).
+CODE_JSON_SHA256 = {
+    (2, 1, None, 3, 2): "7d5201d58628032696cdbaec95ede24d3461ce8176ba581c7f91f702e3e1f115",
+    (2, 1, None, 4, 2): "e474a7d235d5bf0b4b1e0b72a70232534d69d922c781d42eb5c77b3bfc194515",
+    (3, 1, None, 3, 1): "c6c17c77644c01466344c77010a58458e5cff951ac17ce76f9e188474f44f2b3",
+    (2, 2, None, 3, 0): "077906b32974526eaacf79b2a7f70e95216b971f7e249c6e1249c80ac8e454bc",
+    (2, 1, None, 4, 3): "97220a1031cbf5df6a36c2119b78c8618cb072f713c4a36e2acb71d3cdac24ae",
+    (2, 3, (1, 1, 0, 1), 2, 0): "befeab99bdb180f156d251ffce223690a9302c54ee8b74411f2bf782637ce685",
+}
+
+
+@pytest.mark.parametrize("p,m,modulus,k1,r", list(CODE_JSON_SHA256))
+def test_construction_is_pinned(p, m, modulus, k1, r):
+    code = build_code(SandwichParams(field_new(p, m, modulus), k1, r))
+    digest = hashlib.sha256(code_to_json(code).encode()).hexdigest()
+    assert digest == CODE_JSON_SHA256[p, m, modulus, k1, r]

@@ -103,13 +103,26 @@ def test_kernel_tables_match_scalar_methods(p, m):
     assert F.inv_table[1:] == [F.inv(a) for a in els[1:]]
 
 
-@pytest.mark.parametrize("p,m", [(257, 1), (2, 9), (3, 6), (2, 10**9)])
+@pytest.mark.parametrize(
+    "p,m", [(257, 1), (2, 9), (3, 6), (2, 10**9), (10**18 + 3, 1)]
+)
 def test_orders_above_the_limit_rejected_before_building(p, m, monkeypatch):
     def forbidden(*args):
         raise AssertionError("field construction started")
 
+    monkeypatch.setattr(fields, "is_prime", forbidden)
     monkeypatch.setattr(fields, "_smallest_irreducible", forbidden)
     monkeypatch.setattr(FiniteField, "mul", forbidden)
     monkeypatch.setattr(FiniteField, "sub", forbidden)
     with pytest.raises(FieldError, match=str(MAX_ORDER)):
         field_new(p, m)
+
+
+@pytest.mark.parametrize("q", [257, 1000003, 100000007])
+def test_field_from_order_refuses_large_orders_before_factoring(q, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("prime search started")
+
+    monkeypatch.setattr(fields, "is_prime", forbidden)
+    with pytest.raises(FieldError, match=str(MAX_ORDER)):
+        field_from_order(q)

@@ -34,6 +34,7 @@ from .linalg import (
     parse_matrix,
     rank,
     rowspace,
+    rref,
     subspace_sum,
 )
 from .metrics import min_flag_distance
@@ -98,7 +99,8 @@ class DecodeOutcome:
 class SimulationReport:
     trials: int
     successes: int
-    failures: int
+    failures: int  # trials - successes
+    misdecodes: int  # DECODED with another codeword's index; 0 within the budget
     step_histogram: dict
     seed: int
     error_budget: int
@@ -108,6 +110,7 @@ class SimulationReport:
             "trials": self.trials,
             "successes": self.successes,
             "failures": self.failures,
+            "misdecodes": self.misdecodes,
             "step_histogram": {str(k): v for k, v in sorted(self.step_histogram.items())},
             "seed": self.seed,
             "error_budget": self.error_budget,
@@ -144,21 +147,36 @@ def correctable_budget(code: FlagCode) -> int:
 def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     """Uniformly random dim-dimensional subspace of sub.
 
-    Samples a dim x sub.dim coefficient matrix, rejecting until full rank,
-    then applies it to the canonical basis; exactly uniform because every
-    target subspace has the same number of full-rank coefficient matrices.
+    An unerased shot (dim == sub.dim) is sub itself, its only subspace of
+    that dimension, so it takes no draw. Otherwise each draw is one
+    `randrange(q ** (dim * sub.dim))`, read as the base-q digits of a
+    dim x sub.dim coefficient matrix, low digit first, and draws are
+    rejected until the matrix has full rank. Every digit string is equally
+    likely, and every target subspace has the same number |GL(dim, q)| of
+    full-rank coefficient matrices, so the result is exactly uniform.
+
+    The target is R·B for the RREF R of the coefficients and sub's RREF
+    basis B. R·B is already in RREF: B's pivot columns hold the identity,
+    so they carry R's pivot columns into R·B, and B's rows are zero left of
+    their pivots. Only the small dim x sub.dim matrix is reduced.
     """
     if not (0 <= dim <= sub.dim):
         raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")
+    if dim == sub.dim:
+        return sub
     field = sub.field
     if dim == 0:
         return Subspace.zero(field, sub.ambient)
+    q, size = field.q, dim * sub.dim
     while True:
-        coeffs = MatrixFq(
-            field, dim, sub.dim, [rng.randrange(field.q) for _ in range(dim * sub.dim)]
-        )
+        x = rng.randrange(q**size)
+        digits = []
+        for _ in range(size):
+            x, digit = divmod(x, q)
+            digits.append(digit)
+        coeffs = MatrixFq(field, dim, sub.dim, digits)
         if rank(coeffs) == dim:
-            return rowspace(coeffs.matmul(sub.basis))
+            return Subspace(rref(coeffs)[0].matmul(sub.basis))
 
 
 def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequence:
@@ -274,7 +292,7 @@ def simulate(
     if budget is None:
         budget = correctable_budget(code)
     n = code.ambient
-    successes = 0
+    successes = misdecodes = 0
     step_histogram: dict = {}
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -282,13 +300,18 @@ def simulate(
         erasures = random_erasure_vector(n, budget, rng)
         received = erase(code.flags[sent_idx], erasures, rng)
         outcome = decode(code, received)
-        if outcome.status == DECODED and outcome.flag_index == sent_idx + 1:
+        if outcome.status != DECODED:
+            continue
+        if outcome.flag_index == sent_idx + 1:
             successes += 1
             step_histogram[outcome.step] = step_histogram.get(outcome.step, 0) + 1
+        else:
+            misdecodes += 1
     return SimulationReport(
         trials=trials,
         successes=successes,
         failures=trials - successes,
+        misdecodes=misdecodes,
         step_histogram=step_histogram,
         seed=seed,
         error_budget=budget,
@@ -296,14 +319,15 @@ def simulate(
 
 
 # -- received-sequence serialization -------------------------------------------
-# JSON document: {"ambient": n, "shots": [matrix-text, ...]} with each shot's
-# basis in the shared matrix text format.
+# JSON document: {"ambient": n, "field": FiniteField.spec(), "shots":
+# [matrix-text, ...]} with each shot's basis in the shared matrix text format.
 
 
 def received_to_json(received: ReceivedSequence) -> str:
     return json.dumps(
         {
             "ambient": received.ambient,
+            "field": received.shots[0].field.spec(),
             "shots": [dump_matrix(x.basis) for x in received.shots],
         },
         indent=2,
@@ -311,11 +335,22 @@ def received_to_json(received: ReceivedSequence) -> str:
 
 
 def received_from_json(text: str, field: FiniteField) -> ReceivedSequence:
-    """Shots are parsed over `field`: the file's q does not fix a modulus."""
+    """Shots are parsed over `field`: the file's q does not fix a modulus.
+
+    A file that records its field must record `field`; one without the
+    "field" key is read over `field` as it is.
+    """
     try:
         doc = json.loads(text)
         ambient = doc["ambient"]
+        spec = doc.get("field")
+        if spec is not None and str(spec).split() != field.spec().split():
+            raise ChannelError(
+                f"received file is over the field {spec!r}, not {field.spec()!r}"
+            )
         shots = [rowspace(parse_matrix(t, field)) for t in doc["shots"]]
+    except ChannelError:
+        raise
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ChannelError(f"malformed received-sequence file: {exc}") from exc
     return ReceivedSequence(ambient, shots)

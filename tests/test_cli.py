@@ -282,6 +282,29 @@ def test_erase_decode_round_trip_non_default_modulus(tmp_path, capsys):
     assert (doc["status"], doc["flag_index"]) == ("DECODED", 3)
 
 
+def test_decode_rejects_a_received_file_over_another_modulus(tmp_path, capsys):
+    # The received file records x^3 + x + 1; the code is over x^3 + x^2 + 1.
+    paths = {}
+    for modulus in ("1,1,0,1", "1,0,1,1"):
+        paths[modulus] = tmp_path / f"code-{modulus}.json"
+        run(
+            capsys,
+            "construct", "--p", "2", "--m", "3", "--modulus", modulus,
+            "--k1", "2", "--out", str(paths[modulus]),
+        )
+    received = tmp_path / "received.json"
+    exit_code, _ = run(
+        capsys,
+        "erase", "--code", str(paths["1,1,0,1"]), "--codeword", "3",
+        "--erasures", "1,0,0", "--out", str(received),
+    )
+    assert exit_code == EXIT_OK
+    assert json.loads(received.read_text())["field"] == "2 3 1 1 0 1"
+    exit_code = main(["decode", "--code", str(paths["1,0,1,1"]), "--received", str(received)])
+    assert exit_code == EXIT_USAGE
+    assert "field" in capsys.readouterr().err
+
+
 def test_decode_failure_exit_code(code_file, tmp_path, capsys):
     received = tmp_path / "received.json"
     run(
@@ -320,6 +343,7 @@ def test_simulate(code_file, capsys):
     assert exit_code == EXIT_OK
     doc = json.loads(out)
     assert doc["successes"] == 200
+    assert doc["misdecodes"] == 0
     assert doc["seed"] == 42
 
 

@@ -1,4 +1,9 @@
+import collections
+import dataclasses
+import hashlib
 import itertools
+import json
+import math
 import random
 
 import pytest
@@ -22,7 +27,17 @@ from flagcodes.decoder import (
     received_to_json,
     simulate,
 )
-from flagcodes.linalg import Subspace, contains, intersect_dim
+from flagcodes.fields import FieldError
+from flagcodes.linalg import (
+    Subspace,
+    contains,
+    dump_matrix,
+    enumerate_subspaces,
+    gaussian_binomial,
+    intersect_dim,
+    parse_matrix,
+    rowspace,
+)
 
 
 def _zero_received(code):
@@ -68,6 +83,53 @@ def test_random_subspace_uniform_dim(code_221):
         sample = random_subspace_of(sub, d, rng)
         assert sample.dim == d
         assert contains(sub, sample)
+
+
+def _chi_square_bound(df, z=4.0):
+    """Wilson-Hilferty approximation of the chi-square quantile with df
+    degrees of freedom at the standard normal quantile z (z = 4: an upper
+    tail of about 3e-5)."""
+    h = 2 / (9 * df)
+    return df * (1 - h + z * math.sqrt(h)) ** 3
+
+
+# Gr_q(d, k) sampled inside a d-dim flag member of a code over F_q, by fixture.
+UNIFORMITY_CASES = [
+    ("code_221", 4, 2),
+    ("code_321", 3, 1),
+    ("code_f4_21", 3, 2),
+    ("code_221", 4, 3),
+]
+
+
+@pytest.mark.parametrize("name, d, k", UNIFORMITY_CASES)
+def test_random_subspace_is_uniform(name, d, k, request):
+    # Every k-subspace of the d-dim member is hit, with frequencies whose
+    # chi-square statistic against the uniform law is below the bound. The
+    # member is not spanned by unit vectors, so its basis mixes coordinates.
+    code = request.getfixturevalue(name)
+    field = code.params.field
+    sub = next(flag[d] for flag in code.flags if sum(map(bool, flag[d].basis.entries)) > d)
+    expected = {
+        rowspace(coeffs.basis.matmul(sub.basis)) for coeffs in enumerate_subspaces(field, d, k)
+    }
+    cells = gaussian_binomial(d, k, field.q)
+    assert len(expected) == cells
+    rng = random.Random(f"uniform:{name}:{d}:{k}")
+    counts = collections.Counter(
+        random_subspace_of(sub, k, rng) for _ in range(300 * cells)
+    )
+    assert set(counts) == expected
+    chi_square = sum((c - 300) ** 2 / 300 for c in counts.values())
+    assert chi_square < _chi_square_bound(cells - 1)
+
+
+def test_unerased_shot_takes_no_draw(code_321):
+    rng = random.Random(4)
+    state = rng.getstate()
+    for sub in code_321.flags[7].subspaces:
+        assert random_subspace_of(sub, sub.dim, rng) is sub
+    assert rng.getstate() == state
 
 
 def test_erase_deterministic(code_221):
@@ -267,6 +329,22 @@ def test_simulate_budget_override(code_221):
     assert report.error_budget == 0
 
 
+def test_simulate_counts_misdecodes_apart_from_failures(code_221, monkeypatch):
+    assert simulate(code_221, trials=60, seed=3).misdecodes == 0
+    real = decoder.decode
+
+    def off_by_one(code, received):
+        # every DECODED outcome names the next codeword instead of the sent one
+        outcome = real(code, received)
+        return dataclasses.replace(outcome, flag_index=outcome.flag_index % len(code) + 1)
+
+    monkeypatch.setattr(decoder, "decode", off_by_one)
+    report = simulate(code_221, trials=60, seed=3)
+    assert (report.successes, report.failures, report.misdecodes) == (0, 60, 60)
+    assert report.step_histogram == {}
+    assert report.to_dict()["misdecodes"] == 60
+
+
 def test_received_sequence_serialization(code_232):
     flag = code_232.flags[12]
     received = erase(flag, [1, 0, 2, 1, 0, 3, 2], seed=9)
@@ -280,6 +358,51 @@ def test_received_from_json_rejects_garbage(F2):
         received_from_json("{}", F2)
     with pytest.raises(ChannelError):
         received_from_json("not json", F2)
+
+
+def _every_modulus(p, m):
+    """F_{p^m} over each monic irreducible modulus of degree m."""
+    fields = []
+    for low in itertools.product(range(p), repeat=m):
+        try:
+            fields.append(field_new(p, m, (*low, 1)))
+        except FieldError:
+            pass  # reducible
+    return fields
+
+
+@pytest.mark.parametrize("p, m, count", [(2, 3, 2), (3, 2, 3)])
+def test_received_file_carries_its_field(p, m, count):
+    fields = _every_modulus(p, m)
+    assert len(fields) == count
+    for field in fields:
+        code = build_code(SandwichParams(field, 2, 0))
+        received = erase(code.flags[5], [0, 1, 2], seed=3)
+        text = received_to_json(received)
+        assert json.loads(text)["field"] == field.spec()
+        back = received_from_json(text, field)
+        assert back.shots == received.shots
+        assert all(x.field == field for x in back.shots)
+        for other in fields:
+            if other != field:
+                with pytest.raises(ChannelError, match="field"):
+                    received_from_json(text, other)
+
+
+def test_received_file_without_a_field_is_read_over_the_given_field(code_f4_21):
+    received = erase(code_f4_21.flags[9], [1, 0, 2, 1], seed=2)
+    doc = json.loads(received_to_json(received))
+    del doc["field"]
+    back = received_from_json(json.dumps(doc), code_f4_21.params.field)
+    assert back.shots == received.shots
+
+
+def _over(field, received):
+    """The received shots with their entries read as elements of `field`."""
+    return ReceivedSequence(
+        received.ambient,
+        [rowspace(parse_matrix(dump_matrix(x.basis), field)) for x in received.shots],
+    )
 
 
 def _doubled(code):
@@ -302,7 +425,7 @@ def test_decode_rejects_shots_over_another_modulus():
     other = field_new(2, 3, (1, 1, 0, 1))
     assert other != code.params.field
     received = erase(code.flags[3], [0, 1, 2], seed=1)
-    foreign = received_from_json(received_to_json(received), other)
+    foreign = _over(other, received)
     with pytest.raises(ChannelError, match="field"):
         decode(code, foreign)
 
@@ -311,7 +434,7 @@ def test_error_count_rejects_shots_over_another_modulus():
     code = build_code(SandwichParams(field_new(2, 3), 2, 0))
     other = field_new(2, 3, (1, 1, 0, 1))
     received = erase(code.flags[3], [0, 1, 2], seed=1)
-    foreign = received_from_json(received_to_json(received), other)
+    foreign = _over(other, received)
     with pytest.raises(ChannelError, match="field"):
         error_count(code.flags[3], foreign)
 
@@ -418,3 +541,43 @@ def test_deep_erasures_decode_at_step_2_or_3(name, sent, request):
             outcome = decode(code, erase(code.flags[idx - 1], vec, seed=idx * 1000 + k))
             assert (outcome.status, outcome.flag_index) == (DECODED, idx), vec
             assert outcome.step in (2, 3)
+
+
+# -- the pinned channel stream -----------------------------------------------------
+
+# sha256 of received_to_json(erase(flags[5], [min(i, 3i mod 4) for i < n],
+# seed=11)) and of json.dumps(simulate(code, 200, seed=5).to_dict()) for the
+# code over F_{p^m} with (k1, r): (2,3,2), (3,3,1) and F_4 (3,0). The same
+# digests come out under CPython 3.10, 3.11 and 3.12.
+CHANNEL_SHA256 = {
+    (2, 1, 3, 2): (
+        "815e1f5ea1251a22044aa2471d4445b53946e80f16ef1544a7b30dbb6f18c7ce",
+        "444b7c812355f5506148dff7ae98ecadca4e3d750ac9c9be05940c06910fd058",
+    ),
+    (3, 1, 3, 1): (
+        "970e4611f3e5f85d31a8ebd98da3d09e7cc764ec790353ddd4f8ff91aefb69ee",
+        "1b9114df974d8b80af3be84823bfeadf42866874a66e4ff81f0861625c0e0418",
+    ),
+    (2, 2, 3, 0): (
+        "8dd87d2453cfde7f1b4ab3bbfd06ee30e875b41d52f31f75828f45cc7d797ab4",
+        "f36542ca1bcad3cf4b7a6384c1829caea4be64427344633b01a8a3cf351d2bc1",
+    ),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p, m, k1, r", list(CHANNEL_SHA256))
+def test_channel_stream_is_pinned(p, m, k1, r):
+    code = build_code(SandwichParams(field_new(p, m), k1, r))
+    erasures = [min(i, 3 * i % 4) for i in range(1, code.ambient)]
+    received = erase(code.flags[5], erasures, seed=11)
+    report = simulate(code, 200, seed=5)
+    assert report.successes == 200
+    digests = (
+        _sha256(received_to_json(received)),
+        _sha256(json.dumps(report.to_dict())),
+    )
+    assert digests == CHANNEL_SHA256[p, m, k1, r]

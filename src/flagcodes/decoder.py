@@ -158,7 +158,8 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     The target is R·B for the RREF R of the coefficients and sub's RREF
     basis B. R·B is already in RREF: B's pivot columns hold the identity,
     so they carry R's pivot columns into R·B, and B's rows are zero left of
-    their pivots. Only the small dim x sub.dim matrix is reduced.
+    their pivots. So R's pivot column c becomes B's pivot column p_c, and
+    only the small dim x sub.dim matrix is reduced.
     """
     if not (0 <= dim <= sub.dim):
         raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")
@@ -176,7 +177,8 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
             digits.append(digit)
         coeffs = MatrixFq(field, dim, sub.dim, digits)
         if rank(coeffs) == dim:
-            return Subspace(rref(coeffs)[0].matmul(sub.basis))
+            R, _, pivots = rref(coeffs)
+            return Subspace._reduced(R.matmul(sub.basis), (sub.pivots[c] for c in pivots))
 
 
 def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequence:
@@ -195,16 +197,15 @@ def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequen
     return ReceivedSequence(n, shots)
 
 
-def accumulate(received: ReceivedSequence, k1: int) -> tuple:
-    """(Y_1, ..., Y_{n-1}): {0} up to k1, then the running span of X_{k1+1}..X_i."""
-    n = received.ambient
-    shots = []
-    current = Subspace.zero(received.shots[0].field, n)
-    for i in range(1, n):
+def accumulate(received: ReceivedSequence, k1: int):
+    """Y_1, ..., Y_{n-1}, one at a time: {0} up to k1, then the running span
+    of X_{k1+1}..X_i. A generator, so a caller that stops at Y_i never reads
+    a shot above i; `tuple(accumulate(...))` gives them all."""
+    current = Subspace.zero(received.shots[0].field, received.ambient)
+    for i in range(1, received.ambient):
         if i > k1:
             current = subspace_sum(current, received[i])
-        shots.append(current)
-    return tuple(shots)
+        yield current
 
 
 def _unique_containing(code: FlagCode, level: int, sub: Subspace, step: int) -> DecodeOutcome:
@@ -219,7 +220,7 @@ def _unique_containing(code: FlagCode, level: int, sub: Subspace, step: int) -> 
     w = max(1, level - code.params.k1 + 1)
     table = spread_points(code)
     candidates = 0
-    for v in normalized_vectors(Subspace(sub.basis.first_rows(w))):
+    for v in normalized_vectors(Subspace._reduced(sub.basis.first_rows(w), sub.pivots[:w])):
         candidates |= table.get(v, 0)
     matches = []
     while candidates:
@@ -243,7 +244,8 @@ def decode(code: FlagCode, received: ReceivedSequence) -> DecodeOutcome:
     Step 1: smallest i <= k1 with a nonzero X_i identifies the codeword via
     the partial-spread property. Step 2: smallest i in (k1, k1+r] where the
     accumulated Y_i exceeds dimension i - k1. Step 3: smallest i above the
-    middle band where Y_i exceeds dimension 2i - n.
+    middle band where Y_i exceeds dimension 2i - n. Y_i is built only up to
+    the level that triggers, so no shot above it is read.
     """
     p = code.params
     n, k1, r = p.n, p.k1, p.r
@@ -253,13 +255,12 @@ def decode(code: FlagCode, received: ReceivedSequence) -> DecodeOutcome:
     for i in range(1, k1 + 1):
         if received[i].dim > 0:
             return _unique_containing(code, i, received[i], step=1)
-    acc = accumulate(received, k1)
-    for i in range(k1 + 1, k1 + r + 1):
-        if acc[i - 1].dim > i - k1:
-            return _unique_containing(code, i, acc[i - 1], step=2)
-    for i in range(k1 + r + 1, n):
-        if acc[i - 1].dim > 2 * i - n:
-            return _unique_containing(code, i, acc[i - 1], step=3)
+    for i, Y in enumerate(accumulate(received, k1), start=1):
+        if i <= k1:
+            continue
+        step, threshold = (2, i - k1) if i <= k1 + r else (3, 2 * i - n)
+        if Y.dim > threshold:
+            return _unique_containing(code, i, Y, step=step)
     return DecodeOutcome(FAILURE)
 
 

@@ -190,7 +190,7 @@ def _point_ints(U: Subspace) -> frozenset:
     q = U.field.q
     if q == 2:
         span = [0]
-        for row in U.basis.row_lists():
+        for row in U.rows:
             row = _base_q(row, 2)
             span += [x ^ row for x in span]
         return frozenset(span[1:])
@@ -212,22 +212,44 @@ class Subspace:
     """A k-dimensional subspace of F_q^n, canonically an RREF basis matrix.
 
     The zero subspace is the 0 x n basis. Equality and hashing are entry-wise
-    on the canonical basis. `packed` keeps the basis rows in the form the
-    rank entry point `_rank_packed` takes, so `sum_dim` packs nothing.
-    `distance_points` is computed on first use and kept.
+    on the canonical basis. `rows` and `pivots` are the basis rows and their
+    pivot columns, which `sum_dim` and `subspace_sum` reduce against.
+    `packed`, the rows in the form the rank entry point `_rank_packed`
+    takes, and `distance_points` are computed on first use and kept.
+
+    `Subspace(basis)` checks that the basis is in RREF; the kernel builds the
+    bases it has just reduced with `Subspace._reduced`, which does not.
     """
 
-    __slots__ = ("field", "ambient", "dim", "basis", "packed", "_points")
+    __slots__ = ("field", "ambient", "dim", "basis", "rows", "pivots", "_packed", "_points")
 
     def __init__(self, basis: MatrixFq):
+        self._set(basis)
+        self.pivots = self._check_rref(self.rows)
+
+    @classmethod
+    def _reduced(cls, basis: MatrixFq, pivots) -> "Subspace":
+        """The subspace of `basis`, which must already be in RREF with these
+        pivot columns: for the kernel's own results only."""
+        U = cls.__new__(cls)
+        U._set(basis)
+        U.pivots = tuple(pivots)
+        return U
+
+    def _set(self, basis: MatrixFq):
         self.field = basis.field
         self.ambient = basis.cols
         self.dim = basis.rows
         self.basis = basis
-        rows = basis.row_lists()
-        self._check_rref(rows)
-        self.packed = _pack(rows)
+        self.rows = tuple(basis.row(i) for i in range(basis.rows))
+        self._packed = None
         self._points = None
+
+    @property
+    def packed(self) -> tuple:
+        if self._packed is None:
+            self._packed = _pack(self.rows)
+        return self._packed
 
     @property
     def distance_points(self) -> frozenset:
@@ -241,7 +263,10 @@ class Subspace:
             self._points = _point_ints(side)
         return self._points
 
-    def _check_rref(self, rows):
+    @staticmethod
+    def _check_rref(rows) -> tuple:
+        """The pivot columns of `rows`; raises LinAlgError unless they are in RREF."""
+        pivots = []
         prev_pivot = -1
         for i, row in enumerate(rows):
             pivot = next((c for c, x in enumerate(row) if x), None)
@@ -250,15 +275,17 @@ class Subspace:
             for j, other in enumerate(rows):
                 if j != i and other[pivot]:
                     raise LinAlgError("basis is not in RREF (pivot column not cleared)")
+            pivots.append(pivot)
             prev_pivot = pivot
+        return tuple(pivots)
 
     @classmethod
     def zero(cls, field: FiniteField, ambient: int) -> "Subspace":
-        return cls(MatrixFq(field, 0, ambient, ()))
+        return cls._reduced(MatrixFq(field, 0, ambient, ()), ())
 
     @classmethod
     def full(cls, field: FiniteField, ambient: int) -> "Subspace":
-        return cls(MatrixFq.identity(field, ambient))
+        return cls._reduced(MatrixFq.identity(field, ambient), range(ambient))
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.basis == other.basis
@@ -272,8 +299,8 @@ class Subspace:
 
 def rowspace(A: MatrixFq) -> Subspace:
     """Canonical Subspace spanned by the rows of A."""
-    R, r, _ = rref(A)
-    return Subspace(R.first_rows(r))
+    R, r, pivots = rref(A)
+    return Subspace._reduced(R.first_rows(r), pivots)
 
 
 def check_same_ambient(U: Subspace, V: Subspace):
@@ -281,10 +308,41 @@ def check_same_ambient(U: Subspace, V: Subspace):
         raise LinAlgError("subspaces live in different ambient spaces")
 
 
+def _reduce_rows(field: FiniteField, rows, pivots, vectors) -> list:
+    """The nonzero residuals v - sum_j v[p_j] * u_j of `vectors` against RREF
+    rows u_j with pivot columns p_j.
+
+    Each u_j is zero at every other pivot, so one pass clears all of them: a
+    residual is zero at every p_j, and is zero iff v lies in the rows' span.
+    """
+    mul, sub = field.mul_table, field.sub_table
+    out = []
+    for v in vectors:
+        for u, p in zip(rows, pivots):
+            c = v[p]
+            if c:
+                m = mul[c]
+                v = [sub[x][m[y]] for x, y in zip(v, u)]
+        if any(v):
+            out.append(v)
+    return out
+
+
 def sum_dim(U: Subspace, V: Subspace) -> int:
-    """dim(U + V), the rank of the basis rows of U and V together."""
+    """dim(U + V): dim U plus the rank of V's rows reduced against U's
+    pivots. U is already in RREF, so it is not reduced again, and V ⊆ U
+    leaves no residual to rank.
+
+    Over F_2 the packed rows go to `_rank_packed` together: U's rows have
+    distinct leading bits, so they enter its pivot table as they are, and
+    each of V's rows is reduced against them, and then against the earlier
+    residuals, by XOR.
+    """
     check_same_ambient(U, V)
-    return _rank_packed(U.field, U.ambient, U.packed + V.packed)
+    if U.field.q == 2:
+        return _rank_packed(U.field, U.ambient, U.packed + V.packed)
+    residuals = _reduce_rows(U.field, U.rows, U.pivots, V.rows)
+    return U.dim + _rref_rows(U.field, residuals)[1]
 
 
 def intersect_dim(U: Subspace, V: Subspace) -> int:
@@ -292,7 +350,26 @@ def intersect_dim(U: Subspace, V: Subspace) -> int:
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
-    return rowspace(U.basis.stack(V.basis))
+    """U + V in RREF, the rowspace of U's and V's bases stacked, without
+    reducing U again.
+
+    V's rows are reduced against U's pivots and the nonzero residuals put in
+    RREF, W. W's rows are zero at U's pivots, so clearing W's pivot columns
+    from U's rows keeps U's pivots, and the two sets of rows, merged by
+    pivot column, are the RREF of U + V.
+    """
+    check_same_ambient(U, V)
+    if not U.dim:
+        return V
+    F = U.field
+    W, r, w_pivots = _rref_rows(F, _reduce_rows(F, U.rows, U.pivots, V.rows))
+    if not r:
+        return U
+    rows = _reduce_rows(F, W, w_pivots, U.rows) + W[:r]
+    merged = sorted(zip(U.pivots + w_pivots, rows))
+    entries = [x for _, row in merged for x in row]
+    basis = MatrixFq(F, len(merged), U.ambient, entries)
+    return Subspace._reduced(basis, (p for p, _ in merged))
 
 
 def contains(U: Subspace, V: Subspace) -> bool:
@@ -309,14 +386,12 @@ def orthogonal_complement(U: Subspace) -> Subspace:
     canonical.
     """
     neg = U.field.sub_table[0]
-    rows = U.basis.row_lists()
-    pivots = [row.index(1) for row in rows]
-    free = [j for j in range(U.ambient) if j not in pivots]
+    free = [j for j in range(U.ambient) if j not in U.pivots]
     vectors = []
     for j in free:
         v = [0] * U.ambient
         v[j] = 1
-        for row, p in zip(rows, pivots):
+        for row, p in zip(U.rows, U.pivots):
             v[p] = neg[row[j]]
         vectors.append(v)
     if not vectors:
@@ -386,7 +461,7 @@ def enumerate_subspaces(field: FiniteField, n: int, k: int, max_count: int = 10*
                 rows[i][p] = 1
             for (i, c), v in zip(free, values):
                 rows[i][c] = v
-            yield Subspace(MatrixFq.from_rows(field, rows))
+            yield Subspace._reduced(MatrixFq.from_rows(field, rows), pivots)
 
 
 # -- matrix text format ------------------------------------------------------

@@ -153,14 +153,14 @@ def test_erase_rejects_out_of_range(code_221):
 
 
 def test_accumulate_zero(code_221):
-    acc = accumulate(_zero_received(code_221), code_221.params.k1)
+    acc = tuple(accumulate(_zero_received(code_221), code_221.params.k1))
     assert all(acc[i - 1].dim == 0 for i in range(1, 5))
 
 
 def test_accumulate_nested(code_232):
     flag = code_232.flags[7]
     received = erase(flag, [1, 2, 3, 1, 1, 2, 3], seed=21)
-    acc = accumulate(received, code_232.params.k1)
+    acc = tuple(accumulate(received, code_232.params.k1))
     for i in range(1, code_232.ambient - 1):
         assert contains(acc[i], acc[i - 1])
     for i in range(1, code_232.params.k1 + 1):
@@ -181,7 +181,7 @@ def test_accumulate_sum_dims(code_232):
     n = code_232.ambient
     shots = [Subspace.zero(field, n)] * (n - 1)
     shots[3], shots[4] = x4, x5
-    acc = accumulate(ReceivedSequence(n, shots), k1)
+    acc = tuple(accumulate(ReceivedSequence(n, shots), k1))
     assert acc[4].dim == 2
 
 
@@ -463,7 +463,13 @@ def scan_decode(code, received):
     for i in range(1, k1 + 1):
         if received[i].dim > 0:
             return scan(i, received[i], 1)
-    acc = accumulate(received, k1)
+    # Y_i by the old path, a rowspace of the stacked bases, so that the
+    # decoder's `accumulate` is checked against it.
+    acc, Y = [], Subspace.zero(p.field, n)
+    for i in range(1, n):
+        if i > k1:
+            Y = rowspace(Y.basis.stack(received[i].basis))
+        acc.append(Y)
     for i in range(k1 + 1, k1 + r + 1):
         if acc[i - 1].dim > i - k1:
             return scan(i, acc[i - 1], 2)
@@ -541,6 +547,41 @@ def test_deep_erasures_decode_at_step_2_or_3(name, sent, request):
             outcome = decode(code, erase(code.flags[idx - 1], vec, seed=idx * 1000 + k))
             assert (outcome.status, outcome.flag_index) == (DECODED, idx), vec
             assert outcome.step in (2, 3)
+
+
+class _RecordingSequence(ReceivedSequence):
+    """A received sequence that records every level it is asked for."""
+
+    def __init__(self, received):
+        super().__init__(received.ambient, received.shots)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+@pytest.fixture(scope="module")
+def code_331():
+    return build_code(SandwichParams(field_new(3), 3, 1))
+
+
+@pytest.mark.parametrize("name", ["code_232", "code_331"])
+def test_decode_reads_no_shot_above_its_trigger(name, request):
+    code = request.getfixturevalue(name)
+    rng = random.Random(name)
+    steps = set()
+    for k, vec in enumerate(_deep_vectors(code)):
+        sent = rng.randrange(len(code))
+        received = _RecordingSequence(erase(code.flags[sent], vec, seed=k))
+        outcome = decode(code, received)
+        assert (outcome.status, outcome.flag_index) == (DECODED, sent + 1), vec
+        assert max(received.read) == outcome.shot_index, vec
+        steps.add(outcome.step)
+    assert steps == {2, 3}
+    received = _RecordingSequence(_zero_received(code))
+    assert decode(code, received).status == FAILURE
+    assert received.read == set(range(1, code.ambient))
 
 
 # -- the pinned channel stream -----------------------------------------------------

@@ -8,13 +8,18 @@ import random
 
 import pytest
 
+from flagcodes.decoder import ReceivedSequence, accumulate, random_subspace_of
 from flagcodes.fields import MAX_ORDER, field_new
 from flagcodes.linalg import (
     MatrixFq,
+    Subspace,
+    contains,
     intersect_dim,
+    orthogonal_complement,
     rank,
     rowspace,
     rref,
+    subspace_sum,
     sum_dim,
 )
 from conftest import SMALL_ORDERS
@@ -102,17 +107,59 @@ def test_rref_rank_rowspace_match_oracle(field):
         assert rowspace(A).basis.row_lists() == rows[:r]
 
 
+def _subspaces(field, rng, n=6):
+    """Random subspaces of F^n of every dimension, rank-deficient spans, {0},
+    F^n, and a random subspace of each, so that all pairs include V ⊆ U,
+    V = U, U = {0} and V = {0}."""
+    out = [rowspace(A) for A in _shapes(field, rng) if A.cols == n]
+    out += [rowspace(_random_matrix(field, k, n, rng)) for k in range(n)]
+    out += [rowspace(_rank_deficient(field, 4, n, rng))]
+    out += [Subspace.zero(field, n), Subspace.full(field, n)]
+    out += [random_subspace_of(U, rng.randint(0, U.dim), rng) for U in out]
+    return out
+
+
 def test_sum_and_intersect_dim_match_oracle(field):
     rng = random.Random(field.q + 1)
-    subspaces = [rowspace(A) for A in _shapes(field, rng) if A.cols == 6]
-    subspaces += [rowspace(_random_matrix(field, k, 6, rng)) for k in (0, 1, 2, 3, 4)]
-    subspaces.append(rowspace(_rank_deficient(field, 4, 6, rng)))
+    subspaces = _subspaces(field, rng)
     for U in subspaces:
         for V in subspaces:
             stacked = U.basis.row_lists() + V.basis.row_lists()
             want = oracle_rref_rows(field, stacked)[1]
             assert sum_dim(U, V) == want
             assert intersect_dim(U, V) == U.dim + V.dim - want
+            assert contains(U, V) == (want == U.dim)
+
+
+def test_subspace_sum_is_the_rowspace_of_the_stacked_bases(field):
+    rng = random.Random(field.q + 3)
+    subspaces = _subspaces(field, rng)
+    for U in subspaces:
+        for V in subspaces:
+            S = subspace_sum(U, V)
+            want = rowspace(U.basis.stack(V.basis))
+            assert S.basis.entries == want.basis.entries
+            assert S.pivots == want.pivots
+
+
+def test_trusted_constructions_are_in_rref(field):
+    # Every subspace the kernel builds without `_check_rref` passes it, with
+    # exactly the stored pivots.
+    rng = random.Random(field.q + 4)
+    n = 6
+    subspaces = _subspaces(field, rng, n)
+    built = list(subspaces)
+    built += [rowspace(A) for A in _shapes(field, rng)]
+    for U in subspaces:
+        built += [random_subspace_of(U, d, rng) for d in range(U.dim + 1)]
+        built += [subspace_sum(U, V) for V in rng.sample(subspaces, 4)]
+        built.append(orthogonal_complement(U))
+    for k1 in (0, 2):
+        shots = [rng.choice([S for S in subspaces if S.dim <= i]) for i in range(1, n)]
+        built += tuple(accumulate(ReceivedSequence(n, shots), k1))
+    for S in built:
+        assert S.rows == tuple(S.basis.row(i) for i in range(S.dim))
+        assert Subspace._check_rref(S.rows) == S.pivots
 
 
 def test_matmul_matches_oracle(field):

@@ -19,12 +19,12 @@ from .linalg import (
     LinAlgError,
     MatrixFq,
     Subspace,
+    _insert_rows,
     contains,
     dump_matrix,
     normalized_vectors,
     parse_matrix,
     rank,
-    rowspace,
 )
 
 
@@ -270,7 +270,9 @@ def layer_S(params: SandwichParams, i: int) -> MatrixFq:
 
 
 class Flag:
-    """A full flag: strictly nested subspaces of dimensions 1 .. n-1."""
+    """A full flag: strictly nested subspaces of dimensions 1 .. n-1. `Flag(...)`
+    checks both; `Flag._nested`, for `flag_from_generator` only, trusts them,
+    and `verify.check_flag_nesting` re-checks the nesting."""
 
     __slots__ = ("ambient", "subspaces")
 
@@ -292,6 +294,12 @@ class Flag:
         self.ambient = ambient
         self.subspaces = subspaces
 
+    @classmethod
+    def _nested(cls, subspaces: tuple) -> "Flag":
+        flag = cls.__new__(cls)
+        flag.ambient, flag.subspaces = subspaces[0].ambient, subspaces
+        return flag
+
     def __getitem__(self, j: int) -> Subspace:
         """1-based access: flag[j] is the j-dimensional subspace."""
         if not (1 <= j <= len(self.subspaces)):
@@ -309,10 +317,17 @@ class Flag:
 
 
 def flag_from_generator(S: MatrixFq) -> Flag:
-    """Flag of the row spaces of the leading j-row slices of a full-rank
-    square generator."""
-    n = S.cols
-    return Flag(rowspace(S.first_rows(j)) for j in range(1, n))
+    """Flag of the row spaces of the leading j-row slices of a square
+    generator, in one pass: rows 1 .. n-1 are inserted by `_insert_rows`, and
+    each level is the RREF so far. A row that adds no pivot raises; row n is
+    never inserted, so only `verify`'s rank check sees it."""
+    F, n = S.field, S.cols
+    rows, pivots, levels = [], [], []
+    for j in range(n - 1):
+        if not _insert_rows(F, rows, pivots, (S.row(j),)):
+            raise ConstructionError(f"generator rows 1..{j + 1} have rank {j}, want {j + 1}")
+        levels.append(Subspace._reduced(F, n, rows, pivots))
+    return Flag._nested(tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -399,6 +414,10 @@ def code_from_dict(doc: dict) -> FlagCode:
         raise ConstructionError(
             f"expected {params.num_generators} generators, found {len(generators)}"
         )
+    n = params.n
+    for i, S in enumerate(generators, start=1):
+        if (S.rows, S.cols) != (n, n):
+            raise ConstructionError(f"generator {i} is {S.rows}x{S.cols}, want {n}x{n}")
     flags = tuple(flag_from_generator(S) for S in generators)
     return FlagCode(params, generators, flags)
 

@@ -178,7 +178,9 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
         coeffs = MatrixFq(field, dim, sub.dim, digits)
         if rank(coeffs) == dim:
             R, _, pivots = rref(coeffs)
-            return Subspace._reduced(R.matmul(sub.basis), (sub.pivots[c] for c in pivots))
+            RB = R.matmul(sub.basis)
+            rows = map(RB.row, range(dim))
+            return Subspace._reduced(field, sub.ambient, rows, (sub.pivots[c] for c in pivots))
 
 
 def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequence:
@@ -220,7 +222,8 @@ def _unique_containing(code: FlagCode, level: int, sub: Subspace, step: int) -> 
     w = max(1, level - code.params.k1 + 1)
     table = spread_points(code)
     candidates = 0
-    for v in normalized_vectors(Subspace._reduced(sub.basis.first_rows(w), sub.pivots[:w])):
+    W = Subspace._reduced(sub.field, sub.ambient, sub.rows[:w], sub.pivots[:w])
+    for v in normalized_vectors(W):
         candidates |= table.get(v, 0)
     matches = []
     while candidates:

@@ -6,6 +6,7 @@ form so that equality and hashing are structural.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from .fields import FieldError, FiniteField, field_from_order
@@ -36,6 +37,14 @@ class MatrixFq:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+
+    @classmethod
+    def _trusted(cls, field: FiniteField, rows: int, cols: int, entries: tuple) -> "MatrixFq":
+        """A matrix the kernel computed, its entries a tuple already in range:
+        neither the shape nor the range is checked."""
+        A = cls.__new__(cls)
+        A.field, A.rows, A.cols, A.entries = field, rows, cols, entries
+        return A
 
     @classmethod
     def from_rows(cls, field: FiniteField, row_lists) -> "MatrixFq":
@@ -87,7 +96,7 @@ class MatrixFq:
                     m = mul[neg[a]]
                     acc = [sub[x][m[y]] for x, y in zip(acc, row)]
             out.extend(acc)
-        return MatrixFq(F, self.rows, other.cols, out)
+        return MatrixFq._trusted(F, self.rows, other.cols, tuple(out))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -151,25 +160,19 @@ def _pack(rows) -> tuple:
     return tuple(int.from_bytes(bytes(row), "big") for row in rows)
 
 
-def _rank_packed(field: FiniteField, cols: int, packed) -> int:
-    """Rank of packed rows of length `cols`: the one rank entry point.
-
-    Over F_2 the packed rows are eliminated directly, by XOR on their
-    leading bit, as M4RI does with packed words. Every other field unpacks
-    them and runs the table RREF.
-    """
-    if field.q == 2:
-        pivots = {}
-        for row in packed:
-            while row:
-                lead = row.bit_length()
-                p = pivots.get(lead)
-                if p is None:
-                    pivots[lead] = row
-                    break
-                row ^= p
-        return len(pivots)
-    return _rref_rows(field, [row.to_bytes(cols, "big") for row in packed])[1]
+def _rank_packed(packed) -> int:
+    """Rank of rows over F_2 packed by `_pack`, by XOR on their leading bit, as
+    M4RI eliminates packed words."""
+    pivots = {}
+    for row in packed:
+        while row:
+            lead = row.bit_length()
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = row
+                break
+            row ^= p
+    return len(pivots)
 
 
 def _base_q(digits, q: int) -> int:
@@ -200,12 +203,15 @@ def _point_ints(U: Subspace) -> frozenset:
 def rref(A: MatrixFq):
     """Reduced row echelon form of A: (rref_matrix, rank, pivot_columns)."""
     rows, rank, pivots = _rref_rows(A.field, A.row_lists())
-    R = MatrixFq(A.field, A.rows, A.cols, itertools.chain.from_iterable(rows))
+    R = MatrixFq._trusted(A.field, A.rows, A.cols, tuple(itertools.chain.from_iterable(rows)))
     return R, rank, pivots
 
 
 def rank(A: MatrixFq) -> int:
-    return _rank_packed(A.field, A.cols, _pack(A.row_lists()))
+    """The one rank entry point: packed rows over F_2, table RREF otherwise."""
+    if A.field.q == 2:
+        return _rank_packed(_pack(A.row_lists()))
+    return _rref_rows(A.field, A.row_lists())[1]
 
 
 class Subspace:
@@ -214,34 +220,37 @@ class Subspace:
     The zero subspace is the 0 x n basis. Equality and hashing are entry-wise
     on the canonical basis. `rows` and `pivots` are the basis rows and their
     pivot columns, which `sum_dim` and `subspace_sum` reduce against.
-    `packed`, the rows in the form the rank entry point `_rank_packed`
-    takes, and `distance_points` are computed on first use and kept.
+    `packed`, the rows in the form `sum_dim` ranks over F_2, and
+    `distance_points` are computed on first use and kept.
 
     `Subspace(basis)` checks that the basis is in RREF; the kernel builds the
-    bases it has just reduced with `Subspace._reduced`, which does not.
+    rows it has just reduced with `Subspace._reduced`, which does not.
     """
 
     __slots__ = ("field", "ambient", "dim", "basis", "rows", "pivots", "_packed", "_points")
 
     def __init__(self, basis: MatrixFq):
-        self._set(basis)
-        self.pivots = self._check_rref(self.rows)
+        rows = tuple(basis.row(i) for i in range(basis.rows))
+        self._set(basis, rows, self._check_rref(rows))
 
     @classmethod
-    def _reduced(cls, basis: MatrixFq, pivots) -> "Subspace":
-        """The subspace of `basis`, which must already be in RREF with these
-        pivot columns: for the kernel's own results only."""
+    def _reduced(cls, field: FiniteField, ambient: int, rows, pivots) -> "Subspace":
+        """The subspace of `rows`, already in RREF with these pivot columns:
+        for the kernel's own results only, so no entry or RREF check."""
+        rows = tuple(map(tuple, rows))
+        entries = tuple(itertools.chain.from_iterable(rows))
+        basis = MatrixFq._trusted(field, len(rows), ambient, entries)
         U = cls.__new__(cls)
-        U._set(basis)
-        U.pivots = tuple(pivots)
+        U._set(basis, rows, tuple(pivots))
         return U
 
-    def _set(self, basis: MatrixFq):
+    def _set(self, basis: MatrixFq, rows: tuple, pivots: tuple):
         self.field = basis.field
         self.ambient = basis.cols
         self.dim = basis.rows
         self.basis = basis
-        self.rows = tuple(basis.row(i) for i in range(basis.rows))
+        self.rows = rows
+        self.pivots = pivots
         self._packed = None
         self._points = None
 
@@ -281,11 +290,12 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: FiniteField, ambient: int) -> "Subspace":
-        return cls._reduced(MatrixFq(field, 0, ambient, ()), ())
+        return cls._reduced(field, ambient, (), ())
 
     @classmethod
     def full(cls, field: FiniteField, ambient: int) -> "Subspace":
-        return cls._reduced(MatrixFq.identity(field, ambient), range(ambient))
+        rows = MatrixFq.identity(field, ambient).row_lists()
+        return cls._reduced(field, ambient, rows, range(ambient))
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.basis == other.basis
@@ -300,7 +310,7 @@ class Subspace:
 def rowspace(A: MatrixFq) -> Subspace:
     """Canonical Subspace spanned by the rows of A."""
     R, r, pivots = rref(A)
-    return Subspace._reduced(R.first_rows(r), pivots)
+    return Subspace._reduced(A.field, A.cols, map(R.row, range(r)), pivots)
 
 
 def check_same_ambient(U: Subspace, V: Subspace):
@@ -340,7 +350,7 @@ def sum_dim(U: Subspace, V: Subspace) -> int:
     """
     check_same_ambient(U, V)
     if U.field.q == 2:
-        return _rank_packed(U.field, U.ambient, U.packed + V.packed)
+        return _rank_packed(U.packed + V.packed)
     residuals = _reduce_rows(U.field, U.rows, U.pivots, V.rows)
     return U.dim + _rref_rows(U.field, residuals)[1]
 
@@ -349,27 +359,42 @@ def intersect_dim(U: Subspace, V: Subspace) -> int:
     return U.dim + V.dim - sum_dim(U, V)
 
 
+def _insert_rows(field: FiniteField, rows: list, pivots: list, vectors) -> int:
+    """Add `vectors` one at a time to the RREF `rows` with pivot columns
+    `pivots`, lists kept in RREF in place; returns how many were added. Each
+    vector is reduced and skipped if nothing is left, else scaled to a
+    leading 1, cleared from the earlier rows and inserted at its pivot's
+    place. Rows are replaced by tuples, never mutated."""
+    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
+    start = len(rows)
+    for v in vectors:
+        residual = _reduce_rows(field, rows, pivots, (v,))
+        if not residual:
+            continue
+        v = residual[0]
+        lead = next(c for c, x in enumerate(v) if x)
+        m = mul[inv[v[lead]]]
+        v = tuple([m[x] for x in v])
+        for i, u in enumerate(rows):
+            if u[lead]:
+                m = mul[u[lead]]
+                rows[i] = tuple([sub[x][m[y]] for x, y in zip(u, v)])
+        at = bisect.bisect(pivots, lead)
+        rows.insert(at, v)
+        pivots.insert(at, lead)
+    return len(rows) - start
+
+
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     """U + V in RREF, the rowspace of U's and V's bases stacked, without
-    reducing U again.
-
-    V's rows are reduced against U's pivots and the nonzero residuals put in
-    RREF, W. W's rows are zero at U's pivots, so clearing W's pivot columns
-    from U's rows keeps U's pivots, and the two sets of rows, merged by
-    pivot column, are the RREF of U + V.
-    """
+    reducing U again: V's rows are inserted into U's by `_insert_rows`."""
     check_same_ambient(U, V)
     if not U.dim:
         return V
-    F = U.field
-    W, r, w_pivots = _rref_rows(F, _reduce_rows(F, U.rows, U.pivots, V.rows))
-    if not r:
+    rows, pivots = list(U.rows), list(U.pivots)
+    if not _insert_rows(U.field, rows, pivots, V.rows):
         return U
-    rows = _reduce_rows(F, W, w_pivots, U.rows) + W[:r]
-    merged = sorted(zip(U.pivots + w_pivots, rows))
-    entries = [x for _, row in merged for x in row]
-    basis = MatrixFq(F, len(merged), U.ambient, entries)
-    return Subspace._reduced(basis, (p for p, _ in merged))
+    return Subspace._reduced(U.field, U.ambient, rows, pivots)
 
 
 def contains(U: Subspace, V: Subspace) -> bool:
@@ -461,7 +486,7 @@ def enumerate_subspaces(field: FiniteField, n: int, k: int, max_count: int = 10*
                 rows[i][p] = 1
             for (i, c), v in zip(free, values):
                 rows[i][c] = v
-            yield Subspace._reduced(MatrixFq.from_rows(field, rows), pivots)
+            yield Subspace._reduced(field, n, rows, pivots)
 
 
 # -- matrix text format ------------------------------------------------------

@@ -185,6 +185,25 @@ def test_verify_tampered_file_fails(code_file, tmp_path, capsys):
     assert (check["name"], check["status"]) == ("load", "FAIL")
 
 
+def test_generators_of_the_wrong_shape_fail_to_load(code_file, tmp_path, capsys):
+    # (2,2,1) has n = 5; 4x4 identities once loaded as a code in F^4.
+    doc = json.loads(code_file.read_text())
+    doc["generators"] = ["2 4 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1"] * 9
+    bad = tmp_path / "square4.json"
+    bad.write_text(json.dumps(doc))
+    for command in (["report"], ["simulate", "--trials", "5"]):
+        assert main([*command, "--code", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: generator 1 is 4x4, want 5x5\n"
+    exit_code, out = run(capsys, "verify", "--code", str(bad))
+    assert exit_code == EXIT_VERIFY_FAIL
+    assert json.loads(out) == {
+        "checks": [
+            {"name": "load", "status": "FAIL", "detail": "generator 1 is 4x4, want 5x5"}
+        ]
+    }
+
+
 def test_verify_load_failure_on_a_bare_fixture(tmp_path, capsys):
     from flagcodes.linalg import dump_matrix
 

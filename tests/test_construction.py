@@ -4,6 +4,7 @@ import pytest
 
 from flagcodes.construction import (
     ConstructionError,
+    Flag,
     SandwichParams,
     build_code,
     code_from_json,
@@ -19,7 +20,7 @@ from flagcodes.construction import (
     matrix_power,
 )
 from flagcodes.fields import field_from_order, field_new
-from flagcodes.linalg import MatrixFq, intersect_dim, rank, rowspace
+from flagcodes.linalg import MatrixFq, dump_matrix, intersect_dim, rank, rowspace
 
 X2_X_1 = (1, 1, 1)  # x^2 + x + 1
 X3_X_1 = (1, 1, 0, 1)  # x^3 + x + 1
@@ -220,6 +221,38 @@ def test_serialization_detects_wrong_generator_count(code_221):
     doc["generators"].pop()
     with pytest.raises(ConstructionError):
         code_from_json(json.dumps(doc))
+
+
+def _with_generators(code, texts):
+    import json
+
+    doc = json.loads(code_to_json(code))
+    doc["generators"] = texts
+    return json.dumps(doc)
+
+
+def test_serialization_rejects_generators_of_the_wrong_shape(code_221):
+    # n = 5 on (2,2,1): a square 4x4 generator would load as a code in F^4,
+    # and a 3x5 one fails only inside flag building.
+    square = "2 4 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1"
+    short = "2 3 5\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0"
+    count = len(code_221.generators)
+    for text, shape in ((square, "4x4"), (short, "3x5")):
+        with pytest.raises(ConstructionError, match=f"generator 1 is {shape}, want 5x5"):
+            code_from_json(_with_generators(code_221, [text] * count))
+    texts = [dump_matrix(S) for S in code_221.generators]
+    texts[3] = short
+    with pytest.raises(ConstructionError, match="generator 4 is 3x5"):
+        code_from_json(_with_generators(code_221, texts))
+
+
+def test_public_flag_refuses_a_chain_that_is_not_nested(F2):
+    # Levels of the right dimensions that are not nested: <e2> is not in <e0, e1>.
+    e = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    levels = [rowspace(MatrixFq.from_rows(F2, rows)) for rows in ([e[2]], e[:2], e[:3])]
+    with pytest.raises(ConstructionError, match="not nested"):
+        Flag(levels)
+    Flag(rowspace(MatrixFq.from_rows(F2, e[:j])) for j in range(1, 4))
 
 
 def test_flag_from_generator_prefixes(code_221):

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from flagcodes.construction import ConstructionError, flag_from_generator
 from flagcodes.decoder import ReceivedSequence, accumulate, random_subspace_of
 from flagcodes.fields import MAX_ORDER, field_new
 from flagcodes.linalg import (
@@ -157,9 +158,59 @@ def test_trusted_constructions_are_in_rref(field):
     for k1 in (0, 2):
         shots = [rng.choice([S for S in subspaces if S.dim <= i]) for i in range(1, n)]
         built += tuple(accumulate(ReceivedSequence(n, shots), k1))
+    for _ in range(3):
+        built += flag_from_generator(_full_rank(field, n, rng)).subspaces
     for S in built:
         assert S.rows == tuple(S.basis.row(i) for i in range(S.dim))
         assert Subspace._check_rref(S.rows) == S.pivots
+
+
+def _full_rank(field, n, rng):
+    while True:
+        S = _random_matrix(field, n, n, rng)
+        if rank(S) == n:
+            return S
+
+
+def _deficient_at(field, n, j, rng):
+    """A generator whose rows 0 .. j - 1 are independent and whose row j is
+    a random combination of them (zero at j = 0)."""
+    rows = _full_rank(field, n, rng).row_lists()
+    coeffs = [rng.randrange(field.q) for _ in range(j)]
+    rows[j] = [0] * n
+    for c, row in zip(coeffs, rows):
+        rows[j] = [field.add(x, field.mul(c, y)) for x, y in zip(rows[j], row)]
+    return MatrixFq.from_rows(field, rows)
+
+
+def test_flag_levels_are_the_prefix_rowspaces(field):
+    # One insertion pass gives every level exactly as a separate elimination
+    # of the leading j rows would: same entries, same pivots.
+    rng = random.Random(field.q + 5)
+    n = 6
+    generators = [_full_rank(field, n, rng) for _ in range(4)]
+    # Pivots arriving right to left: each row is inserted before the others.
+    reverse = [[0] * p + [1] + [rng.randrange(field.q) for _ in range(n - 1 - p)]
+               for p in reversed(range(n))]
+    generators.append(MatrixFq.from_rows(field, reverse))
+    # Rank-deficient only in the last row: that row is never inserted.
+    generators.append(_deficient_at(field, n, n - 1, rng))
+    for S in generators:
+        flag = flag_from_generator(S)
+        assert len(flag) == n - 1
+        for j in range(1, n):
+            want = rowspace(S.first_rows(j))
+            assert flag[j].basis.entries == want.basis.entries
+            assert flag[j].pivots == want.pivots
+            assert flag[j].dim == j
+
+
+def test_flag_from_a_rank_deficient_generator_raises(field):
+    rng = random.Random(field.q + 6)
+    n = 6
+    for j in range(n - 1):
+        with pytest.raises(ConstructionError, match=f"rows 1..{j + 1} have rank {j}"):
+            flag_from_generator(_deficient_at(field, n, j, rng))
 
 
 def test_matmul_matches_oracle(field):

@@ -1,7 +1,7 @@
 import pytest
 
 from flagcodes import MatrixFq, SandwichParams, build_code, field_new, rowspace
-from flagcodes.construction import FlagCode
+from flagcodes.construction import Flag, FlagCode
 from flagcodes.linalg import enumerate_subspaces, intersect_dim
 from flagcodes.verify import (
     FAIL,
@@ -90,3 +90,17 @@ def test_verify_flags_duplicate_codeword(code_221):
     assert results["cardinality"].status == FAIL
     assert results["spread_disjoint"].status == FAIL
     assert results["spread_disjoint"].detail == "members 1 and 9 intersect"
+
+
+def test_verify_fails_a_flag_with_a_level_from_another_flag(code_221):
+    # The trusted flag path checks no nesting, so verify must: flag 1 with
+    # flag 2's point at level 1 is not nested, as the two level-2 spread
+    # members are disjoint.
+    swapped = Flag._nested((code_221.flags[1][1],) + code_221.flags[0].subspaces[1:])
+    doctored = FlagCode(
+        code_221.params, code_221.generators, (swapped,) + code_221.flags[1:]
+    )
+    results = {r.name: r for r in verify_code(doctored)}
+    assert results["flag_nesting"].status == FAIL
+    assert results["flag_nesting"].detail == "flag 1 breaks nesting at level 1"
+    assert _statuses(verify_code(code_221))["flag_nesting"] == PASS

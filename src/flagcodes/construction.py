@@ -22,8 +22,8 @@ from .linalg import (
     _insert_rows,
     contains,
     dump_matrix,
-    normalized_vectors,
     parse_matrix,
+    points,
     rank,
 )
 
@@ -364,18 +364,17 @@ def build_code(params: SandwichParams) -> FlagCode:
 def spread_points(code: FlagCode) -> dict:
     """Point -> bitmask of the codewords whose level-k1 subspace covers it.
 
-    Points are the normalized vectors of `linalg.normalized_vectors`, in the
-    form of a 1-dim subspace's `basis.entries`; bit i - 1 of a mask stands
-    for codeword i. On a partial spread every mask has one bit. Cached on
-    the code.
+    Points are the integers of `linalg.points`, so a 1-dim subspace P is
+    looked up as `P.packed[0]`; bit i - 1 of a mask stands for codeword i.
+    On a partial spread every mask has one bit. Cached on the code.
     """
     table = code._cache.get("spread_points")
     if table is None:
         table = {}
         k1 = code.params.k1
         for bit, flag in enumerate(code.flags):
-            for v in normalized_vectors(flag[k1]):
-                table[v] = table.get(v, 0) | 1 << bit
+            for x in points(flag[k1]):
+                table[x] = table.get(x, 0) | 1 << bit
         code._cache["spread_points"] = table
     return table
 

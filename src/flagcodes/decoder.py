@@ -7,14 +7,15 @@ middle band has pairwise intersections of dimension at most i - k1 (step 2),
 and that above the middle band intersections are at most 2i - n (step 3).
 
 Every step looks its trigger subspace Y up in one table, the point ->
-codeword map of the level-k1 spread (`construction.spread_points`), instead
-of testing all |C| codewords. At level i, let W be the span of the first
-w = max(1, i - k1 + 1) RREF rows of Y. A codeword c with V_i(c) ⊇ Y has a
-point of V_k1(c) in W: for i <= k1, W lies in V_k1(c); above k1, W and
-V_k1(c) both lie in V_i(c), so dim(W ∩ V_k1(c)) >= w + k1 - i = 1. So the
-codewords covering a point of W include every match, and testing just those
-with `contains` gives the same matches as the full scan, for any FlagCode.
-Each trigger guarantees dim Y >= w.
+codeword map of the level-k1 spread (`construction.spread_points`), keyed
+by the point integers of `linalg.points`, instead of testing all |C|
+codewords. At level i, let W be the span of the first w = max(1, i - k1 + 1)
+RREF rows of Y. A codeword c with V_i(c) ⊇ Y has a point of V_k1(c) in W:
+for i <= k1, W lies in V_k1(c); above k1, W and V_k1(c) both lie in V_i(c),
+so dim(W ∩ V_k1(c)) >= w + k1 - i = 1. So the codewords covering a point of
+W include every match, and testing just those with `contains` gives the
+same matches as the full scan, for any FlagCode. Each trigger guarantees
+dim Y >= w.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .linalg import (
     Subspace,
     contains,
     dump_matrix,
-    normalized_vectors,
     parse_matrix,
+    points,
     rank,
     rowspace,
     rref,
@@ -61,6 +62,8 @@ class ReceivedSequence:
     __slots__ = ("ambient", "shots")
 
     def __init__(self, ambient: int, shots):
+        if not isinstance(ambient, int):
+            raise ChannelError(f"ambient {ambient!r} is not an integer")
         shots = tuple(shots)
         if len(shots) != ambient - 1:
             raise ChannelError(f"need {ambient - 1} shots for ambient {ambient}")
@@ -175,7 +178,7 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
         for _ in range(size):
             x, digit = divmod(x, q)
             digits.append(digit)
-        coeffs = MatrixFq(field, dim, sub.dim, digits)
+        coeffs = MatrixFq._trusted(field, dim, sub.dim, tuple(digits))
         if rank(coeffs) == dim:
             R, _, pivots = rref(coeffs)
             RB = R.matmul(sub.basis)
@@ -223,8 +226,8 @@ def _unique_containing(code: FlagCode, level: int, sub: Subspace, step: int) -> 
     table = spread_points(code)
     candidates = 0
     W = Subspace._reduced(sub.field, sub.ambient, sub.rows[:w], sub.pivots[:w])
-    for v in normalized_vectors(W):
-        candidates |= table.get(v, 0)
+    for x in points(W):
+        candidates |= table.get(x, 0)
     matches = []
     while candidates:
         low = candidates & -candidates

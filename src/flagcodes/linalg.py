@@ -66,16 +66,19 @@ class MatrixFq:
     def row_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
+    # Slices and stacks of checked matrices need no range check: 0 <= t <= rows.
     def first_rows(self, t: int) -> "MatrixFq":
-        return MatrixFq(self.field, t, self.cols, self.entries[: t * self.cols])
+        return MatrixFq._trusted(self.field, t, self.cols, self.entries[: t * self.cols])
 
     def last_rows(self, t: int) -> "MatrixFq":
-        return MatrixFq(self.field, t, self.cols, self.entries[(self.rows - t) * self.cols :])
+        return MatrixFq._trusted(
+            self.field, t, self.cols, self.entries[(self.rows - t) * self.cols :]
+        )
 
     def stack(self, other: "MatrixFq") -> "MatrixFq":
         if other.cols != self.cols or other.field != self.field:
             raise LinAlgError("stack shape/field mismatch")
-        return MatrixFq(
+        return MatrixFq._trusted(
             self.field, self.rows + other.rows, self.cols, self.entries + other.entries
         )
 
@@ -155,13 +158,16 @@ def _rref_rows(field: FiniteField, rows):
     return rows, r, tuple(pivots)
 
 
-def _pack(rows) -> tuple:
-    """Rows as ints, one byte per entry (entries are below 256)."""
-    return tuple(int.from_bytes(bytes(row), "big") for row in rows)
+def _base_q(digits, q: int) -> int:
+    """A row as its base-q integer, first entry most significant."""
+    x = 0
+    for d in digits:
+        x = x * q + d
+    return x
 
 
 def _rank_packed(packed) -> int:
-    """Rank of rows over F_2 packed by `_pack`, by XOR on their leading bit, as
+    """Rank of F_2 rows as base-2 integers, by XOR on their leading bit, as
     M4RI eliminates packed words."""
     pivots = {}
     for row in packed:
@@ -175,31 +181,6 @@ def _rank_packed(packed) -> int:
     return len(pivots)
 
 
-def _base_q(digits, q: int) -> int:
-    x = 0
-    for d in digits:
-        x = x * q + d
-    return x
-
-
-def _point_ints(U: Subspace) -> frozenset:
-    """The points of U, its `normalized_vectors`, as base-q integers.
-
-    Over F_2 every nonzero vector has leading entry 1 and vectors add by
-    XOR of their base-2 integers, so the points are the nonzero XOR
-    combinations of U's rows, and no vector is built. Every other field
-    reads the `normalized_vectors` tuples as base-q digits.
-    """
-    q = U.field.q
-    if q == 2:
-        span = [0]
-        for row in U.rows:
-            row = _base_q(row, 2)
-            span += [x ^ row for x in span]
-        return frozenset(span[1:])
-    return frozenset(_base_q(v, q) for v in normalized_vectors(U))
-
-
 def rref(A: MatrixFq):
     """Reduced row echelon form of A: (rref_matrix, rank, pivot_columns)."""
     rows, rank, pivots = _rref_rows(A.field, A.row_lists())
@@ -210,7 +191,7 @@ def rref(A: MatrixFq):
 def rank(A: MatrixFq) -> int:
     """The one rank entry point: packed rows over F_2, table RREF otherwise."""
     if A.field.q == 2:
-        return _rank_packed(_pack(A.row_lists()))
+        return _rank_packed(_base_q(A.row(i), 2) for i in range(A.rows))
     return _rref_rows(A.field, A.row_lists())[1]
 
 
@@ -220,8 +201,10 @@ class Subspace:
     The zero subspace is the 0 x n basis. Equality and hashing are entry-wise
     on the canonical basis. `rows` and `pivots` are the basis rows and their
     pivot columns, which `sum_dim` and `subspace_sum` reduce against.
-    `packed`, the rows in the form `sum_dim` ranks over F_2, and
-    `distance_points` are computed on first use and kept.
+    `packed`, each row as its base-q integer, and `distance_points` are
+    computed on first use and kept. An RREF row has leading entry 1, so its
+    integer is its point, in the form `points` lists; over F_2 it is also
+    the form `sum_dim` ranks.
 
     `Subspace(basis)` checks that the basis is in RREF; the kernel builds the
     rows it has just reduced with `Subspace._reduced`, which does not.
@@ -257,7 +240,8 @@ class Subspace:
     @property
     def packed(self) -> tuple:
         if self._packed is None:
-            self._packed = _pack(self.rows)
+            q = self.field.q
+            self._packed = tuple(_base_q(row, q) for row in self.rows)
         return self._packed
 
     @property
@@ -269,7 +253,7 @@ class Subspace:
         """
         if self._points is None:
             side = orthogonal_complement(self) if 2 * self.dim > self.ambient else self
-            self._points = _point_ints(side)
+            self._points = frozenset(points(side))
         return self._points
 
     @staticmethod
@@ -424,24 +408,33 @@ def orthogonal_complement(U: Subspace) -> Subspace:
     return rowspace(MatrixFq.from_rows(U.field, vectors))
 
 
-def normalized_vectors(U: Subspace) -> list:
-    """The nonzero vectors of U with leading entry 1, one per 1-dim subspace
-    of U, as tuples in the form of a 1-dim subspace's `basis.entries`.
+def points(U: Subspace) -> list:
+    """The points of U, one per 1-dim subspace, as the base-q integers of
+    their vectors with leading entry 1: the form of `packed`, so a 1-dim
+    subspace P is the point `P.packed[0]`.
 
-    They are the combinations of U's RREF rows whose first nonzero
-    coefficient is 1: that row's pivot then carries the leading 1.
+    Over F_2 vectors add by XOR of their integers, so the points are the
+    nonzero XOR combinations of `packed`; with at most one row there is no
+    sum to form, so every field takes that path. Otherwise they are the
+    combinations of U's RREF rows whose first nonzero coefficient is 1 (that
+    row's pivot then carries the leading 1), each folded to base q.
     """
+    q = U.field.q
+    if q == 2 or U.dim < 2:
+        span = [0]
+        for row in U.packed:
+            span += [x ^ row for x in span]
+        return span[1:]
     mul, sub = U.field.mul_table, U.field.sub_table
     neg = sub[0]
-    rows = U.basis.row_lists()
     span = [(0,) * U.ambient]  # the span of the rows below row i
     out = []
-    for i in reversed(range(len(rows))):
+    for i in reversed(range(U.dim)):
         # w + c*row, computed as w - (-c*row) for every multiplier c.
-        negated = [[neg[m[x]] for x in rows[i]] for m in mul]
-        out.extend(tuple(sub[a][b] for a, b in zip(w, negated[1])) for w in span)
+        negated = [[neg[m[x]] for x in U.rows[i]] for m in mul]
+        out.extend(_base_q([sub[a][b] for a, b in zip(w, negated[1])], q) for w in span)
         if i:
-            span = [tuple(sub[a][b] for a, b in zip(w, nc)) for nc in negated for w in span]
+            span = [[sub[a][b] for a, b in zip(w, nc)] for nc in negated for w in span]
     return out
 
 
@@ -501,6 +494,8 @@ def dump_matrix(A: MatrixFq) -> str:
 
 
 def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
+    if not isinstance(text, str):
+        raise LinAlgError(f"matrix text must be a string, not {type(text).__name__}")
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise LinAlgError("empty matrix text")

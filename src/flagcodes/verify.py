@@ -72,16 +72,17 @@ def check_spread_disjoint(code: FlagCode) -> CheckResult:
 
 def spread_holes(code: FlagCode, max_enumeration: int = 10**6) -> list:
     """The holes of the k1-level partial spread: the points of PG(n-1, q)
-    that no member covers, as normalized vectors in enumeration order.
+    that no member covers, as their RREF rows in enumeration order.
 
-    The covered points are the keys of `construction.spread_points`, the
-    table the decoder looks its trigger subspaces up in.
+    A point P is covered iff its integer `P.packed[0]` is a key of
+    `construction.spread_points`, the table the decoder looks its trigger
+    subspaces up in.
     Raises EnumerationCapExceeded when the [n,1]_q points exceed the cap.
     """
     p = code.params
     covered = spread_points(code)
     points = enumerate_subspaces(p.field, p.n, 1, max_enumeration)
-    return [P.basis.entries for P in points if P.basis.entries not in covered]
+    return [P.rows[0] for P in points if P.packed[0] not in covered]
 
 
 def _find_hole_subspace(field: FiniteField, holes: list, k: int):

@@ -51,6 +51,12 @@ def code_f4_21():
     return build_code(SandwichParams(field_new(2, 2), 2, 1))
 
 
+def point_int(vector, q):
+    """A point's normalized vector as its base-q integer, first entry most
+    significant: the oracle for `linalg.points`, folded without it."""
+    return sum(x * q ** (len(vector) - 1 - c) for c, x in enumerate(vector))
+
+
 def _unit(n, *positions):
     v = [0] * n
     for pos in positions:

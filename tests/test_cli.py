@@ -204,6 +204,28 @@ def test_generators_of_the_wrong_shape_fail_to_load(code_file, tmp_path, capsys)
     }
 
 
+def test_matrices_that_are_not_text_fail_to_load(code_file, tmp_path, capsys):
+    # Generators or shots given as numbers, not matrix text: exit 2 with an
+    # error line, and a `load` FAIL from verify.
+    doc = json.loads(code_file.read_text())
+    doc["generators"] = [1] * len(doc["generators"])
+    bad = tmp_path / "numbers.json"
+    bad.write_text(json.dumps(doc))
+    detail = "malformed code document: matrix text must be a string, not int"
+    for command in (["report"], ["simulate", "--trials", "5"]):
+        assert main([*command, "--code", str(bad)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {detail}\n"
+    exit_code, out = run(capsys, "verify", "--code", str(bad))
+    assert exit_code == EXIT_VERIFY_FAIL
+    assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
+    received = tmp_path / "received.json"
+    received.write_text(json.dumps({"ambient": 3, "shots": [1, 2]}))
+    assert main(["decode", "--code", str(code_file), "--received", str(received)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: malformed received-sequence file: matrix text must be a string, not int\n"
+    )
+
+
 def test_verify_load_failure_on_a_bare_fixture(tmp_path, capsys):
     from flagcodes.linalg import dump_matrix
 

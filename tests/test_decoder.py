@@ -9,7 +9,7 @@ import random
 import pytest
 
 from flagcodes import SandwichParams, build_code, decoder, field_new
-from flagcodes.construction import FlagCode
+from flagcodes.construction import FlagCode, spread_points
 from flagcodes.decoder import (
     DECODED,
     FAILURE,
@@ -36,8 +36,10 @@ from flagcodes.linalg import (
     gaussian_binomial,
     intersect_dim,
     parse_matrix,
+    points,
     rowspace,
 )
+from conftest import point_int
 
 
 def _zero_received(code):
@@ -358,6 +360,10 @@ def test_received_from_json_rejects_garbage(F2):
         received_from_json("{}", F2)
     with pytest.raises(ChannelError):
         received_from_json("not json", F2)
+    for ambient in ("x", None, 3.0):
+        doc = {"ambient": ambient, "shots": ["2 0 3", "2 0 3"]}
+        with pytest.raises(ChannelError, match="not an integer"):
+            received_from_json(json.dumps(doc), F2)
 
 
 def _every_modulus(p, m):
@@ -410,6 +416,32 @@ def _doubled(code):
     return FlagCode(
         code.params, code.generators + code.generators[:1], code.flags + code.flags[:1]
     )
+
+
+@pytest.mark.parametrize("name", ["code_221", "code_321", "code_f4_21", "doubled"])
+def test_spread_points_match_containment(name, request):
+    # Brute force over PG(n-1, q), each point folded here, not by `points`:
+    # a point's mask has the bit of every codeword whose level-k1 subspace
+    # contains it. The doubled code repeats codeword 1, so its points carry
+    # two bits.
+    if name == "doubled":
+        code = _doubled(request.getfixturevalue("code_221"))
+    else:
+        code = request.getfixturevalue(name)
+    field, k1 = code.params.field, code.params.k1
+    expected = {}
+    for P in enumerate_subspaces(field, code.ambient, 1):
+        mask = 0
+        for bit, flag in enumerate(code.flags):
+            if contains(flag[k1], P):
+                mask |= 1 << bit
+        if mask:
+            expected[point_int(P.basis.entries, field.q)] = mask
+    assert spread_points(code) == expected
+    two_bits = [m for m in expected.values() if m & (m - 1)]
+    assert len(two_bits) == (gaussian_binomial(k1, 1, field.q) if name == "doubled" else 0)
+    for flag in code.flags:
+        assert set(flag[k1].packed) <= set(points(flag[k1]))
 
 
 def test_ambiguous_decode_is_loud(code_221):

@@ -165,6 +165,16 @@ def test_trusted_constructions_are_in_rref(field):
         assert Subspace._check_rref(S.rows) == S.pivots
 
 
+def test_slices_and_stacks_are_the_checked_matrices(field):
+    # Built without the entry-range check, they equal what the checked
+    # constructor makes of the same entries.
+    rng = random.Random(field.q + 7)
+    A, B = _random_matrix(field, 4, 6, rng), _random_matrix(field, 2, 6, rng)
+    for M in (A.first_rows(0), A.first_rows(3), A.last_rows(2), A.stack(B)):
+        assert M == MatrixFq(field, M.rows, M.cols, M.entries)
+    assert A.first_rows(1).stack(A.last_rows(3)) == A
+
+
 def _full_rank(field, n, rng):
     while True:
         S = _random_matrix(field, n, n, rng)

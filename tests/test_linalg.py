@@ -13,16 +13,16 @@ from flagcodes.linalg import (
     enumerate_subspaces,
     gaussian_binomial,
     intersect_dim,
-    normalized_vectors,
     orthogonal_complement,
     parse_matrix,
+    points,
     rank,
     rowspace,
     rref,
     subspace_sum,
     sum_dim,
 )
-from conftest import SMALL_ORDERS
+from conftest import SMALL_ORDERS, point_int
 
 
 def _random_matrix(field, rows, cols, rng):
@@ -131,19 +131,28 @@ def test_enumeration_counts_f3(F3):
     assert len(list(enumerate_subspaces(F3, 4, 2))) == gaussian_binomial(4, 2, 3) == 130
 
 
+def _points_inside(U):
+    """U's points by brute force: the 1-dim subspaces of PG(n-1, q) that U
+    contains, each folded from its normalized basis vector."""
+    q = U.field.q
+    pg = enumerate_subspaces(U.field, U.ambient, 1)
+    return {point_int(P.basis.entries, q) for P in pg if contains(U, P)}
+
+
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)
 def test_normalized_vectors_are_the_points_of_the_subspace(p, m):
-    # Each point of PG(n-1, q) is listed by its 1-dim subspace's basis
-    # entries; U's normalized vectors are exactly the points U contains.
+    # A point is its normalized vector (leading entry 1) as a base-q
+    # integer; `points(U)` lists each point U contains once, and every RREF
+    # row of U, as `packed` holds it, is one of them.
     field, n = field_new(p, m), 4
-    points = [P.basis.entries for P in enumerate_subspaces(field, n, 1)]
     rng = random.Random(p * 10 + m)
     for k in range(n + 1):
         U = rowspace(_random_matrix(field, k, n, rng)) if k else Subspace.zero(field, n)
-        vectors = normalized_vectors(U)
-        assert len(vectors) == len(set(vectors)) == gaussian_binomial(U.dim, 1, field.q)
-        inside = [v for v in points if contains(U, rowspace(MatrixFq(field, 1, n, v)))]
-        assert set(vectors) == set(inside)
+        found = points(U)
+        assert len(found) == len(set(found)) == gaussian_binomial(U.dim, 1, field.q)
+        assert set(found) == _points_inside(U)
+        assert U.packed == tuple(point_int(row, field.q) for row in U.basis.row_lists())
+        assert set(U.packed) <= set(found)
 
 
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)
@@ -171,10 +180,7 @@ def test_distance_points_are_the_points_of_the_smaller_side(p, m):
     for k in range(n + 1):
         U = rowspace(_random_matrix(field, k, n, rng)) if k else Subspace.zero(field, n)
         side = orthogonal_complement(U) if 2 * U.dim > n else U
-        expected = {
-            sum(x * field.q ** (n - 1 - c) for c, x in enumerate(v))
-            for v in normalized_vectors(side)
-        }
+        expected = _points_inside(side)
         assert U.distance_points == expected
         assert len(expected) == gaussian_binomial(min(U.dim, n - U.dim), 1, field.q)
 

@@ -155,6 +155,10 @@ class SandwichParams:
     prim_poly: tuple = None  # degree-k2 primitive polynomial, defaulted if None
 
     def __post_init__(self):
+        for name in ("k1", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConstructionError(f"{name} = {value!r} is not an integer")
         if self.k1 < 2:
             raise ConstructionError(f"k1 = {self.k1} must be >= 2")
         if not (0 <= self.r < self.k1):

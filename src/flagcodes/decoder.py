@@ -35,7 +35,7 @@ from .linalg import (
     points,
     rank,
     rowspace,
-    rref,
+    subspace_from_coordinates,
     subspace_sum,
 )
 from .metrics import min_flag_distance
@@ -158,11 +158,10 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     likely, and every target subspace has the same number |GL(dim, q)| of
     full-rank coefficient matrices, so the result is exactly uniform.
 
-    The target is R·B for the RREF R of the coefficients and sub's RREF
-    basis B. R·B is already in RREF: B's pivot columns hold the identity,
-    so they carry R's pivot columns into R·B, and B's rows are zero left of
-    their pivots. So R's pivot column c becomes B's pivot column p_c, and
-    only the small dim x sub.dim matrix is reduced.
+    An accepted draw's coefficients are the coordinates of the target's
+    basis in sub's RREF rows. `subspace_from_coordinates` reduces them
+    once and combines sub's rows by them: the result is in RREF with no
+    product formed and no reduction of the ambient-width rows.
     """
     if not (0 <= dim <= sub.dim):
         raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")
@@ -180,10 +179,7 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
             digits.append(digit)
         coeffs = MatrixFq._trusted(field, dim, sub.dim, tuple(digits))
         if rank(coeffs) == dim:
-            R, _, pivots = rref(coeffs)
-            RB = R.matmul(sub.basis)
-            rows = map(RB.row, range(dim))
-            return Subspace._reduced(field, sub.ambient, rows, (sub.pivots[c] for c in pivots))
+            return subspace_from_coordinates(sub, map(coeffs.row, range(dim)))
 
 
 def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequence:

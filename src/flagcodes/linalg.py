@@ -158,6 +158,39 @@ def _rref_rows(field: FiniteField, rows):
     return rows, r, tuple(pivots)
 
 
+def _rank_rows(field: FiniteField, rows) -> int:
+    """Rank of a list of rows by forward elimination, by table lookups.
+
+    Each pivot clears only the rows below it, each scaled by the pivot's
+    inverse on the fly: no row is normalised and nothing above a pivot is
+    cleared, since only the count of pivots is read. Rows are replaced,
+    never mutated, as in `_rref_rows`.
+    """
+    nrows = len(rows)
+    if nrows < 2:
+        return sum(1 for row in rows if any(row))
+    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
+    r = 0
+    for c in range(len(rows[0])):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r]
+        scale = mul[inv[pivot[c]]]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                m = mul[scale[f]]
+                rows[i] = [sub[x][m[y]] for x, y in zip(rows[i], pivot)]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def _base_q(digits, q: int) -> int:
     """A row as its base-q integer, first entry most significant."""
     x = 0
@@ -189,10 +222,11 @@ def rref(A: MatrixFq):
 
 
 def rank(A: MatrixFq) -> int:
-    """The one rank entry point: packed rows over F_2, table RREF otherwise."""
+    """The one rank entry point: packed rows over F_2, forward elimination
+    otherwise."""
     if A.field.q == 2:
         return _rank_packed(_base_q(A.row(i), 2) for i in range(A.rows))
-    return _rref_rows(A.field, A.row_lists())[1]
+    return _rank_rows(A.field, A.row_lists())
 
 
 class Subspace:
@@ -330,13 +364,43 @@ def sum_dim(U: Subspace, V: Subspace) -> int:
     Over F_2 the packed rows go to `_rank_packed` together: U's rows have
     distinct leading bits, so they enter its pivot table as they are, and
     each of V's rows is reduced against them, and then against the earlier
-    residuals, by XOR.
+    residuals, by XOR. Otherwise the residuals are ranked by forward
+    elimination alone.
     """
     check_same_ambient(U, V)
     if U.field.q == 2:
         return _rank_packed(U.packed + V.packed)
     residuals = _reduce_rows(U.field, U.rows, U.pivots, V.rows)
-    return U.dim + _rref_rows(U.field, residuals)[1]
+    return U.dim + _rank_rows(U.field, residuals)
+
+
+def subspace_from_coordinates(U: Subspace, coeffs) -> Subspace:
+    """The subspace of U whose basis has the full-rank coefficient rows
+    `coeffs` as its coordinates in U's RREF rows B: the rowspace of
+    coeffs·B, with no product formed and one reduction of the small matrix.
+
+    Reduce the coefficients to their RREF R with pivot columns c_t. Then
+    R·B is in RREF already: B's pivot columns hold the identity, so they
+    carry R's pivot columns into R·B, and B's rows are zero left of their
+    pivots. Row t of R·B is B's row c_t plus R[t][f] times B's row f for
+    each column f > c_t; R is zero at its other pivot columns, so those add
+    nothing.
+    """
+    field = U.field
+    mul, sub = field.mul_table, field.sub_table
+    neg = sub[0]
+    R, _, pivots = _rref_rows(field, list(coeffs))
+    rows = []
+    for r, c in zip(R, pivots):
+        row = U.rows[c]
+        for f in range(c + 1, U.dim):
+            a = r[f]
+            if a:
+                # row + a*B_f, computed as row - (-a)*B_f.
+                m = mul[neg[a]]
+                row = [sub[x][m[y]] for x, y in zip(row, U.rows[f])]
+        rows.append(row)
+    return Subspace._reduced(field, U.ambient, rows, (U.pivots[c] for c in pivots))
 
 
 def intersect_dim(U: Subspace, V: Subspace) -> int:

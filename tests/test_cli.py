@@ -226,6 +226,22 @@ def test_matrices_that_are_not_text_fail_to_load(code_file, tmp_path, capsys):
     )
 
 
+def test_a_float_parameter_fails_to_load(code_file, tmp_path, capsys):
+    # "k1": 2.0 is refused on load: exit 2 with an error line, and a `load`
+    # FAIL from verify, never a traceback from deep inside a command.
+    doc = json.loads(code_file.read_text())
+    doc["params"]["k1"] = 2.0
+    bad = tmp_path / "float_k1.json"
+    bad.write_text(json.dumps(doc))
+    detail = "k1 = 2.0 is not an integer"
+    for command in (["report"], ["simulate", "--trials", "5"]):
+        assert main([*command, "--code", str(bad)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {detail}\n"
+    exit_code, out = run(capsys, "verify", "--code", str(bad))
+    assert exit_code == EXIT_VERIFY_FAIL
+    assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
+
+
 def test_verify_load_failure_on_a_bare_fixture(tmp_path, capsys):
     from flagcodes.linalg import dump_matrix
 

@@ -121,6 +121,14 @@ def test_params_validation(F2):
         SandwichParams(F2, 2, 1, (1, 0, 0, 1))  # x^3 + 1 is not primitive
 
 
+@pytest.mark.parametrize("k1, r", [(2.0, 1), (2, 1.0), (True, 0), (2, False), ("2", 1)])
+def test_params_must_be_integers(F2, k1, r):
+    # A float that equals an integer is refused too: it would index tuples
+    # and size lists later on.
+    with pytest.raises(ConstructionError, match="is not an integer"):
+        SandwichParams(F2, k1, r)
+
+
 def test_layer_A_examples(p221):
     assert layer_A(p221, 1).row_lists() == [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
     # exponent 0 hits the zero-matrix convention: right block is zero

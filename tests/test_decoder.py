@@ -29,6 +29,7 @@ from flagcodes.decoder import (
 )
 from flagcodes.fields import FieldError
 from flagcodes.linalg import (
+    MatrixFq,
     Subspace,
     contains,
     dump_matrix,
@@ -37,6 +38,7 @@ from flagcodes.linalg import (
     intersect_dim,
     parse_matrix,
     points,
+    rank,
     rowspace,
 )
 from conftest import point_int
@@ -85,6 +87,38 @@ def test_random_subspace_uniform_dim(code_221):
         sample = random_subspace_of(sub, d, rng)
         assert sample.dim == d
         assert contains(sub, sample)
+
+
+def _first_full_rank_draw(field, dim, k, rng):
+    """The channel's draw replayed: base-q digits of one randrange, low
+    digit first, row by row, until the coefficient matrix has full rank."""
+    while True:
+        x = rng.randrange(field.q ** (dim * k))
+        digits = []
+        for _ in range(dim * k):
+            x, digit = divmod(x, field.q)
+            digits.append(digit)
+        coeffs = MatrixFq(field, dim, k, digits)
+        if rank(coeffs) == dim:
+            return coeffs
+
+
+@pytest.mark.parametrize("name", ["code_221", "code_321", "code_f4_21"])
+def test_random_subspace_is_the_dense_product_of_the_draw(name, request):
+    # The channel's result is the rowspace of coeffs·B for the first
+    # full-rank draw of a replayed stream, B the member's RREF basis, and
+    # the channel reads exactly the draws the replay reads.
+    code = request.getfixturevalue(name)
+    field = code.params.field
+    for seed, flag in enumerate(code.flags[:6]):
+        for sub in flag.subspaces:
+            for dim in range(1, sub.dim):
+                replay, rng = random.Random(seed), random.Random(seed)
+                coeffs = _first_full_rank_draw(field, dim, sub.dim, replay)
+                want = rowspace(coeffs.matmul(sub.basis))
+                got = random_subspace_of(sub, dim, rng)
+                assert (got, got.pivots) == (want, want.pivots)
+                assert rng.getstate() == replay.getstate()
 
 
 def _chi_square_bound(df, z=4.0):

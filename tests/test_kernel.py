@@ -14,12 +14,15 @@ from flagcodes.fields import MAX_ORDER, field_new
 from flagcodes.linalg import (
     MatrixFq,
     Subspace,
+    _rank_rows,
+    _rref_rows,
     contains,
     intersect_dim,
     orthogonal_complement,
     rank,
     rowspace,
     rref,
+    subspace_from_coordinates,
     subspace_sum,
     sum_dim,
 )
@@ -108,6 +111,52 @@ def test_rref_rank_rowspace_match_oracle(field):
         assert rowspace(A).basis.row_lists() == rows[:r]
 
 
+def _deficient_rows(field, rng):
+    """Row lists of low rank: a row repeated, the row scaled by every
+    nonzero scalar, and lists led by a zero row or by a row that is zero in
+    the first column, so that a column's pivot must be swapped up."""
+    row = [rng.randrange(field.q) for _ in range(5)]
+    row[0] = rng.randrange(1, field.q)
+    other = [0] + [rng.randrange(field.q) for _ in range(4)]
+    yield [row, row, row]
+    yield [[field.mul(c, x) for x in row] for c in range(1, field.q)]
+    yield [[0] * 5, row, [0] * 5, other, [field.mul(field.q - 1, x) for x in row]]
+    yield [other, [field.add(x, y) for x, y in zip(row, other)], row]
+    yield [[0] * 4, [0] * 4]
+
+
+def test_rank_rows_matches_rref_rows(field):
+    # Forward elimination counts the pivots Gauss-Jordan finds, on random,
+    # rank-deficient, zero, 0-row and 1-row inputs.
+    rng = random.Random(field.q + 8)
+    cases = [A.row_lists() for A in _shapes(field, rng)]
+    cases += list(_deficient_rows(field, rng))
+    cases += [[], [[0] * 4], [[0, 0, rng.randrange(1, field.q)]]]
+    cases += [[[rng.randrange(field.q) for _ in range(4)] for _ in range(k)] for k in range(6)]
+    for rows in cases:
+        want = oracle_rref_rows(field, rows)[1]
+        assert _rref_rows(field, [list(r) for r in rows])[1] == want
+        assert _rank_rows(field, [list(r) for r in rows]) == want
+        assert rank(MatrixFq.from_rows(field, rows)) == want
+
+
+def test_subspace_from_coordinates_is_the_dense_product(field):
+    # The rows of U combined by R, the RREF of full-rank coefficients, are
+    # the rowspace of the product coeffs·B, entries and pivots both.
+    rng = random.Random(field.q + 9)
+    n = 6
+    for d in range(2, n + 1):
+        for _ in range(2):
+            U = rowspace(_random_matrix(field, d, n, rng))
+            for k in range(1, U.dim):
+                C = _full_rank(field, U.dim, rng, rows=k)
+                S = subspace_from_coordinates(U, C.row_lists())
+                want = rowspace(C.matmul(U.basis))
+                assert S.basis.entries == want.basis.entries
+                assert S.pivots == want.pivots
+                assert S.dim == k
+
+
 def _subspaces(field, rng, n=6):
     """Random subspaces of F^n of every dimension, rank-deficient spans, {0},
     F^n, and a random subspace of each, so that all pairs include V ⊆ U,
@@ -154,6 +203,10 @@ def test_trusted_constructions_are_in_rref(field):
     for U in subspaces:
         built += [random_subspace_of(U, d, rng) for d in range(U.dim + 1)]
         built += [subspace_sum(U, V) for V in rng.sample(subspaces, 4)]
+        built += [
+            subspace_from_coordinates(U, _full_rank(field, U.dim, rng, rows=k).row_lists())
+            for k in range(1, U.dim + 1)
+        ]
         built.append(orthogonal_complement(U))
     for k1 in (0, 2):
         shots = [rng.choice([S for S in subspaces if S.dim <= i]) for i in range(1, n)]
@@ -175,10 +228,11 @@ def test_slices_and_stacks_are_the_checked_matrices(field):
     assert A.first_rows(1).stack(A.last_rows(3)) == A
 
 
-def _full_rank(field, n, rng):
+def _full_rank(field, n, rng, rows=None):
+    """A random full-rank matrix with n columns, and n rows unless given."""
     while True:
-        S = _random_matrix(field, n, n, rng)
-        if rank(S) == n:
+        S = _random_matrix(field, n if rows is None else rows, n, rng)
+        if rank(S) == S.rows:
             return S
 
 

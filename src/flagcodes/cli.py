@@ -68,6 +68,8 @@ def _load_code_or_flags(path: str):
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: the top level is not a JSON object")
     if "params" in doc:
         return code_from_dict(doc)
     try:

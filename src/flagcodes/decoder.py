@@ -294,6 +294,8 @@ def simulate(
         raise ChannelError(f"trials = {trials} must be >= 1")
     if budget is None:
         budget = correctable_budget(code)
+    elif budget < 0:
+        raise ChannelError(f"budget = {budget} must be >= 0")
     n = code.ambient
     successes = misdecodes = 0
     step_histogram: dict = {}

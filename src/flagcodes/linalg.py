@@ -481,7 +481,10 @@ def points(U: Subspace) -> list:
     nonzero XOR combinations of `packed`; with at most one row there is no
     sum to form, so every field takes that path. Otherwise they are the
     combinations of U's RREF rows whose first nonzero coefficient is 1 (that
-    row's pivot then carries the leading 1), each folded to base q.
+    row's pivot then carries the leading 1). Over any other field of
+    characteristic 2 base-q digits still add by XOR, so each row's q scalar
+    multiples are folded to integers once and the span is formed by XOR;
+    over odd q each combination is formed as a vector and folded to base q.
     """
     q = U.field.q
     if q == 2 or U.dim < 2:
@@ -489,6 +492,17 @@ def points(U: Subspace) -> list:
         for row in U.packed:
             span += [x ^ row for x in span]
         return span[1:]
+    if U.field.p == 2:
+        mul = U.field.mul_table
+        span = [0]  # the span of the rows below row i
+        out = []
+        for i in reversed(range(U.dim)):
+            row = U.packed[i]
+            out += [w ^ row for w in span]
+            if i:
+                multiples = [_base_q([m[x] for x in U.rows[i]], q) for m in mul]
+                span = [w ^ c for c in multiples for w in span]
+        return out
     mul, sub = U.field.mul_table, U.field.sub_table
     neg = sub[0]
     span = [(0,) * U.ambient]  # the span of the rows below row i

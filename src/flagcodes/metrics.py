@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .construction import Flag, FlagCode
 from .linalg import Subspace, check_same_ambient, sum_dim
@@ -29,11 +31,14 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
     j is read off the size of the intersection of the `distance_points`.
     """
     check_same_ambient(U, V)
-    if U.dim != V.dim:
-        return 2 * sum_dim(U, V) - U.dim - V.dim
-    m = min(U.dim, U.ambient - U.dim)
-    shared = len(U.distance_points & V.distance_points)
-    return 2 * (m - _dims_by_point_count(U.field.q, m)[shared])
+    k = U.dim
+    if k != V.dim:
+        return 2 * sum_dim(U, V) - k - V.dim
+    m = k if 2 * k <= U.ambient else U.ambient - k
+    P, Q = U.distance_points, V.distance_points
+    if P.isdisjoint(Q):
+        return 2 * m
+    return 2 * (m - _dims_by_point_count(U.field.q, m)[len(P & Q)])
 
 
 def flag_distance(F: Flag, G: Flag) -> int:
@@ -67,29 +72,37 @@ def max_distance(n: int, type_vector=None) -> int:
 
 @dataclass(frozen=True)
 class ProjectedCode:
-    """The distinct i-th subspaces of a flag code and their pairwise distances."""
+    """The distinct i-th subspaces of a flag code and the pairs of them that
+    lie below the level maximum 2 min(i, n - i); every other pair is at it."""
 
     index: int
     subspaces: tuple
-    distances: tuple  # distances[a][b] = d_S(subspaces[a], subspaces[b])
+    below: Mapping  # below[(a, b)] = d_S(subspaces[a], subspaces[b]) < maximum, a < b
     of_flag: tuple  # of_flag[f] = position of flag f's i-th subspace
+    maximum: int
 
     def __len__(self):
         return len(self.subspaces)
+
+    def distance(self, a: int, b: int) -> int:
+        """d_S between members a and b."""
+        if a == b:
+            return 0
+        return self.below.get((a, b) if a < b else (b, a), self.maximum)
 
     def meeting_pair(self):
         """The first pair of flags (1-based, in order) whose i-th subspaces
         meet beyond {0}, i.e. d_S = 2i - 2 dim(U ∩ V) < 2i; None if none do."""
         of = self.of_flag
         for a, b in itertools.combinations(range(len(of)), 2):
-            if self.distances[of[a]][of[b]] < 2 * self.index:
+            if self.distance(of[a], of[b]) < 2 * self.index:
                 return a + 1, b + 1
         return None
 
 
 def projected_code(code, i: int) -> ProjectedCode:
     """Projected code of level i: one subspace_distance per pair of distinct
-    subspaces."""
+    subspaces, of which only those below the maximum are kept."""
     flags = _flags_of(code)
     n = flags[0].ambient
     if not (1 <= i <= n - 1):
@@ -97,15 +110,20 @@ def projected_code(code, i: int) -> ProjectedCode:
     position = {}
     of_flag = tuple(position.setdefault(f[i], len(position)) for f in flags)
     subs = tuple(position)
-    rows = [[0] * len(subs) for _ in subs]
+    maximum = 2 * min(i, n - i)
+    below = {}
     for a, b in itertools.combinations(range(len(subs)), 2):
-        rows[a][b] = rows[b][a] = subspace_distance(subs[a], subs[b])
-    return ProjectedCode(i, subs, tuple(map(tuple, rows)), of_flag)
+        d = subspace_distance(subs[a], subs[b])
+        if d < maximum:
+            below[a, b] = d
+    return ProjectedCode(i, subs, MappingProxyType(below), of_flag, maximum)
 
 
 def projected_min_distance(pc: ProjectedCode) -> int:
     """Minimum distance between distinct members; 0 for a single member."""
-    return min((d for row in pc.distances for d in row if d), default=0)
+    if len(pc) < 2:
+        return 0
+    return min(pc.below.values(), default=pc.maximum)
 
 
 @dataclass(frozen=True)
@@ -118,7 +136,14 @@ class PairwiseSweep:
 
 
 def pairwise_sweep(code) -> PairwiseSweep:
-    """The only O(N^2) pass over a code, cached on a FlagCode; see projected_code."""
+    """The only O(N^2) pass over a code, cached on a FlagCode; see projected_code.
+
+    d_f is max_distance(n) less the largest total deficit of a pair of
+    flags. At each level, two flags that share their subspace owe the whole
+    level maximum, and a pair of members below it owes maximum - d to every
+    pair of flags mapped onto those two members; pairs at the maximum owe
+    nothing, so only the kept pairs are visited.
+    """
     cache = code._cache if isinstance(code, FlagCode) else {}
     if "pairwise" in cache:
         return cache["pairwise"]
@@ -129,9 +154,21 @@ def pairwise_sweep(code) -> PairwiseSweep:
     if any(f.ambient != n for f in flags):
         raise MetricsError("flags have different ambient/type")
     projected = tuple(projected_code(flags, i) for i in range(1, n))
-    levels = [(pc.distances, pc.of_flag) for pc in projected]
-    pairs = itertools.combinations(range(len(flags)), 2)
-    d_f = min((sum(d[of[a]][of[b]] for d, of in levels) for a, b in pairs), default=0)
+    deficit = {}  # (f, g) with f < g -> total deficit of flags f and g
+    for pc in projected:
+        holders = [[] for _ in pc.subspaces]  # flags in increasing order
+        for f, a in enumerate(pc.of_flag):
+            holders[a].append(f)
+        for group in holders:
+            for pair in itertools.combinations(group, 2):
+                deficit[pair] = deficit.get(pair, 0) + pc.maximum
+        for (a, b), d in pc.below.items():
+            owed = pc.maximum - d
+            for f in holders[a]:
+                for g in holders[b]:
+                    pair = (f, g) if f < g else (g, f)
+                    deficit[pair] = deficit.get(pair, 0) + owed
+    d_f = max_distance(n) - max(deficit.values(), default=0) if len(flags) > 1 else 0
     distances = tuple(projected_min_distance(pc) for pc in projected)
     cache["pairwise"] = PairwiseSweep(d_f, projected, distances)
     return cache["pairwise"]

@@ -1,6 +1,8 @@
 import pytest
 
 from flagcodes import MatrixFq, Flag, SandwichParams, build_code, field_new, rowspace
+from flagcodes.construction import flag_from_generator
+from flagcodes.linalg import rank
 
 # (p, m) of the fields every field-level test runs over.
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -96,3 +98,54 @@ def three_flags_f2_7():
 @pytest.fixture(scope="session")
 def example_flags():
     return three_flags_f2_7()
+
+
+# -- seeded flag lists with shared subspaces ------------------------------------
+
+
+def _random_invertible(field, n, rng, allowed=lambda r, c: True):
+    """A uniformly random invertible n x n matrix with zeros wherever
+    `allowed(row, col)` is false."""
+    while True:
+        entries = [
+            rng.randrange(field.q) if allowed(r, c) else 0
+            for r in range(n)
+            for c in range(n)
+        ]
+        A = MatrixFq(field, n, n, entries)
+        if rank(A) == n:
+            return A
+
+
+def shared_level_flags(field, n, count, levels, rng):
+    """Up to `count` distinct flags T·G of F_q^n for one random generator G.
+
+    Each T is random, invertible and block lower triangular with a block
+    boundary after each level of a random subset of `levels`: the first b
+    rows of T·G span the first b rows of G at each boundary b, so the flag
+    keeps G's V_b there and its other levels are random.
+    """
+    G = _random_invertible(field, n, rng)
+    flags = []
+    for _ in range(count):
+        bounds = [b for b in levels if rng.random() < 0.5] + [n]
+        end = [next(b for b in bounds if b > r) for r in range(n)]
+        T = _random_invertible(field, n, rng, lambda r, c: c < end[r])
+        flags.append(flag_from_generator(T.matmul(G)))
+    return list(dict.fromkeys(flags))
+
+
+def perturbed_flags(field, n, count, rng, steps=2):
+    """Up to `count` distinct flags of F_q^n, each from one random generator
+    after `steps` random row operations row_i += c row_j: most of their
+    subspaces equal or meet those of the others."""
+    G = _random_invertible(field, n, rng).row_lists()
+    flags = []
+    for _ in range(count):
+        rows = [list(r) for r in G]
+        for _ in range(steps):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randrange(1, field.q)
+            rows[i] = [field.add(x, field.mul(c, y)) for x, y in zip(rows[i], rows[j])]
+        flags.append(flag_from_generator(MatrixFq.from_rows(field, rows)))
+    return list(dict.fromkeys(flags))

@@ -404,6 +404,14 @@ def test_simulate(code_file, capsys):
     assert doc["seed"] == 42
 
 
+def test_simulate_rejects_a_negative_budget(code_file, capsys):
+    exit_code, out = run(
+        capsys, "simulate", "--code", str(code_file), "--trials", "5", "--budget", "-1"
+    )
+    assert exit_code == EXIT_USAGE
+    assert out == ""
+
+
 def test_commands_deterministic(code_file, capsys):
     _, first = run(capsys, "report", "--code", str(code_file))
     _, second = run(capsys, "report", "--code", str(code_file))
@@ -424,6 +432,16 @@ def test_erase_rejects_bad_vector(code_file, capsys):
         "erase", "--code", str(code_file), "--codeword", "1", "--erasures", "9,0,0,0",
     )
     assert exit_code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"x"'])
+def test_report_rejects_a_document_that_is_not_an_object(text, tmp_path, capsys):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    assert main(["report", "--code", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "not a JSON object" in err
 
 
 def test_malformed_code_file(tmp_path, capsys):

@@ -357,6 +357,11 @@ def test_simulate_rejects_zero_trials(code_221):
         simulate(code_221, trials=0, seed=1)
 
 
+def test_simulate_rejects_a_negative_budget(code_221):
+    with pytest.raises(ChannelError, match="budget = -1"):
+        simulate(code_221, trials=5, seed=1, budget=-1)
+
+
 def test_simulate_budget_override(code_221):
     # budget 0 means no erasures ever: trivially all step-1 decodes
     report = simulate(code_221, trials=50, seed=1, budget=0)

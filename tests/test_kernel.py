@@ -4,6 +4,7 @@ The oracles are the textbook algorithms written with the field's scalar
 methods only (`add`, `sub`, `mul`, `inv`), never its lookup tables.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,8 +18,10 @@ from flagcodes.linalg import (
     _rank_rows,
     _rref_rows,
     contains,
+    gaussian_binomial,
     intersect_dim,
     orthogonal_complement,
+    points,
     rank,
     rowspace,
     rref,
@@ -98,6 +101,41 @@ def field(request):
 
 def test_orders_include_the_largest():
     assert max(p**m for p, m in ORDERS) == MAX_ORDER
+
+
+def oracle_points(field, rows):
+    """The normalised combinations of RREF rows r_j: sum_j c_j r_j whose
+    first nonzero c_t is 1, formed with the scalar methods and folded to
+    base q, first entry most significant."""
+    q = field.q
+    scaled = [[[field.mul(c, x) for x in row] for c in range(q)] for row in rows]
+    found = []
+    for t in range(len(rows)):
+        for tail in itertools.product(range(q), repeat=len(rows) - t - 1):
+            v = rows[t]
+            for c, multiples in zip(tail, scaled[t + 1 :]):
+                v = [field.add(a, b) for a, b in zip(v, multiples[c])]
+            assert next(x for x in v if x) == 1
+            found.append(sum(x * q**j for j, x in enumerate(reversed(v))))
+    return found
+
+
+# Every field of characteristic 2 in ORDERS, and F_16 by x^4 + x^3 + 1.
+CHAR2_FIELDS = [(p, m, None) for p, m in ORDERS if p == 2] + [(2, 4, (1, 0, 0, 1, 1))]
+
+
+@pytest.mark.parametrize("p,m,modulus", CHAR2_FIELDS, ids=str)
+def test_characteristic_2_points_match_oracle(p, m, modulus):
+    # points(U) forms the span by XOR of each row's scalar multiples.
+    field, n = field_new(p, m, modulus), 5
+    rng = random.Random(field.q)
+    for k in (2, 3):
+        U = Subspace.zero(field, n)
+        while U.dim != k:
+            U = rowspace(_random_matrix(field, k, n, rng))
+        found = points(U)
+        assert len(found) == len(set(found)) == gaussian_binomial(k, 1, field.q)
+        assert set(found) == set(oracle_points(field, [list(r) for r in U.rows]))
 
 
 def test_rref_rank_rowspace_match_oracle(field):

@@ -34,7 +34,7 @@ from flagcodes.verify import (
     check_spread_disjoint,
     verify_code,
 )
-from conftest import three_flags_f2_7
+from conftest import perturbed_flags, shared_level_flags, three_flags_f2_7
 
 
 def test_subspace_distance_equal(example_flags):
@@ -213,17 +213,62 @@ def _shared_level_flags():
     return flags + [flag_from_generator(skew)]
 
 
+def _second_holder_flags():
+    """Flags A, B, C of F_2^4 from reordered unit vectors. A and B share V_2,
+    and C's V_2 meets it in a point; B and C share V_1 and V_3. So the
+    closest pair (B, C), at distance 2, owes a below-maximum deficit at
+    level 2 through the second flag holding V_2."""
+    field = field_new(2)
+    e = [[1 if j == i else 0 for j in range(4)] for i in range(4)]
+    orders = [(1, 0, 3, 2), (0, 1, 2, 3), (0, 2, 1, 3)]
+    return [flag_from_generator(MatrixFq.from_rows(field, [e[i] for i in o])) for o in orders]
+
+
+# Seeded flag lists in which many pairs of i-th subspaces are equal or meet:
+# name -> (field order (p, m), n, the levels whose V_i some flags share).
+GENERATED = {
+    "shared-F2": ((2, 1), 6, (2, 3, 5)),
+    "shared-F3": ((3, 1), 5, (1, 3)),
+    "shared-F4": ((2, 2), 4, (2,)),
+    "perturbed-F2": ((2, 1), 6, None),
+    "perturbed-F3": ((3, 1), 5, None),
+    "perturbed-F4": ((2, 2), 4, None),
+}
+
+
+def _generated_flags(name):
+    (p, m), n, levels = GENERATED[name]
+    rng = random.Random(name)
+    if levels is None:
+        return perturbed_flags(field_new(p, m), n, 16, rng)
+    return shared_level_flags(field_new(p, m), n, 16, levels, rng)
+
+
 def _case_flags(case):
     if case == "example":
         return three_flags_f2_7()
     if case == "shared-levels":
         return _shared_level_flags()
+    if case == "second-holder":
+        return _second_holder_flags()
+    if case in GENERATED:
+        return _generated_flags(case)
     q, k1, r = case
     return build_code(SandwichParams(field_new(q), k1, r)).flags
 
 
 @pytest.mark.parametrize(
-    "case", [(2, 2, 1), (2, 3, 2), (3, 2, 1), "example", "shared-levels"], ids=str
+    "case",
+    [
+        (2, 2, 1),
+        (2, 3, 2),
+        (3, 2, 1),
+        "example",
+        "shared-levels",
+        "second-holder",
+        *GENERATED,
+    ],
+    ids=str,
 )
 def test_pairwise_sweep_matches_the_oracles(case):
     flags = _case_flags(case)
@@ -242,7 +287,7 @@ def test_pairwise_sweep_matches_the_oracles(case):
         swept = sweep.projected[i - 1]
         assert len(swept) == len(pc) == len(distinct)
         for a, b in pairs:
-            d = swept.distances[swept.of_flag[a]][swept.of_flag[b]]
+            d = swept.distance(swept.of_flag[a], swept.of_flag[b])
             assert d == subspace_distance(flags[a][i], flags[b][i])
             assert d == _sum_dim_distance(flags[a][i], flags[b][i])
         meeting = next(
@@ -250,6 +295,23 @@ def test_pairwise_sweep_matches_the_oracles(case):
             None,
         )
         assert swept.meeting_pair() == meeting
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_flags_owe_every_kind_of_deficit(name):
+    # Each list has flags sharing an i-th subspace, members below the level
+    # maximum, and such a member held by more than one flag, so that every
+    # term of the deficit sum in pairwise_sweep is exercised.
+    flags = _generated_flags(name)
+    assert len(flags) >= 8
+    sweep = pairwise_sweep(flags)
+    assert any(len(pc) < len(flags) for pc in sweep.projected)
+    assert any(pc.below for pc in sweep.projected)
+    assert any(
+        pc.of_flag.count(a) > 1 or pc.of_flag.count(b) > 1
+        for pc in sweep.projected
+        for a, b in pc.below
+    )
 
 
 def test_shared_level_flags_have_short_projections():

@@ -406,6 +406,8 @@ def code_to_json(code: FlagCode) -> str:
 
 
 def code_from_dict(doc: dict) -> FlagCode:
+    if not isinstance(doc, dict):
+        raise ConstructionError("the top level is not a JSON object")
     try:
         pd = doc["params"]
         fld = field_new(pd["p"], pd["m"], tuple(pd["modulus"]) or None)

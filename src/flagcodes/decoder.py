@@ -9,13 +9,13 @@ and that above the middle band intersections are at most 2i - n (step 3).
 Every step looks its trigger subspace Y up in one table, the point ->
 codeword map of the level-k1 spread (`construction.spread_points`), keyed
 by the point integers of `linalg.points`, instead of testing all |C|
-codewords. At level i, let W be the span of the first w = max(1, i - k1 + 1)
-RREF rows of Y. A codeword c with V_i(c) ⊇ Y has a point of V_k1(c) in W:
+codewords. At level i, let W be the span of any w = max(1, i - k1 + 1) of
+Y's RREF rows. A codeword c with V_i(c) ⊇ Y has a point of V_k1(c) in W:
 for i <= k1, W lies in V_k1(c); above k1, W and V_k1(c) both lie in V_i(c),
-so dim(W ∩ V_k1(c)) >= w + k1 - i = 1. So the codewords covering a point of
-W include every match, and testing just those with `contains` gives the
-same matches as the full scan, for any FlagCode. Each trigger guarantees
-dim Y >= w.
+so dim(W ∩ V_k1(c)) >= w + k1 - i = 1. So every match covers a point of W
+from Y's first w rows and one of W′ from its last w, and testing only such
+codewords with `contains` gives the matches of the full scan, for any
+FlagCode. Each trigger guarantees dim Y >= w.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class SimulationReport:
 
 
 def _check_shot_fields(field: FiniteField, received: ReceivedSequence):
-    if any(x.field != field for x in received.shots):
+    if any(x.field is not field and x.field != field for x in received.shots):
         raise ChannelError("received shots are not over the code's field")
 
 
@@ -209,21 +209,29 @@ def accumulate(received: ReceivedSequence, k1: int):
         yield current
 
 
+def _covering(table: dict, sub: Subspace, rows: slice) -> int:
+    """Bitmask of the codewords covering a point of the span of sub.rows[rows]."""
+    W = Subspace._reduced(sub.field, sub.ambient, sub.rows[rows], sub.pivots[rows])
+    mask = 0
+    for x in points(W):
+        mask |= table.get(x, 0)
+    return mask
+
+
 def _unique_containing(code: FlagCode, level: int, sub: Subspace, step: int) -> DecodeOutcome:
     """The codeword whose level-`level` subspace contains `sub`, if exactly one.
 
     Only the codewords covering a point of W, the span of the first
-    w = max(1, level - k1 + 1) RREF rows of `sub`, are tested: any codeword
-    containing `sub` meets W in a point of its level-k1 subspace (see the
-    module docstring), so the matches are those of a scan over all of C.
-    Needs dim sub >= w, which each step's trigger guarantees.
+    w = max(1, level - k1 + 1) RREF rows of `sub`, and, if that leaves more
+    than one, a point of W′, the span of its last w rows, are tested with
+    `contains` (see the module docstring), so the matches are those of a scan
+    over all of C. Needs dim sub >= w, which each step's trigger guarantees.
     """
     w = max(1, level - code.params.k1 + 1)
     table = spread_points(code)
-    candidates = 0
-    W = Subspace._reduced(sub.field, sub.ambient, sub.rows[:w], sub.pivots[:w])
-    for x in points(W):
-        candidates |= table.get(x, 0)
+    candidates = _covering(table, sub, slice(w))
+    if candidates & (candidates - 1) and sub.dim > w:
+        candidates &= _covering(table, sub, slice(sub.dim - w, None))
     matches = []
     while candidates:
         low = candidates & -candidates

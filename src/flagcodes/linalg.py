@@ -7,6 +7,7 @@ form so that equality and hashing are structural.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 
 from .fields import FieldError, FiniteField, field_from_order
@@ -230,46 +231,44 @@ def rank(A: MatrixFq) -> int:
 
 
 class Subspace:
-    """A k-dimensional subspace of F_q^n, canonically an RREF basis matrix.
+    """A k-dimensional subspace of F_q^n, kept as its canonical RREF rows.
 
-    The zero subspace is the 0 x n basis. Equality and hashing are entry-wise
-    on the canonical basis. `rows` and `pivots` are the basis rows and their
-    pivot columns, which `sum_dim` and `subspace_sum` reduce against.
-    `packed`, each row as its base-q integer, and `distance_points` are
-    computed on first use and kept. An RREF row has leading entry 1, so its
-    integer is its point, in the form `points` lists; over F_2 it is also
-    the form `sum_dim` ranks.
+    `rows` are tuples, none for the zero subspace, and `pivots` their pivot
+    columns, which `sum_dim` and `subspace_sum` reduce against. Equality is
+    on the ambient, `rows` and the field; hashing on the first two. `basis`,
+    the dim x n matrix of `rows`, `packed`, each row as its base-q integer,
+    and `distance_points` are built on first read and kept. An RREF row has
+    leading entry 1, so its integer is its point, in the form `points`
+    lists; over F_2 it is also the form `sum_dim` ranks.
 
-    `Subspace(basis)` checks that the basis is in RREF; the kernel builds the
-    rows it has just reduced with `Subspace._reduced`, which does not.
+    `Subspace(basis)` checks that the basis is in RREF and keeps it; the
+    kernel's own results go through `Subspace._reduced`, which does not.
     """
 
-    __slots__ = ("field", "ambient", "dim", "basis", "rows", "pivots", "_packed", "_points")
+    __slots__ = ("field", "ambient", "dim", "rows", "pivots", "_basis", "_packed", "_points")
 
     def __init__(self, basis: MatrixFq):
         rows = tuple(basis.row(i) for i in range(basis.rows))
-        self._set(basis, rows, self._check_rref(rows))
+        self._set(basis.field, basis.cols, rows, self._check_rref(rows), basis)
 
     @classmethod
     def _reduced(cls, field: FiniteField, ambient: int, rows, pivots) -> "Subspace":
         """The subspace of `rows`, already in RREF with these pivot columns:
         for the kernel's own results only, so no entry or RREF check."""
-        rows = tuple(map(tuple, rows))
-        entries = tuple(itertools.chain.from_iterable(rows))
-        basis = MatrixFq._trusted(field, len(rows), ambient, entries)
         U = cls.__new__(cls)
-        U._set(basis, rows, tuple(pivots))
+        U._set(field, ambient, tuple(map(tuple, rows)), tuple(pivots))
         return U
 
-    def _set(self, basis: MatrixFq, rows: tuple, pivots: tuple):
-        self.field = basis.field
-        self.ambient = basis.cols
-        self.dim = basis.rows
-        self.basis = basis
-        self.rows = rows
-        self.pivots = pivots
-        self._packed = None
-        self._points = None
+    def _set(self, field: FiniteField, ambient: int, rows: tuple, pivots: tuple, basis=None):
+        self.field, self.ambient, self.rows, self.pivots = field, ambient, rows, pivots
+        self.dim, self._basis, self._packed, self._points = len(rows), basis, None, None
+
+    @property
+    def basis(self) -> MatrixFq:
+        if self._basis is None:
+            entries = tuple(itertools.chain.from_iterable(self.rows))
+            self._basis = MatrixFq._trusted(self.field, self.dim, self.ambient, entries)
+        return self._basis
 
     @property
     def packed(self) -> tuple:
@@ -307,7 +306,9 @@ class Subspace:
         return tuple(pivots)
 
     @classmethod
+    @functools.cache
     def zero(cls, field: FiniteField, ambient: int) -> "Subspace":
+        """{0}, one shared object per field and ambient."""
         return cls._reduced(field, ambient, (), ())
 
     @classmethod
@@ -316,10 +317,13 @@ class Subspace:
         return cls._reduced(field, ambient, rows, range(ambient))
 
     def __eq__(self, other):
-        return isinstance(other, Subspace) and self.basis == other.basis
+        return isinstance(other, Subspace) and self.rows == other.rows and (
+            self.ambient == other.ambient
+            and (self.field is other.field or self.field == other.field)
+        )
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash((self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, q={self.field.q})"

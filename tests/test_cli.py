@@ -444,6 +444,42 @@ def test_report_rejects_a_document_that_is_not_an_object(text, tmp_path, capsys)
     assert err.startswith("error:") and "not a JSON object" in err
 
 
+NOT_OBJECTS = ["5", "null", "true", "[]", '"x"']
+
+
+@pytest.mark.parametrize("text", NOT_OBJECTS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--trials", "1"],
+        ["bounds"],
+        ["erase", "--codeword", "1"],
+        ["decode", "--received", "unread.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_loading_a_code_that_is_not_an_object_is_a_usage_error(argv, text, tmp_path, capsys):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    assert main([argv[0], "--code", str(path), *argv[1:]]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the top level is not a JSON object\n"
+
+
+@pytest.mark.parametrize("text", NOT_OBJECTS)
+def test_verify_reports_a_code_that_is_not_an_object_as_a_load_failure(text, tmp_path, capsys):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    exit_code, out = run(capsys, "verify", "--code", str(path))
+    assert exit_code == EXIT_VERIFY_FAIL
+    detail = "the top level is not a JSON object"
+    assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
+    exit_code, out = run(capsys, "verify", "--code", str(path), "--format", "text")
+    assert exit_code == EXIT_VERIFY_FAIL
+    assert out == f"FAIL load: {detail}\n"
+
+
 def test_malformed_code_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"nope\": 1}")

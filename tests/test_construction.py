@@ -231,6 +231,12 @@ def test_serialization_detects_wrong_generator_count(code_221):
         code_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true", "[]", '"x"'])
+def test_a_document_that_is_not_an_object_fails_to_load(text):
+    with pytest.raises(ConstructionError, match="^the top level is not a JSON object$"):
+        code_from_json(text)
+
+
 def _with_generators(code, texts):
     import json
 

@@ -620,6 +620,67 @@ def test_deep_erasures_decode_at_step_2_or_3(name, sent, request):
             assert outcome.step in (2, 3)
 
 
+def _deep_random_vector(code, rng):
+    """Levels 1..k1 wiped, and each level above at random, beyond the budget
+    too."""
+    k1 = code.params.k1
+    return [i if i <= k1 else rng.randint(0, i) for i in range(1, code.ambient)]
+
+
+@pytest.mark.parametrize("name", ["code_321", "code_f4_21", "code_232", "doubled"])
+def test_decode_matches_the_scan_on_deep_erasures(name, request, monkeypatch):
+    # Step 1 never fires, so every decode that triggers looks up windows of
+    # an accumulated Y: the two windows coincide when dim Y = w and overlap
+    # when w < dim Y < 2w, and both cases occur.
+    if name == "doubled":
+        code = _doubled(request.getfixturevalue("code_221"))
+    else:
+        code = request.getfixturevalue(name)
+    k1 = code.params.k1
+    triggers = []
+    unique_containing = decoder._unique_containing
+
+    def recording(code, level, sub, step):
+        triggers.append((sub.dim, max(1, level - k1 + 1)))
+        return unique_containing(code, level, sub, step)
+
+    monkeypatch.setattr(decoder, "_unique_containing", recording)
+    rng = random.Random(name)
+    outcomes = set()
+    for _ in range(200):
+        sent = rng.randrange(len(code))
+        received = erase(code.flags[sent], _deep_random_vector(code, rng), rng)
+        outcome = _outcome(decode, code, received)
+        assert outcome == _outcome(scan_decode, code, received), (sent, received.shots)
+        outcomes.add(AmbiguousDecodeError if isinstance(outcome, str) else outcome.status)
+    assert any(dim == w for dim, w in triggers)
+    assert any(w < dim < 2 * w for dim, w in triggers)
+    assert DECODED in outcomes
+    assert (AmbiguousDecodeError in outcomes) == (name == "doubled")
+
+
+# `contains` calls over the batch below with the first trigger window alone.
+FIRST_WINDOW_CONTAINS = 794 / 168
+
+
+def test_the_second_window_prunes_deep_decodes(code_321, monkeypatch):
+    calls = []
+
+    def counting_contains(U, V):
+        calls.append(1)
+        return contains(U, V)
+
+    monkeypatch.setattr(decoder, "contains", counting_contains)
+    vectors = _deep_vectors(code_321)
+    for idx in range(1, len(code_321) + 1):
+        for k, vec in enumerate(vectors):
+            outcome = decode(code_321, erase(code_321.flags[idx - 1], vec, seed=idx * 1000 + k))
+            assert (outcome.status, outcome.flag_index) == (DECODED, idx), vec
+    decodes = len(code_321) * len(vectors)
+    assert decodes == 168
+    assert len(calls) / decodes < FIRST_WINDOW_CONTAINS
+
+
 class _RecordingSequence(ReceivedSequence):
     """A received sequence that records every level it is asked for."""
 

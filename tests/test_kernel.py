@@ -11,7 +11,7 @@ import pytest
 
 from flagcodes.construction import ConstructionError, flag_from_generator
 from flagcodes.decoder import ReceivedSequence, accumulate, random_subspace_of
-from flagcodes.fields import MAX_ORDER, field_new
+from flagcodes.fields import MAX_ORDER, FieldError, field_new
 from flagcodes.linalg import (
     MatrixFq,
     Subspace,
@@ -254,6 +254,74 @@ def test_trusted_constructions_are_in_rref(field):
     for S in built:
         assert S.rows == tuple(S.basis.row(i) for i in range(S.dim))
         assert Subspace._check_rref(S.rows) == S.pivots
+
+
+def test_every_construction_of_a_subspace_is_equal_and_hashes_equal(field):
+    # One space U = rowspace(C·B) of V = rowspace(B), built by the checked
+    # constructor, `rowspace`, `_reduced`, `subspace_sum` of two row blocks
+    # and `subspace_from_coordinates`, at every dimension from 0 up.
+    rng = random.Random(field.q + 10)
+    n = 6
+    for k in range(n):
+        V = rowspace(_full_rank(field, n, rng).first_rows(n - 1))
+        C = _full_rank(field, V.dim, rng, rows=k)
+        A = C.matmul(V.basis)
+        U = rowspace(A)
+        built = [
+            Subspace(MatrixFq(field, k, n, itertools.chain.from_iterable(U.rows))),
+            Subspace._reduced(field, n, [list(r) for r in U.rows], list(U.pivots)),
+            subspace_sum(rowspace(A.first_rows(k // 2)), rowspace(A.last_rows(k - k // 2))),
+            subspace_from_coordinates(V, C.row_lists()),
+        ]
+        if not k:
+            built.append(Subspace.zero(field, n))
+        for S in built:
+            assert S == U and hash(S) == hash(U)
+            assert (S.dim, S.rows, S.pivots) == (k, U.rows, U.pivots)
+
+
+def test_basis_is_the_rows_as_a_matrix(field):
+    # Built on first read from `rows`, then kept; the checked constructor
+    # keeps the matrix it was given.
+    rng = random.Random(field.q + 11)
+    for U in _subspaces(field, rng):
+        B = U.basis
+        assert (B.field, B.rows, B.cols) == (U.field, U.dim, U.ambient)
+        assert B.row_lists() == [list(r) for r in U.rows]
+        if U.dim:
+            assert B == MatrixFq.from_rows(field, U.rows)
+        assert U.basis is B
+        M = MatrixFq(field, U.dim, U.ambient, B.entries)
+        assert Subspace(M).basis is M
+
+
+def _other_modulus(field):
+    """F_q over another monic irreducible modulus of the same degree, or
+    None if there is none (prime fields and F_4)."""
+    if field.m == 1:
+        return None
+    for low in itertools.product(range(field.p), repeat=field.m):
+        if (*low, 1) != field.modulus:
+            try:
+                return field_new(field.p, field.m, (*low, 1))
+            except FieldError:
+                pass  # reducible
+    return None
+
+
+def test_subspaces_differ_by_ambient_and_by_modulus(field):
+    zeros = [Subspace.zero(field, 3), Subspace.zero(field, 4)]
+    zeros += [rowspace(MatrixFq(field, 0, 3, ())), rowspace(MatrixFq(field, 0, 4, ()))]
+    assert zeros[0] == zeros[2] != zeros[1] == zeros[3]
+    assert Subspace.zero(field, 4) is Subspace.zero(field, 4) is zeros[1]
+    other = _other_modulus(field)
+    if other is None:
+        assert field.m == 1 or field.q == 4
+        return
+    rows = [[1, 0, field.q - 1], [0, 1, 1]]
+    U, V = rowspace(MatrixFq.from_rows(field, rows)), rowspace(MatrixFq.from_rows(other, rows))
+    assert U.rows == V.rows and hash(U) == hash(V)
+    assert U != V and Subspace.zero(field, 3) != Subspace.zero(other, 3)
 
 
 def test_slices_and_stacks_are_the_checked_matrices(field):

@@ -2,7 +2,8 @@
 simulate.
 
 Exit codes: 0 success / verification PASS, 1 verification failure, 2 usage or
-input error, 3 decode FAILURE.
+input error (a code file whose flags repeat, so that a decode is ambiguous,
+included), 3 decode FAILURE.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .construction import (
 )
 from .decoder import (
     DECODED,
+    AmbiguousDecodeError,
     ChannelError,
     decode,
     erase,
@@ -274,6 +276,7 @@ def main(argv=None) -> int:
     except (
         CliError,
         ConstructionError,
+        AmbiguousDecodeError,
         ChannelError,
         FieldError,
         LinAlgError,

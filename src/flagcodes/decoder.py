@@ -27,15 +27,13 @@ from dataclasses import dataclass
 from .construction import Flag, FlagCode, spread_points
 from .fields import FiniteField
 from .linalg import (
-    MatrixFq,
     Subspace,
     contains,
     dump_matrix,
     parse_matrix,
     points,
-    rank,
     rowspace,
-    subspace_from_coordinates,
+    subspace_from_draw,
     subspace_sum,
 )
 from .metrics import min_flag_distance
@@ -158,10 +156,13 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     likely, and every target subspace has the same number |GL(dim, q)| of
     full-rank coefficient matrices, so the result is exactly uniform.
 
-    An accepted draw's coefficients are the coordinates of the target's
-    basis in sub's RREF rows. `subspace_from_coordinates` reduces them
-    once and combines sub's rows by them: the result is in RREF with no
-    product formed and no reduction of the ambient-width rows.
+    `linalg.subspace_from_draw` owns that digit format: it runs the rank
+    test, and for an accepted draw, whose coefficients are the coordinates
+    of the target's basis in sub's RREF rows, reduces them once and combines
+    sub's rows by them, so the result is in RREF with no product formed and
+    no reduction of the ambient-width rows. Over characteristic 2 it works
+    on packed rows: the coefficient rows are bit slices of the draw, reduced
+    by XOR, and each result row is the XOR of `sub.multiples` entries.
     """
     if not (0 <= dim <= sub.dim):
         raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")
@@ -170,16 +171,11 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     field = sub.field
     if dim == 0:
         return Subspace.zero(field, sub.ambient)
-    q, size = field.q, dim * sub.dim
+    draws = field.q ** (dim * sub.dim)
     while True:
-        x = rng.randrange(q**size)
-        digits = []
-        for _ in range(size):
-            x, digit = divmod(x, q)
-            digits.append(digit)
-        coeffs = MatrixFq._trusted(field, dim, sub.dim, tuple(digits))
-        if rank(coeffs) == dim:
-            return subspace_from_coordinates(sub, map(coeffs.row, range(dim)))
+        target = subspace_from_draw(sub, dim, rng.randrange(draws))
+        if target is not None:
+            return target
 
 
 def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequence:

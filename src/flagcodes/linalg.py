@@ -200,6 +200,45 @@ def _base_q(digits, q: int) -> int:
     return x
 
 
+@functools.cache
+def _chunk_digits(m: int):
+    """Digit tables for integers whose base-2^m digits are their m-bit
+    fields: t = max(1, 8 // m) digits are read at a time as one chunk of
+    t·m bits, and each chunk value maps to its t digits, low digit first
+    and high digit first. Returns (t, low_first, high_first)."""
+    t = max(1, 8 // m)
+    w = (1 << m) - 1
+    low = [tuple((v >> (i * m)) & w for i in range(t)) for v in range(1 << (t * m))]
+    return t, low, [d[::-1] for d in low]
+
+
+@functools.cache
+def _scaled_chunks(field: FiniteField):
+    """For a field of characteristic 2: the chunk width of
+    `_chunk_digits(field.m)` in bits, and for each scalar a a table from each
+    chunk value to the integer of the same digits, each multiplied by a."""
+    m = field.m
+    t, low, _ = _chunk_digits(m)
+    tables = [
+        [sum(row[d] << (i * m) for i, d in enumerate(digits)) for digits in low]
+        for row in field.mul_table
+    ]
+    return t * m, tables
+
+
+def _scale_digits(v: int, table: list, width: int) -> int:
+    """v, an integer of base-2^m digits, with every digit multiplied by the
+    scalar of `table` (one of `_scaled_chunks`), one `width`-bit chunk at a
+    time."""
+    mask = (1 << width) - 1
+    out = shift = 0
+    while v:
+        out |= table[v & mask] << shift
+        v >>= width
+        shift += width
+    return out
+
+
 def _rank_packed(packed) -> int:
     """Rank of F_2 rows as base-2 integers, by XOR on their leading bit, as
     M4RI eliminates packed words."""
@@ -222,11 +261,20 @@ def rref(A: MatrixFq):
     return R, rank, pivots
 
 
+# F_2 entries 0 and 1 as the bytes of the digits "0" and "1".
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def rank(A: MatrixFq) -> int:
     """The one rank entry point: packed rows over F_2, forward elimination
-    otherwise."""
+    otherwise. Over F_2 all entries are read as one binary numeral, whose
+    cols-bit slices are the rows (last row lowest)."""
     if A.field.q == 2:
-        return _rank_packed(_base_q(A.row(i), 2) for i in range(A.rows))
+        if not A.entries:
+            return 0
+        bits, c = int(bytes(A.entries).translate(_BINARY_DIGITS), 2), A.cols
+        mask = (1 << c) - 1
+        return _rank_packed((bits >> s) & mask for s in range(0, A.rows * c, c))
     return _rank_rows(A.field, A.row_lists())
 
 
@@ -237,15 +285,20 @@ class Subspace:
     columns, which `sum_dim` and `subspace_sum` reduce against. Equality is
     on the ambient, `rows` and the field; hashing on the first two. `basis`,
     the dim x n matrix of `rows`, `packed`, each row as its base-q integer,
-    and `distance_points` are built on first read and kept. An RREF row has
+    `multiples`, each row's q scalar multiples as base-q integers, and
+    `distance_points` are built on first read and kept. An RREF row has
     leading entry 1, so its integer is its point, in the form `points`
     lists; over F_2 it is also the form `sum_dim` ranks.
 
     `Subspace(basis)` checks that the basis is in RREF and keeps it; the
-    kernel's own results go through `Subspace._reduced`, which does not.
+    kernel's own results go through `Subspace._reduced`, which does not,
+    or, as packed rows over characteristic 2, through
+    `Subspace._from_packed`.
     """
 
-    __slots__ = ("field", "ambient", "dim", "rows", "pivots", "_basis", "_packed", "_points")
+    __slots__ = (
+        "field", "ambient", "dim", "rows", "pivots", "_basis", "_packed", "_multiples", "_points",
+    )
 
     def __init__(self, basis: MatrixFq):
         rows = tuple(basis.row(i) for i in range(basis.rows))
@@ -259,9 +312,34 @@ class Subspace:
         U._set(field, ambient, tuple(map(tuple, rows)), tuple(pivots))
         return U
 
+    @classmethod
+    def _from_packed(cls, field: FiniteField, ambient: int, packed: tuple, pivots) -> "Subspace":
+        """The subspace of the RREF rows `packed`, as base-q integers, with
+        these pivot columns, over a field of characteristic 2: for the
+        kernel's own results only, as `_reduced`. Each base-q digit is an
+        m-bit field, so `rows` is filled once by looking the integers up in
+        `_chunk_digits` a chunk at a time."""
+        t, _, high = _chunk_digits(field.m)
+        width = t * field.m
+        mask = (1 << width) - 1
+        chunks = -(-ambient // t)
+        top = (chunks - 1) * width
+        pad = chunks * t - ambient
+        rows = []
+        for v in packed:
+            row = high[v >> top]
+            for s in range(top - width, -1, -width):
+                row += high[(v >> s) & mask]
+            rows.append(row[pad:])
+        U = cls.__new__(cls)
+        U._set(field, ambient, tuple(rows), tuple(pivots))
+        U._packed = packed
+        return U
+
     def _set(self, field: FiniteField, ambient: int, rows: tuple, pivots: tuple, basis=None):
         self.field, self.ambient, self.rows, self.pivots = field, ambient, rows, pivots
         self.dim, self._basis, self._packed, self._points = len(rows), basis, None, None
+        self._multiples = None
 
     @property
     def basis(self) -> MatrixFq:
@@ -276,6 +354,36 @@ class Subspace:
             q = self.field.q
             self._packed = tuple(_base_q(row, q) for row in self.rows)
         return self._packed
+
+    @property
+    def multiples(self) -> tuple:
+        """For each row, its q scalar multiples c·row, c = 0 .. q - 1, as
+        base-q integers, built on first read and kept.
+
+        Over characteristic 2 base-q digits add by XOR, so these are what
+        `points` and the channel's R·B combine, and c·row is the XOR of
+        2^j·row over the bits j of c: only the m - 1 rows 2^j·row, j >= 1,
+        are scaled, a chunk of digits at a time (`_scaled_chunks`), and the
+        rest is filled in by XOR.
+        """
+        if self._multiples is None:
+            field = self.field
+            if field.p == 2:
+                width, tables = _scaled_chunks(field)
+                out = []
+                for v in self.packed:
+                    multiples = [0, v]
+                    for j in range(1, field.m):
+                        b = _scale_digits(v, tables[1 << j], width)
+                        multiples += [w ^ b for w in multiples]
+                    out.append(tuple(multiples))
+                self._multiples = tuple(out)
+            else:
+                q, mul = field.q, field.mul_table
+                self._multiples = tuple(
+                    tuple(_base_q([m[x] for x in row], q) for m in mul) for row in self.rows
+                )
+        return self._multiples
 
     @property
     def distance_points(self) -> frozenset:
@@ -389,6 +497,10 @@ def subspace_from_coordinates(U: Subspace, coeffs) -> Subspace:
     pivots. Row t of R·B is B's row c_t plus R[t][f] times B's row f for
     each column f > c_t; R is zero at its other pivot columns, so those add
     nothing.
+
+    This is the list route, on rows of field elements, that
+    `subspace_from_draw` takes over odd p; over characteristic 2 it forms
+    the same R·B on packed rows instead, from `U.multiples`.
     """
     field = U.field
     mul, sub = field.mul_table, field.sub_table
@@ -405,6 +517,87 @@ def subspace_from_coordinates(U: Subspace, coeffs) -> Subspace:
                 row = [sub[x][m[y]] for x, y in zip(row, U.rows[f])]
         rows.append(row)
     return Subspace._reduced(field, U.ambient, rows, (U.pivots[c] for c in pivots))
+
+
+def _xor_rref(field: FiniteField, rows: list):
+    """RREF of independent rows of base-2^m digits, entry c the m-bit field
+    at bit c·m (low digit first), by XOR: each row is reduced at its lowest
+    nonzero digit against the pivot rows found so far, then scaled to a
+    leading 1 and kept; then each pivot column is cleared from the rows of
+    smaller pivot. Returns the reduced rows and their pivot columns, both
+    ascending by pivot. Over F_2 every digit is 1, so nothing is scaled."""
+    m, w, inv = field.m, field.q - 1, field.inv_table
+    width, tables = _scaled_chunks(field) if m > 1 else (0, None)
+    found = {}
+    for v in rows:
+        while True:
+            c = ((v & -v).bit_length() - 1) // m
+            a = (v >> (c * m)) & w
+            p = found.get(c)
+            if p is None:
+                break
+            v ^= p if a == 1 else _scale_digits(p, tables[a], width)
+        found[c] = v if a == 1 else _scale_digits(v, tables[inv[a]], width)
+    cols = sorted(found)
+    R = [found[c] for c in cols]
+    for j in range(1, len(R)):
+        shift, p = cols[j] * m, R[j]
+        for i in range(j):
+            a = (R[i] >> shift) & w
+            if a:
+                R[i] ^= p if a == 1 else _scale_digits(p, tables[a], width)
+    return R, cols
+
+
+def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
+    """The subspace of U that the channel's draw x selects, or None if the
+    draw is rank-deficient.
+
+    x, below q ** (dim * dim U), is read as the base-q digits of a dim x
+    dim U coefficient matrix, low digit first, row by row: the coordinates
+    of the target's basis in U's RREF rows B. `rank` of that matrix decides
+    whether the draw is accepted. Over odd p the digits go to
+    `subspace_from_coordinates` as row lists. Over characteristic 2 each
+    digit is an m-bit field of x, so coefficient row i is a bit slice of x:
+    `_xor_rref` reduces those slices to R, and row t of R·B, which is in
+    RREF (see `subspace_from_coordinates`), is the XOR over the columns f of
+    `U.multiples[f][R[t][f]]`. Its base-q integers are the result's
+    `packed` rows and its pivots those of B at R's pivot columns.
+    """
+    field, k = U.field, U.dim
+    size = dim * k
+    if field.p != 2:
+        q, digits = field.q, []
+        for _ in range(size):
+            x, digit = divmod(x, q)
+            digits.append(digit)
+        coeffs = MatrixFq._trusted(field, dim, k, tuple(digits))
+        if rank(coeffs) != dim:
+            return None
+        return subspace_from_coordinates(U, map(coeffs.row, range(dim)))
+    m = field.m
+    t, low, _ = _chunk_digits(m)
+    width = t * m
+    mask = (1 << width) - 1
+    digits = low[x & mask]
+    for s in range(width, size * m, width):
+        digits += low[(x >> s) & mask]
+    if rank(MatrixFq._trusted(field, dim, k, digits[:size])) != dim:
+        return None
+    row_bits, w = k * m, field.q - 1
+    mask = (1 << row_bits) - 1
+    R, cols = _xor_rref(field, [(x >> (i * row_bits)) & mask for i in range(dim)])
+    packed = []
+    for r in R:
+        v = 0
+        for multiples in U.multiples:
+            if not r:
+                break
+            if r & w:
+                v ^= multiples[r & w]
+            r >>= m
+        packed.append(v)
+    return Subspace._from_packed(field, U.ambient, tuple(packed), [U.pivots[c] for c in cols])
 
 
 def intersect_dim(U: Subspace, V: Subspace) -> int:
@@ -497,15 +690,13 @@ def points(U: Subspace) -> list:
             span += [x ^ row for x in span]
         return span[1:]
     if U.field.p == 2:
-        mul = U.field.mul_table
         span = [0]  # the span of the rows below row i
         out = []
         for i in reversed(range(U.dim)):
             row = U.packed[i]
             out += [w ^ row for w in span]
             if i:
-                multiples = [_base_q([m[x] for x in U.rows[i]], q) for m in mul]
-                span = [w ^ c for c in multiples for w in span]
+                span = [w ^ c for c in U.multiples[i] for w in span]
         return out
     mul, sub = U.field.mul_table, U.field.sub_table
     neg = sub[0]

@@ -7,6 +7,9 @@ from flagcodes.linalg import rank
 # (p, m) of the fields every field-level test runs over.
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
+# Every small field, F_16, and a field of the largest supported order.
+ORDERS = SMALL_ORDERS + [(2, 4), (2, 8)]
+
 
 @pytest.fixture(scope="session")
 def F2():

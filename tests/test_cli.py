@@ -412,6 +412,38 @@ def test_simulate_rejects_a_negative_budget(code_file, capsys):
     assert out == ""
 
 
+@pytest.fixture()
+def repeated_flag_file(code_file, tmp_path):
+    """The (2,2,1) code file with generator 1 copied over generator 2, so
+    that codewords 1 and 2 are the same flag."""
+    doc = json.loads(code_file.read_text())
+    doc["generators"][1] = doc["generators"][0]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_decode_on_repeated_flags_is_a_usage_error(code_file, repeated_flag_file, tmp_path, capsys):
+    received = tmp_path / "received.json"
+    run(
+        capsys,
+        "erase", "--code", str(code_file), "--codeword", "1", "--out", str(received),
+    )
+    argv = ["decode", "--code", str(repeated_flag_file), "--received", str(received)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: step 1: 2 codewords contain the shot-1 subspace\n"
+
+
+def test_simulate_on_repeated_flags_is_a_usage_error(repeated_flag_file, capsys):
+    argv = ["simulate", "--code", str(repeated_flag_file), "--trials", "20"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: step ") and "codewords contain" in captured.err
+
+
 def test_commands_deterministic(code_file, capsys):
     _, first = run(capsys, "report", "--code", str(code_file))
     _, second = run(capsys, "report", "--code", str(code_file))

@@ -40,8 +40,9 @@ from flagcodes.linalg import (
     points,
     rank,
     rowspace,
+    subspace_from_coordinates,
 )
-from conftest import point_int
+from conftest import ORDERS, point_int
 
 
 def _zero_received(code):
@@ -103,21 +104,55 @@ def _first_full_rank_draw(field, dim, k, rng):
             return coeffs
 
 
-@pytest.mark.parametrize("name", ["code_221", "code_321", "code_f4_21"])
-def test_random_subspace_is_the_dense_product_of_the_draw(name, request):
+def _seeded_groups(field, n=6):
+    """Three groups of seeded random subspaces of F^n, spanned by 2..n random
+    vectors each."""
+    rng = random.Random(f"groups:{field.spec()}")
+    return [
+        [rowspace(MatrixFq(field, k, n, [rng.randrange(field.q) for _ in range(k * n)]))
+         for k in range(2, n + 1)]
+        for _ in range(3)
+    ]
+
+
+# Each field of ORDERS, and F_8 by x^3 + x + 1 rather than the default modulus.
+CHANNEL_FIELDS = [(p, m, None) for p, m in ORDERS] + [(2, 3, (1, 1, 0, 1))]
+
+
+def _source_id(source):
+    if isinstance(source, str):
+        return source
+    p, m, modulus = source
+    return f"F{p ** m}" + ("" if modulus is None else "-" + "".join(map(str, modulus)))
+
+
+@pytest.mark.parametrize(
+    "source", ["code_221", "code_321", "code_f4_21", *CHANNEL_FIELDS], ids=_source_id
+)
+def test_random_subspace_is_the_dense_product_of_the_draw(source, request):
     # The channel's result is the rowspace of coeffs·B for the first
     # full-rank draw of a replayed stream, B the member's RREF basis, and
-    # the channel reads exactly the draws the replay reads.
-    code = request.getfixturevalue(name)
-    field = code.params.field
-    for seed, flag in enumerate(code.flags[:6]):
-        for sub in flag.subspaces:
+    # the channel reads exactly the draws the replay reads. The subspaces are
+    # the first flags of a code, or seeded random subspaces over a field;
+    # over characteristic 2 the result is built from packed rows, so its
+    # `packed` must also be the fold of its rows, and it must equal what the
+    # list route makes of the same coefficients.
+    if isinstance(source, str):
+        code = request.getfixturevalue(source)
+        field, groups = code.params.field, [flag.subspaces for flag in code.flags[:6]]
+    else:
+        field = field_new(*source)
+        groups = _seeded_groups(field)
+    for seed, group in enumerate(groups):
+        for sub in group:
             for dim in range(1, sub.dim):
                 replay, rng = random.Random(seed), random.Random(seed)
                 coeffs = _first_full_rank_draw(field, dim, sub.dim, replay)
                 want = rowspace(coeffs.matmul(sub.basis))
                 got = random_subspace_of(sub, dim, rng)
                 assert (got, got.pivots) == (want, want.pivots)
+                assert got.packed == tuple(point_int(row, field.q) for row in got.rows)
+                assert subspace_from_coordinates(sub, coeffs.row_lists()) == got
                 assert rng.getstate() == replay.getstate()
 
 

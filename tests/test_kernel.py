@@ -29,10 +29,7 @@ from flagcodes.linalg import (
     subspace_sum,
     sum_dim,
 )
-from conftest import SMALL_ORDERS
-
-# Every small field, F_16, and a field of the largest supported order.
-ORDERS = SMALL_ORDERS + [(2, 4), (2, 8)]
+from conftest import ORDERS, point_int
 
 
 def oracle_rref_rows(field, rows):
@@ -126,16 +123,50 @@ CHAR2_FIELDS = [(p, m, None) for p, m in ORDERS if p == 2] + [(2, 4, (1, 0, 0, 1
 
 @pytest.mark.parametrize("p,m,modulus", CHAR2_FIELDS, ids=str)
 def test_characteristic_2_points_match_oracle(p, m, modulus):
-    # points(U) forms the span by XOR of each row's scalar multiples.
+    # points(U) forms the span by XOR of each row's scalar multiples, also
+    # on the same subspace built from its packed rows, whose `rows` come
+    # from the chunk tables and whose `multiples` are built afresh.
     field, n = field_new(p, m, modulus), 5
     rng = random.Random(field.q)
     for k in (2, 3):
         U = Subspace.zero(field, n)
         while U.dim != k:
             U = rowspace(_random_matrix(field, k, n, rng))
-        found = points(U)
-        assert len(found) == len(set(found)) == gaussian_binomial(k, 1, field.q)
-        assert set(found) == set(oracle_points(field, [list(r) for r in U.rows]))
+        want = set(oracle_points(field, [list(r) for r in U.rows]))
+        for S in (U, Subspace._from_packed(field, n, U.packed, U.pivots)):
+            found = points(S)
+            assert len(found) == len(set(found)) == gaussian_binomial(k, 1, field.q)
+            assert set(found) == want
+
+
+@pytest.mark.parametrize("p,m,modulus", CHAR2_FIELDS, ids=str)
+def test_rows_from_packed_integers_are_the_rref_rows(p, m, modulus):
+    # Ambients of one chunk, several chunks and a partial top chunk, every
+    # dimension from 0 up: the packed constructor gives back the rows, the
+    # pivots and the same subspace, and passes the RREF check.
+    field = field_new(p, m, modulus)
+    rng = random.Random(field.q + 13)
+    for n in (1, 2, 3, 7, 8, 9, 16, 17):
+        for k in range(min(n, 4) + 1):
+            U = rowspace(_random_matrix(field, k, n, rng))
+            S = Subspace._from_packed(field, n, U.packed, U.pivots)
+            assert (S, S.rows, S.pivots, S.dim) == (U, U.rows, U.pivots, U.dim)
+            assert Subspace._check_rref(S.rows) == S.pivots
+
+
+def test_multiples_are_the_scalar_multiples_of_each_row(field):
+    # Row i's multiple by c, folded to base q with the scalar `mul`; built
+    # once and kept.
+    rng = random.Random(field.q + 12)
+    n = 6
+    for k in range(n + 1):
+        U = rowspace(_random_matrix(field, k, n, rng))
+        want = tuple(
+            tuple(point_int([field.mul(c, x) for x in row], field.q) for c in range(field.q))
+            for row in U.rows
+        )
+        assert U.multiples == want
+        assert U.multiples is U.multiples
 
 
 def test_rref_rank_rowspace_match_oracle(field):

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from flagcodes.construction import ConstructionError, flag_from_generator
-from flagcodes.decoder import ReceivedSequence, accumulate, random_subspace_of
+from flagcodes.decoder import ReceivedSequence, _covering, accumulate, random_subspace_of
 from flagcodes.fields import MAX_ORDER, FieldError, field_new
 from flagcodes.linalg import (
     MatrixFq,
@@ -29,7 +29,7 @@ from flagcodes.linalg import (
     subspace_sum,
     sum_dim,
 )
-from conftest import ORDERS, point_int
+from conftest import ORDERS, perturbed_flags, point_int, shared_level_flags
 
 
 def oracle_rref_rows(field, rows):
@@ -102,8 +102,8 @@ def test_orders_include_the_largest():
 
 def oracle_points(field, rows):
     """The normalised combinations of RREF rows r_j: sum_j c_j r_j whose
-    first nonzero c_t is 1, formed with the scalar methods and folded to
-    base q, first entry most significant."""
+    first nonzero c_t is 1, formed with the scalar methods and folded by
+    `point_int`."""
     q = field.q
     scaled = [[[field.mul(c, x) for x in row] for c in range(q)] for row in rows]
     found = []
@@ -113,7 +113,7 @@ def oracle_points(field, rows):
             for c, multiples in zip(tail, scaled[t + 1 :]):
                 v = [field.add(a, b) for a, b in zip(v, multiples[c])]
             assert next(x for x in v if x) == 1
-            found.append(sum(x * q**j for j, x in enumerate(reversed(v))))
+            found.append(point_int(v, q))
     return found
 
 
@@ -423,3 +423,108 @@ def test_matmul_matches_oracle(field):
     Z = MatrixFq.zero(field, 3, 3)
     A = _random_matrix(field, 3, 3, rng)
     assert A.matmul(Z) == Z and Z.matmul(A) == Z
+
+
+# -- the differential harness ---------------------------------------------------
+# Each fast path of the kernel against a brute-force oracle, over every field of
+# ORDERS and F_8 by x^3 + x + 1, on seeded random subspaces of every dimension
+# and on every level of seeded flags whose subspaces share, contain and meet
+# each other.
+
+HARNESS_FIELDS = [(p, m, None) for p, m in ORDERS] + [(2, 3, (1, 1, 0, 1))]
+
+
+def _field_id(spec):
+    p, m, modulus = spec
+    return f"F{p ** m}" + ("" if modulus is None else "-" + "".join(map(str, modulus)))
+
+
+@pytest.fixture(scope="module", params=HARNESS_FIELDS, ids=_field_id)
+def harness(request):
+    """(field, subspaces of F^6, flags): random spans of every dimension and
+    the levels of two `shared_level_flags` and two `perturbed_flags`."""
+    field, n = field_new(*request.param), 6
+    rng = random.Random(f"harness:{field.spec()}")
+    flags = shared_level_flags(field, n, 2, (2, 3), rng) + perturbed_flags(field, n, 2, rng)
+    subspaces = [rowspace(_random_matrix(field, k, n, rng)) for k in range(n + 1)]
+    subspaces += [S for flag in flags for S in flag.subspaces]
+    return field, list(dict.fromkeys(subspaces)), flags
+
+
+def _listable(field, dim):
+    """Whether a dim-dimensional space has few enough points to list."""
+    return gaussian_binomial(dim, 1, field.q) <= 1000
+
+
+def test_harness_points_match_oracle(harness):
+    field, subspaces, _ = harness
+    for S in subspaces:
+        if not _listable(field, S.dim):
+            continue
+        found = points(S)
+        assert len(found) == len(set(found)) == gaussian_binomial(S.dim, 1, field.q)
+        assert set(found) == set(oracle_points(field, [list(r) for r in S.rows]))
+
+
+def test_harness_sums_match_the_stacked_rowspace(harness):
+    # sum_dim, contains and subspace_sum of every ordered pair against one
+    # elimination of the stacked bases.
+    _, subspaces, _ = harness
+    for U in subspaces:
+        for V in subspaces:
+            want = rowspace(U.basis.stack(V.basis))
+            assert sum_dim(U, V) == want.dim
+            assert contains(U, V) == (want.dim == U.dim)
+            S = subspace_sum(U, V)
+            assert (S, S.pivots, S.basis.entries) == (want, want.pivots, want.basis.entries)
+
+
+def test_harness_orthogonal_complement_is_orthogonal(harness):
+    # Every basis row of U⊥ has scalar dot product 0 with every row of U.
+    field, subspaces, _ = harness
+    for U in subspaces:
+        W = orthogonal_complement(U)
+        assert W.dim == U.ambient - U.dim
+        for u in U.rows:
+            for w in W.rows:
+                dot = 0
+                for x, y in zip(u, w):
+                    dot = field.add(dot, field.mul(x, y))
+                assert dot == 0
+
+
+def test_harness_covering_masks_match_the_scan(harness):
+    # The decoder's window masks: for the span W of the first or the last w
+    # rows of a subspace, the flags whose level-2 subspace meets W, for every
+    # W with few enough points to list. The point table is folded from the
+    # oracle's points, not from `points`.
+    field, subspaces, flags = harness
+    table = {}
+    for bit, flag in enumerate(flags):
+        for x in oracle_points(field, [list(r) for r in flag[2].rows]):
+            table[x] = table.get(x, 0) | 1 << bit
+    for S in subspaces:
+        for w in range(1, S.dim + 1):
+            if not _listable(field, w):
+                break
+            first, last = S.basis.first_rows(w), S.basis.last_rows(w)
+            for rows, block in ((slice(w), first), (slice(S.dim - w, None), last)):
+                W = rowspace(block)
+                want = sum(1 << b for b, flag in enumerate(flags) if intersect_dim(flag[2], W) > 0)
+                assert _covering(table, S, rows) == want
+
+
+def test_harness_rows_pass_the_rref_check(harness):
+    # Every subspace the kernel builds, its `rows` read only now: in RREF with
+    # exactly the stored pivots, the rows of `basis`, and `packed` their fold.
+    field, subspaces, _ = harness
+    rng = random.Random(f"rows:{field.spec()}")
+    built = list(subspaces)
+    for U in subspaces:
+        built += [subspace_sum(U, V) for V in rng.sample(subspaces, 3)]
+        built += [random_subspace_of(U, d, rng) for d in range(U.dim + 1)]
+        built.append(orthogonal_complement(U))
+    for S in built:
+        assert Subspace._check_rref(S.rows) == S.pivots
+        assert S.rows == tuple(S.basis.row(i) for i in range(S.dim))
+        assert S.packed == tuple(point_int(row, field.q) for row in S.rows)

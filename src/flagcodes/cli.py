@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .construction import (
@@ -122,6 +123,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_enumeration < 0:
+        raise CliError(f"--max-enumeration {args.max_enumeration} must be >= 0")
     try:
         code = _load_code(args.code)
         results = verify_code(code, args.max_enumeration)
@@ -147,6 +150,13 @@ def cmd_bounds(args) -> int:
             raise CliError("bounds needs --code or both --n and --k")
         field = _build_field(args)
         q, n, k = field.q, args.n, args.k
+    # Every bound printed is below q^n: refuse an n whose q^n has more
+    # digits than Python converts an int to text, before any is computed.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n > 0 and n * math.log10(q) >= limit:
+        raise CliError(
+            f"n = {n} is too large for q = {q}: q^n has more than {limit} digits"
+        )
     exact = aq_exact(q, n, k)
     doc = {
         "q": q,

@@ -19,7 +19,7 @@ from .linalg import (
     LinAlgError,
     MatrixFq,
     Subspace,
-    _insert_rows,
+    _space,
     contains,
     dump_matrix,
     parse_matrix,
@@ -322,15 +322,17 @@ class Flag:
 
 def flag_from_generator(S: MatrixFq) -> Flag:
     """Flag of the row spaces of the leading j-row slices of a square
-    generator, in one pass: rows 1 .. n-1 are inserted by `_insert_rows`, and
-    each level is the RREF so far. A row that adds no pivot raises; row n is
-    never inserted, so only `verify`'s rank check sees it."""
-    F, n = S.field, S.cols
+    generator, in one pass: rows 1 .. n-1 are packed and inserted by
+    `_Space.insert`, and each level is the packed RREF so far. A row that
+    adds no pivot raises; row n is never inserted, so only `verify`'s rank
+    check sees it."""
+    n = S.cols
+    space = _space(S.field, n)
     rows, pivots, levels = [], [], []
     for j in range(n - 1):
-        if not _insert_rows(F, rows, pivots, (S.row(j),)):
+        if not space.insert(rows, pivots, (space.fold(S.row(j)),)):
             raise ConstructionError(f"generator rows 1..{j + 1} have rank {j}, want {j + 1}")
-        levels.append(Subspace._reduced(F, n, rows, pivots))
+        levels.append(Subspace._from_packed(space, tuple(rows), tuple(pivots)))
     return Flag._nested(tuple(levels))
 
 

@@ -31,7 +31,6 @@ from .linalg import (
     contains,
     dump_matrix,
     parse_matrix,
-    points,
     rowspace,
     subspace_from_draw,
     subspace_sum,
@@ -206,10 +205,10 @@ def accumulate(received: ReceivedSequence, k1: int):
 
 
 def _covering(table: dict, sub: Subspace, rows: slice) -> int:
-    """Bitmask of the codewords covering a point of the span of sub.rows[rows]."""
-    W = Subspace._reduced(sub.field, sub.ambient, sub.rows[rows], sub.pivots[rows])
+    """Bitmask of the codewords covering a point of the span of the packed
+    RREF rows sub.packed[rows]."""
     mask = 0
-    for x in points(W):
+    for x in sub.space.span(sub.packed[rows]):
         mask |= table.get(x, 0)
     return mask
 

@@ -192,51 +192,311 @@ def _rank_rows(field: FiniteField, rows) -> int:
     return r
 
 
-def _base_q(digits, q: int) -> int:
-    """A row as its base-q integer, first entry most significant."""
-    x = 0
-    for d in digits:
-        x = x * q + d
-    return x
+class _Digits:
+    """The digit-slot form of the elements of one field F_{p^m}.
+
+    An element is m base-p digits, the coefficients of the polynomial basis
+    of `fields`; each digit gets a slot of s bits, low digit lowest: s = 1
+    for p = 2 and bit_length(p - 1) + 1 for odd p, one guard bit above the
+    digit, so an element takes e = m·s bits. Over characteristic 2 that is
+    the element's own integer. `slot[a]` is the slot form of a, and
+    `element` maps a slot form back (None elsewhere).
+
+    Integers of several slot-form entries are read t = max(1, 8 // e)
+    entries, one chunk of t·e bits, at a time: `high[v]` is the t elements
+    of chunk v, high entry first, and `scaled(a)` is
+    the table from each chunk to the same entries times a, built on first
+    use of a. Digits in slots add by `_Space.add`, so a table gives the
+    product of a whole chunk by one lookup.
+    """
+
+    __slots__ = (
+        "field", "s", "e", "slot", "element", "width", "high", "_scaled",
+        "base", "base_digits",
+    )
+
+    def __init__(self, field: FiniteField):
+        p, m, q = field.p, field.m, field.q
+        self.field = field
+        self.s = s = 1 if p == 2 else (p - 1).bit_length() + 1
+        self.e = e = m * s
+        self.slot = [sum(d << (j * s) for j, d in enumerate(field.to_coeffs(a))) for a in range(q)]
+        self.element = [None] * (1 << e)
+        for a, x in enumerate(self.slot):
+            self.element[x] = a
+        t = max(1, 8 // e)
+        self.width = t * e
+        self.high = [None] * (1 << self.width)
+        for digits in itertools.product(range(q), repeat=t):
+            v = 0
+            for a in digits:
+                v = v << e | self.slot[a]
+            self.high[v] = digits
+        self._scaled = {}
+        # Base-q digits, low first, of each integer below q^t, t the most
+        # that keeps q^t <= 256: an integer is read t digits a divmod.
+        t = 1
+        while q ** (t + 1) <= 256:
+            t += 1
+        self.base = q**t
+        self.base_digits = [
+            tuple(reversed(digits)) for digits in itertools.product(range(q), repeat=t)
+        ]
+
+    def scaled(self, a: int) -> list:
+        table = self._scaled.get(a)
+        if table is None:
+            mul, slot = self.field.mul_table[a], self.slot
+            table = [None] * len(self.high)
+            for v, digits in enumerate(self.high):
+                if digits is not None:
+                    x = 0
+                    for d in digits:
+                        x = x << self.e | slot[mul[d]]
+                    table[v] = x
+            self._scaled[a] = table
+        return table
+
+    def scale(self, v: int, a: int) -> int:
+        """v, an integer of slot-form entries, with each entry times a."""
+        table, width = self.scaled(a), self.width
+        mask = (1 << width) - 1
+        out = shift = 0
+        while v:
+            out |= table[v & mask] << shift
+            v >>= width
+            shift += width
+        return out
 
 
 @functools.cache
-def _chunk_digits(m: int):
-    """Digit tables for integers whose base-2^m digits are their m-bit
-    fields: t = max(1, 8 // m) digits are read at a time as one chunk of
-    t·m bits, and each chunk value maps to its t digits, low digit first
-    and high digit first. Returns (t, low_first, high_first)."""
-    t = max(1, 8 // m)
-    w = (1 << m) - 1
-    low = [tuple((v >> (i * m)) & w for i in range(t)) for v in range(1 << (t * m))]
-    return t, low, [d[::-1] for d in low]
+def _digits(field: FiniteField) -> _Digits:
+    return _Digits(field)
+
+
+def _base_q_digits(digits: _Digits, x: int, size: int) -> tuple:
+    """The lowest `size` base-q digits of x, low digit first."""
+    base, table = digits.base, digits.base_digits
+    out = ()
+    for _ in range(-(-size // len(table[0]))):
+        x, r = divmod(x, base)
+        out += table[r]
+    return out[:size]
+
+
+class _Space:
+    """F_q^n with each vector packed into one integer of slot-form entries
+    (see `_Digits`), the first entry most significant: entry c sits at bit
+    (n - 1 - c)·e. Over characteristic 2 this is the vector's base-q
+    integer. One object per field and n, from `_space`.
+
+    This is the one kernel of row operations; the subclasses differ only in
+    how two rows add. Scalar multiples come from the `_Digits` chunk tables,
+    except that 1 and p - 1 = -1 need none, and a row's q multiples are
+    formed by additions from its multiples by the powers of x.
+    """
+
+    def __init__(self, field: FiniteField, n: int):
+        self.field, self.n = field, n
+        self.p, self.m, self.inv = field.p, field.m, field.inv_table
+        self.digits = digits = _digits(field)
+        self.e, self.slot, self.element = digits.e, digits.slot, digits.element
+        self.emask = (1 << digits.e) - 1
+        self.top = (n - 1) * digits.e  # the shift of entry 0
+
+    def fold(self, row) -> int:
+        """The packed integer of a row of field elements."""
+        e, slot = self.e, self.slot
+        x = 0
+        for a in row:
+            x = x << e | slot[a]
+        return x
+
+    def unfold(self, x: int) -> tuple:
+        """The row of field elements of a packed integer, a chunk at a time."""
+        digits = self.digits
+        high, width = digits.high, digits.width
+        t = width // self.e
+        chunks = -(-self.n // t)
+        mask = (1 << width) - 1
+        shift = (chunks - 1) * width
+        row = high[x >> shift]
+        for s in range(shift - width, -1, -width):
+            row += high[(x >> s) & mask]
+        return row[chunks * t - self.n :]
+
+    def entry(self, x: int, c: int) -> int:
+        return self.element[(x >> (self.top - c * self.e)) & self.emask]
+
+    def lead(self, x: int):
+        """(column, element) of the first nonzero entry of x != 0."""
+        k = (x.bit_length() - 1) // self.e
+        return self.n - 1 - k, self.element[(x >> (k * self.e)) & self.emask]
+
+    def scale(self, x: int, a: int) -> int:
+        if a == 1:
+            return x
+        if a == self.p - 1:
+            return self.sub(0, x)
+        return self.digits.scale(x, a)
+
+    def _copies(self, b: int) -> list:
+        """c·b for c = 0 .. p - 1, each a sum of c copies of b."""
+        out = [0, b]
+        for _ in range(self.p - 2):
+            out.append(self.add(out[-1], b))
+        return out
+
+    def multiples(self, x: int) -> tuple:
+        """c·x for c = 0 .. q - 1: c = sum_j c_j p^j is sum_j c_j (x^j·x),
+        with x^j·x from the chunk tables."""
+        add, p = self.add, self.p
+        out = self._copies(x)
+        for j in range(1, self.m):
+            out = [add(w, c) for c in self._copies(self.digits.scale(x, p**j)) for w in out]
+        return tuple(out)
+
+    def rank(self, rows) -> int:
+        """Rank of nonzero packed rows, by forward elimination keyed on the
+        leading column, each new pivot row scaled to a leading 1."""
+        if len(rows) < 2:
+            return len(rows)
+        found = {}
+        for v in rows:
+            while v:
+                c, a = self.lead(v)
+                u = found.get(c)
+                if u is None:
+                    found[c] = self.scale(v, self.inv[a])
+                    break
+                v = self.sub(v, self.scale(u, a))
+        return len(found)
+
+    def insert(self, rows: list, pivots: list, vectors) -> int:
+        """Add packed `vectors` one at a time to the packed RREF `rows` with
+        pivot columns `pivots`, lists kept in RREF in place; returns how
+        many were added. Each vector is reduced and skipped if nothing is
+        left, else scaled to a leading 1, cleared from the earlier rows and
+        inserted at its pivot's place."""
+        start = len(rows)
+        for v in vectors:
+            for u, p in zip(rows, pivots):
+                c = self.entry(v, p)
+                if c:
+                    v = self.sub(v, self.scale(u, c))
+            if not v:
+                continue
+            lead, a = self.lead(v)
+            v = self.scale(v, self.inv[a])
+            for i, u in enumerate(rows):
+                c = self.entry(u, lead)
+                if c:
+                    rows[i] = self.sub(u, self.scale(v, c))
+            at = bisect.bisect(pivots, lead)
+            rows.insert(at, v)
+            pivots.insert(at, lead)
+        return len(rows) - start
+
+
+class _XorSpace(_Space):
+    """Characteristic 2: one bit a digit, so rows add by XOR."""
+
+    @staticmethod
+    def add(a: int, b: int) -> int:
+        return a ^ b
+
+    sub = add
+
+    def reduce(self, vectors, pivots, multiples) -> list:
+        """The nonzero residuals v - sum_j v[p_j] u_j of packed `vectors`
+        against RREF rows u_j with pivot columns p_j and `multiples`: each
+        u_j is zero at every other pivot, so one pass clears them all, and a
+        residual is zero iff v lies in the rows' span."""
+        top, e, emask = self.top, self.e, self.emask
+        out = []
+        for v in vectors:
+            for mult, p in zip(multiples, pivots):
+                c = (v >> (top - p * e)) & emask
+                if c:
+                    v ^= mult[c]
+            if v:
+                out.append(v)
+        return out
+
+    def span(self, rows) -> list:
+        """The points of the span of packed RREF rows: each combination
+        whose first nonzero coefficient is 1, that row's pivot then carrying
+        the leading 1."""
+        span = [0]  # the span of the rows below row i
+        out = []
+        for i in reversed(range(len(rows))):
+            row = rows[i]
+            out += [w ^ row for w in span]
+            if i:
+                span = [w ^ c for c in self.multiples(row) for w in span]
+        return out
+
+
+class _SlotSpace(_Space):
+    """Odd p: bit_length(p - 1) + 1 bits a digit. Rows add slot by slot as
+    x = a + b, then x - p·(((x + K) >> v) & ONES), v = bit_length(p - 1),
+    ONES the lowest bit of every slot and K = (2^v - p)·ONES: a slot holds
+    at most 2p - 2 < 2^(v+1), and carries into its bit v iff it is >= p
+    (Warren, Hacker's Delight, ch. 2). a - b is a + p·ONES - b, reduced
+    the same way."""
+
+    def __init__(self, field: FiniteField, n: int):
+        super().__init__(field, n)
+        s = self.digits.s
+        self.v = s - 1
+        self.ones = sum(1 << (i * s) for i in range(n * self.m))
+        self.carry = ((1 << self.v) - self.p) * self.ones
+        self.pones = self.p * self.ones
+
+    def add(self, a: int, b: int) -> int:
+        x = a + b
+        return x - self.p * (((x + self.carry) >> self.v) & self.ones)
+
+    def sub(self, a: int, b: int) -> int:
+        x = a + self.pones - b
+        return x - self.p * (((x + self.carry) >> self.v) & self.ones)
+
+    def reduce(self, vectors, pivots, multiples) -> list:
+        """As `_XorSpace.reduce`, subtracting slot by slot."""
+        top, e, emask, element = self.top, self.e, self.emask, self.element
+        p, v_, ones, carry, pones = self.p, self.v, self.ones, self.carry, self.pones
+        out = []
+        for v in vectors:
+            for mult, piv in zip(multiples, pivots):
+                c = (v >> (top - piv * e)) & emask
+                if c:
+                    x = v + pones - mult[element[c]]
+                    v = x - p * (((x + carry) >> v_) & ones)
+            if v:
+                out.append(v)
+        return out
+
+    def span(self, rows) -> list:
+        """As `_XorSpace.span`, adding slot by slot."""
+        p, v, ones, carry = self.p, self.v, self.ones, self.carry
+        span = [0]  # the span of the rows below row i
+        out = []
+        for i in reversed(range(len(rows))):
+            row = rows[i]
+            out += [(x := w + row) - p * (((x + carry) >> v) & ones) for w in span]
+            if i:
+                span = [
+                    (x := w + c) - p * (((x + carry) >> v) & ones)
+                    for c in self.multiples(row)
+                    for w in span
+                ]
+        return out
 
 
 @functools.cache
-def _scaled_chunks(field: FiniteField):
-    """For a field of characteristic 2: the chunk width of
-    `_chunk_digits(field.m)` in bits, and for each scalar a a table from each
-    chunk value to the integer of the same digits, each multiplied by a."""
-    m = field.m
-    t, low, _ = _chunk_digits(m)
-    tables = [
-        [sum(row[d] << (i * m) for i, d in enumerate(digits)) for digits in low]
-        for row in field.mul_table
-    ]
-    return t * m, tables
-
-
-def _scale_digits(v: int, table: list, width: int) -> int:
-    """v, an integer of base-2^m digits, with every digit multiplied by the
-    scalar of `table` (one of `_scaled_chunks`), one `width`-bit chunk at a
-    time."""
-    mask = (1 << width) - 1
-    out = shift = 0
-    while v:
-        out |= table[v & mask] << shift
-        v >>= width
-        shift += width
-    return out
+def _space(field: FiniteField, n: int) -> _Space:
+    """The packed rows of F_q^n: one object per field (by equality) and n."""
+    return (_XorSpace if field.p == 2 else _SlotSpace)(field, n)
 
 
 def _rank_packed(packed) -> int:
@@ -281,65 +541,68 @@ def rank(A: MatrixFq) -> int:
 class Subspace:
     """A k-dimensional subspace of F_q^n, kept as its canonical RREF rows.
 
-    `rows` are tuples, none for the zero subspace, and `pivots` their pivot
-    columns, which `sum_dim` and `subspace_sum` reduce against. Equality is
-    on the ambient, `rows` and the field; hashing on the first two. `basis`,
-    the dim x n matrix of `rows`, `packed`, each row as its base-q integer,
-    `multiples`, each row's q scalar multiples as base-q integers, and
-    `distance_points` are built on first read and kept. An RREF row has
-    leading entry 1, so its integer is its point, in the form `points`
-    lists; over F_2 it is also the form `sum_dim` ranks.
+    `packed` holds each RREF row as one integer of digit-slot entries (see
+    `_Digits` and `_Space`): over characteristic 2 its base-q integer, over
+    odd p each F_p digit in bit_length(p - 1) + 1 bits. `pivots` are the
+    rows' pivot columns, and `space` the `_Space` of the field and n that
+    every row operation goes through. An RREF row has leading entry 1, so
+    its integer is its point, in the form `points` lists. Equality and
+    hashing are on `packed` and the space.
+
+    `rows`, the RREF rows as tuples of field elements (none for {0}),
+    `basis`, the dim x n matrix of `rows`, `multiples`, each row's q scalar
+    multiples, and `distance_points` are built on first read and kept; the
+    kernel reads none but `multiples`, so a subspace it builds never forms
+    `rows` unless a caller reads them.
 
     `Subspace(basis)` checks that the basis is in RREF and keeps it; the
-    kernel's own results go through `Subspace._reduced`, which does not,
-    or, as packed rows over characteristic 2, through
-    `Subspace._from_packed`.
+    kernel's own results go through `Subspace._reduced`, from rows of
+    elements, or `Subspace._from_packed`, from packed rows, which check
+    nothing.
     """
 
     __slots__ = (
-        "field", "ambient", "dim", "rows", "pivots", "_basis", "_packed", "_multiples", "_points",
+        "space", "field", "ambient", "dim", "packed", "pivots",
+        "_rows", "_basis", "_multiples", "_points",
     )
 
     def __init__(self, basis: MatrixFq):
         rows = tuple(basis.row(i) for i in range(basis.rows))
-        self._set(basis.field, basis.cols, rows, self._check_rref(rows), basis)
+        pivots = self._check_rref(rows)
+        space = _space(basis.field, basis.cols)
+        self._set(space, tuple(map(space.fold, rows)), pivots)
+        self._rows, self._basis = rows, basis
 
     @classmethod
     def _reduced(cls, field: FiniteField, ambient: int, rows, pivots) -> "Subspace":
-        """The subspace of `rows`, already in RREF with these pivot columns:
-        for the kernel's own results only, so no entry or RREF check."""
+        """The subspace of `rows` of elements, already in RREF with these
+        pivot columns: for the kernel's own results only, so no entry or
+        RREF check. The rows are kept."""
+        space = _space(field, ambient)
+        rows = tuple(map(tuple, rows))
         U = cls.__new__(cls)
-        U._set(field, ambient, tuple(map(tuple, rows)), tuple(pivots))
+        U._set(space, tuple(map(space.fold, rows)), tuple(pivots))
+        U._rows = rows
         return U
 
     @classmethod
-    def _from_packed(cls, field: FiniteField, ambient: int, packed: tuple, pivots) -> "Subspace":
-        """The subspace of the RREF rows `packed`, as base-q integers, with
-        these pivot columns, over a field of characteristic 2: for the
-        kernel's own results only, as `_reduced`. Each base-q digit is an
-        m-bit field, so `rows` is filled once by looking the integers up in
-        `_chunk_digits` a chunk at a time."""
-        t, _, high = _chunk_digits(field.m)
-        width = t * field.m
-        mask = (1 << width) - 1
-        chunks = -(-ambient // t)
-        top = (chunks - 1) * width
-        pad = chunks * t - ambient
-        rows = []
-        for v in packed:
-            row = high[v >> top]
-            for s in range(top - width, -1, -width):
-                row += high[(v >> s) & mask]
-            rows.append(row[pad:])
+    def _from_packed(cls, space: _Space, packed: tuple, pivots: tuple) -> "Subspace":
+        """The subspace of the packed RREF rows `packed` with these pivot
+        columns: for the kernel's own results only, as `_reduced`."""
         U = cls.__new__(cls)
-        U._set(field, ambient, tuple(rows), tuple(pivots))
-        U._packed = packed
+        U._set(space, packed, pivots)
         return U
 
-    def _set(self, field: FiniteField, ambient: int, rows: tuple, pivots: tuple, basis=None):
-        self.field, self.ambient, self.rows, self.pivots = field, ambient, rows, pivots
-        self.dim, self._basis, self._packed, self._points = len(rows), basis, None, None
-        self._multiples = None
+    def _set(self, space: _Space, packed: tuple, pivots: tuple):
+        self.space, self.field, self.ambient = space, space.field, space.n
+        self.packed, self.pivots, self.dim = packed, pivots, len(packed)
+        self._rows = self._basis = self._multiples = self._points = None
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = tuple(map(self.space.unfold, self.packed))
+        return self._rows
 
     @property
     def basis(self) -> MatrixFq:
@@ -349,45 +612,17 @@ class Subspace:
         return self._basis
 
     @property
-    def packed(self) -> tuple:
-        if self._packed is None:
-            q = self.field.q
-            self._packed = tuple(_base_q(row, q) for row in self.rows)
-        return self._packed
-
-    @property
     def multiples(self) -> tuple:
         """For each row, its q scalar multiples c·row, c = 0 .. q - 1, as
-        base-q integers, built on first read and kept.
-
-        Over characteristic 2 base-q digits add by XOR, so these are what
-        `points` and the channel's R·B combine, and c·row is the XOR of
-        2^j·row over the bits j of c: only the m - 1 rows 2^j·row, j >= 1,
-        are scaled, a chunk of digits at a time (`_scaled_chunks`), and the
-        rest is filled in by XOR.
-        """
+        packed integers: what `sum_dim` reduces by and the channel's R·B
+        combines."""
         if self._multiples is None:
-            field = self.field
-            if field.p == 2:
-                width, tables = _scaled_chunks(field)
-                out = []
-                for v in self.packed:
-                    multiples = [0, v]
-                    for j in range(1, field.m):
-                        b = _scale_digits(v, tables[1 << j], width)
-                        multiples += [w ^ b for w in multiples]
-                    out.append(tuple(multiples))
-                self._multiples = tuple(out)
-            else:
-                q, mul = field.q, field.mul_table
-                self._multiples = tuple(
-                    tuple(_base_q([m[x] for x in row], q) for m in mul) for row in self.rows
-                )
+            self._multiples = tuple(map(self.space.multiples, self.packed))
         return self._multiples
 
     @property
     def distance_points(self) -> frozenset:
-        """The points of U, or of U⊥ when 2 dim U > n, as base-q integers.
+        """The points of U, or of U⊥ when 2 dim U > n, as packed integers.
 
         d_S(U, V) = d_S(U⊥, V⊥), so equal-dimension distances may use either
         side, and no set is larger than that of a floor(n/2)-space.
@@ -425,13 +660,15 @@ class Subspace:
         return cls._reduced(field, ambient, rows, range(ambient))
 
     def __eq__(self, other):
-        return isinstance(other, Subspace) and self.rows == other.rows and (
-            self.ambient == other.ambient
-            and (self.field is other.field or self.field == other.field)
+        # One `_Space` per field (by equality) and n: `is` compares both.
+        return (
+            isinstance(other, Subspace)
+            and self.packed == other.packed
+            and self.space is other.space
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.packed))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, q={self.field.q})"
@@ -444,46 +681,17 @@ def rowspace(A: MatrixFq) -> Subspace:
 
 
 def check_same_ambient(U: Subspace, V: Subspace):
-    if U.ambient != V.ambient or (U.field is not V.field and U.field != V.field):
+    if U.space is not V.space:
         raise LinAlgError("subspaces live in different ambient spaces")
 
 
-def _reduce_rows(field: FiniteField, rows, pivots, vectors) -> list:
-    """The nonzero residuals v - sum_j v[p_j] * u_j of `vectors` against RREF
-    rows u_j with pivot columns p_j.
-
-    Each u_j is zero at every other pivot, so one pass clears all of them: a
-    residual is zero at every p_j, and is zero iff v lies in the rows' span.
-    """
-    mul, sub = field.mul_table, field.sub_table
-    out = []
-    for v in vectors:
-        for u, p in zip(rows, pivots):
-            c = v[p]
-            if c:
-                m = mul[c]
-                v = [sub[x][m[y]] for x, y in zip(v, u)]
-        if any(v):
-            out.append(v)
-    return out
-
-
 def sum_dim(U: Subspace, V: Subspace) -> int:
-    """dim(U + V): dim U plus the rank of V's rows reduced against U's
-    pivots. U is already in RREF, so it is not reduced again, and V ⊆ U
-    leaves no residual to rank.
-
-    Over F_2 the packed rows go to `_rank_packed` together: U's rows have
-    distinct leading bits, so they enter its pivot table as they are, and
-    each of V's rows is reduced against them, and then against the earlier
-    residuals, by XOR. Otherwise the residuals are ranked by forward
-    elimination alone.
-    """
+    """dim(U + V): dim U plus the rank of V's packed rows reduced against
+    U's pivots by `U.multiples`. U is already in RREF, so it is not reduced
+    again, and V ⊆ U leaves no residual to rank."""
     check_same_ambient(U, V)
-    if U.field.q == 2:
-        return _rank_packed(U.packed + V.packed)
-    residuals = _reduce_rows(U.field, U.rows, U.pivots, V.rows)
-    return U.dim + _rank_rows(U.field, residuals)
+    space = U.space
+    return U.dim + space.rank(space.reduce(V.packed, U.pivots, U.multiples))
 
 
 def subspace_from_coordinates(U: Subspace, coeffs) -> Subspace:
@@ -495,28 +703,19 @@ def subspace_from_coordinates(U: Subspace, coeffs) -> Subspace:
     R·B is in RREF already: B's pivot columns hold the identity, so they
     carry R's pivot columns into R·B, and B's rows are zero left of their
     pivots. Row t of R·B is B's row c_t plus R[t][f] times B's row f for
-    each column f > c_t; R is zero at its other pivot columns, so those add
-    nothing.
-
-    This is the list route, on rows of field elements, that
-    `subspace_from_draw` takes over odd p; over characteristic 2 it forms
-    the same R·B on packed rows instead, from `U.multiples`.
+    each column f > c_t, read off `U.multiples`; R is zero at its other
+    pivot columns, so those add nothing.
     """
-    field = U.field
-    mul, sub = field.mul_table, field.sub_table
-    neg = sub[0]
-    R, _, pivots = _rref_rows(field, list(coeffs))
-    rows = []
+    space, multiples, B = U.space, U.multiples, U.packed
+    R, _, pivots = _rref_rows(U.field, list(coeffs))
+    packed = []
     for r, c in zip(R, pivots):
-        row = U.rows[c]
+        v = B[c]
         for f in range(c + 1, U.dim):
-            a = r[f]
-            if a:
-                # row + a*B_f, computed as row - (-a)*B_f.
-                m = mul[neg[a]]
-                row = [sub[x][m[y]] for x, y in zip(row, U.rows[f])]
-        rows.append(row)
-    return Subspace._reduced(field, U.ambient, rows, (U.pivots[c] for c in pivots))
+            if r[f]:
+                v = space.add(v, multiples[f][r[f]])
+        packed.append(v)
+    return Subspace._from_packed(space, tuple(packed), tuple(U.pivots[c] for c in pivots))
 
 
 def _xor_rref(field: FiniteField, rows: list):
@@ -526,8 +725,7 @@ def _xor_rref(field: FiniteField, rows: list):
     leading 1 and kept; then each pivot column is cleared from the rows of
     smaller pivot. Returns the reduced rows and their pivot columns, both
     ascending by pivot. Over F_2 every digit is 1, so nothing is scaled."""
-    m, w, inv = field.m, field.q - 1, field.inv_table
-    width, tables = _scaled_chunks(field) if m > 1 else (0, None)
+    m, w, inv, scale = field.m, field.q - 1, field.inv_table, _digits(field).scale
     found = {}
     for v in rows:
         while True:
@@ -536,8 +734,8 @@ def _xor_rref(field: FiniteField, rows: list):
             p = found.get(c)
             if p is None:
                 break
-            v ^= p if a == 1 else _scale_digits(p, tables[a], width)
-        found[c] = v if a == 1 else _scale_digits(v, tables[inv[a]], width)
+            v ^= p if a == 1 else scale(p, a)
+        found[c] = v if a == 1 else scale(v, inv[a])
     cols = sorted(found)
     R = [found[c] for c in cols]
     for j in range(1, len(R)):
@@ -545,7 +743,7 @@ def _xor_rref(field: FiniteField, rows: list):
         for i in range(j):
             a = (R[i] >> shift) & w
             if a:
-                R[i] ^= p if a == 1 else _scale_digits(p, tables[a], width)
+                R[i] ^= p if a == 1 else scale(p, a)
     return R, cols
 
 
@@ -556,34 +754,21 @@ def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
     x, below q ** (dim * dim U), is read as the base-q digits of a dim x
     dim U coefficient matrix, low digit first, row by row: the coordinates
     of the target's basis in U's RREF rows B. `rank` of that matrix decides
-    whether the draw is accepted. Over odd p the digits go to
-    `subspace_from_coordinates` as row lists. Over characteristic 2 each
-    digit is an m-bit field of x, so coefficient row i is a bit slice of x:
-    `_xor_rref` reduces those slices to R, and row t of R·B, which is in
-    RREF (see `subspace_from_coordinates`), is the XOR over the columns f of
-    `U.multiples[f][R[t][f]]`. Its base-q integers are the result's
-    `packed` rows and its pivots those of B at R's pivot columns.
+    whether the draw is accepted, and R·B is formed on packed rows from
+    `U.multiples` (see `subspace_from_coordinates`), so the result carries
+    `packed` and `pivots` and no `rows`. Over odd p the digits come by
+    divmod and go to `subspace_from_coordinates`. Over characteristic 2
+    each digit is an m-bit field of x, so coefficient row i is a bit slice
+    of x: `_xor_rref` reduces those slices to R, and row t of R·B is the
+    XOR over the columns f of `U.multiples[f][R[t][f]]`.
     """
     field, k = U.field, U.dim
-    size = dim * k
+    coeffs = MatrixFq._trusted(field, dim, k, _base_q_digits(U.space.digits, x, dim * k))
+    if rank(coeffs) != dim:
+        return None
     if field.p != 2:
-        q, digits = field.q, []
-        for _ in range(size):
-            x, digit = divmod(x, q)
-            digits.append(digit)
-        coeffs = MatrixFq._trusted(field, dim, k, tuple(digits))
-        if rank(coeffs) != dim:
-            return None
         return subspace_from_coordinates(U, map(coeffs.row, range(dim)))
     m = field.m
-    t, low, _ = _chunk_digits(m)
-    width = t * m
-    mask = (1 << width) - 1
-    digits = low[x & mask]
-    for s in range(width, size * m, width):
-        digits += low[(x >> s) & mask]
-    if rank(MatrixFq._trusted(field, dim, k, digits[:size])) != dim:
-        return None
     row_bits, w = k * m, field.q - 1
     mask = (1 << row_bits) - 1
     R, cols = _xor_rref(field, [(x >> (i * row_bits)) & mask for i in range(dim)])
@@ -597,49 +782,24 @@ def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
                 v ^= multiples[r & w]
             r >>= m
         packed.append(v)
-    return Subspace._from_packed(field, U.ambient, tuple(packed), [U.pivots[c] for c in cols])
+    return Subspace._from_packed(U.space, tuple(packed), tuple(U.pivots[c] for c in cols))
 
 
 def intersect_dim(U: Subspace, V: Subspace) -> int:
     return U.dim + V.dim - sum_dim(U, V)
 
 
-def _insert_rows(field: FiniteField, rows: list, pivots: list, vectors) -> int:
-    """Add `vectors` one at a time to the RREF `rows` with pivot columns
-    `pivots`, lists kept in RREF in place; returns how many were added. Each
-    vector is reduced and skipped if nothing is left, else scaled to a
-    leading 1, cleared from the earlier rows and inserted at its pivot's
-    place. Rows are replaced by tuples, never mutated."""
-    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
-    start = len(rows)
-    for v in vectors:
-        residual = _reduce_rows(field, rows, pivots, (v,))
-        if not residual:
-            continue
-        v = residual[0]
-        lead = next(c for c, x in enumerate(v) if x)
-        m = mul[inv[v[lead]]]
-        v = tuple([m[x] for x in v])
-        for i, u in enumerate(rows):
-            if u[lead]:
-                m = mul[u[lead]]
-                rows[i] = tuple([sub[x][m[y]] for x, y in zip(u, v)])
-        at = bisect.bisect(pivots, lead)
-        rows.insert(at, v)
-        pivots.insert(at, lead)
-    return len(rows) - start
-
-
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     """U + V in RREF, the rowspace of U's and V's bases stacked, without
-    reducing U again: V's rows are inserted into U's by `_insert_rows`."""
+    reducing U again: V's packed rows are inserted into U's by
+    `_Space.insert`."""
     check_same_ambient(U, V)
     if not U.dim:
         return V
-    rows, pivots = list(U.rows), list(U.pivots)
-    if not _insert_rows(U.field, rows, pivots, V.rows):
+    rows, pivots = list(U.packed), list(U.pivots)
+    if not U.space.insert(rows, pivots, V.packed):
         return U
-    return Subspace._reduced(U.field, U.ambient, rows, pivots)
+    return Subspace._from_packed(U.space, tuple(rows), tuple(pivots))
 
 
 def contains(U: Subspace, V: Subspace) -> bool:
@@ -652,17 +812,17 @@ def orthogonal_complement(U: Subspace) -> Subspace:
 
     A basis is read off U's RREF R: for each non-pivot column j, the vector
     with 1 at j and -R[i][j] at row i's pivot is orthogonal to every row of
-    R, and these n - dim U vectors are independent. One `rowspace` makes it
-    canonical.
+    R, and these n - dim U vectors are independent. The entries R[i][j] are
+    read off `packed`. One `rowspace` makes the basis canonical.
     """
-    neg = U.field.sub_table[0]
+    neg, entry = U.field.sub_table[0], U.space.entry
     free = [j for j in range(U.ambient) if j not in U.pivots]
     vectors = []
     for j in free:
         v = [0] * U.ambient
         v[j] = 1
-        for row, p in zip(U.rows, U.pivots):
-            v[p] = neg[row[j]]
+        for row, p in zip(U.packed, U.pivots):
+            v[p] = neg[entry(row, j)]
         vectors.append(v)
     if not vectors:
         return Subspace.zero(U.field, U.ambient)
@@ -670,45 +830,13 @@ def orthogonal_complement(U: Subspace) -> Subspace:
 
 
 def points(U: Subspace) -> list:
-    """The points of U, one per 1-dim subspace, as the base-q integers of
+    """The points of U, one per 1-dim subspace, as the packed integers of
     their vectors with leading entry 1: the form of `packed`, so a 1-dim
-    subspace P is the point `P.packed[0]`.
-
-    Over F_2 vectors add by XOR of their integers, so the points are the
-    nonzero XOR combinations of `packed`; with at most one row there is no
-    sum to form, so every field takes that path. Otherwise they are the
-    combinations of U's RREF rows whose first nonzero coefficient is 1 (that
-    row's pivot then carries the leading 1). Over any other field of
-    characteristic 2 base-q digits still add by XOR, so each row's q scalar
-    multiples are folded to integers once and the span is formed by XOR;
-    over odd q each combination is formed as a vector and folded to base q.
+    subspace P is the point `P.packed[0]`. They are the combinations of U's
+    packed RREF rows whose first nonzero coefficient is 1, formed by
+    `_Space.span` from each row's scalar multiples.
     """
-    q = U.field.q
-    if q == 2 or U.dim < 2:
-        span = [0]
-        for row in U.packed:
-            span += [x ^ row for x in span]
-        return span[1:]
-    if U.field.p == 2:
-        span = [0]  # the span of the rows below row i
-        out = []
-        for i in reversed(range(U.dim)):
-            row = U.packed[i]
-            out += [w ^ row for w in span]
-            if i:
-                span = [w ^ c for c in U.multiples[i] for w in span]
-        return out
-    mul, sub = U.field.mul_table, U.field.sub_table
-    neg = sub[0]
-    span = [(0,) * U.ambient]  # the span of the rows below row i
-    out = []
-    for i in reversed(range(U.dim)):
-        # w + c*row, computed as w - (-c*row) for every multiplier c.
-        negated = [[neg[m[x]] for x in U.rows[i]] for m in mul]
-        out.extend(_base_q([sub[a][b] for a, b in zip(w, negated[1])], q) for w in span)
-        if i:
-            span = [[sub[a][b] for a, b in zip(w, nc)] for nc in negated for w in span]
-    return out
+    return U.space.span(U.packed)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

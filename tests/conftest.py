@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from flagcodes import MatrixFq, Flag, SandwichParams, build_code, field_new, rowspace
@@ -57,9 +59,18 @@ def code_f4_21():
 
 
 def point_int(vector, q):
-    """A point's normalized vector as its base-q integer, first entry most
-    significant: the oracle for `linalg.points`, folded without it."""
-    return sum(x * q ** (len(vector) - 1 - c) for c, x in enumerate(vector))
+    """A point's normalized vector as the integer `linalg.points` lists, folded
+    without it: each entry's base-p digits d_0 .. d_{m-1} (q = p^m) sit in
+    slots of s bits, s = 1 for p = 2 and bit_length(p - 1) + 1 for odd p,
+    d_j at slot j of the entry, and the first entry is most significant."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    m = round(math.log(q, p))
+    s = 1 if p == 2 else (p - 1).bit_length() + 1
+    x = 0
+    for a in vector:
+        for j in reversed(range(m)):
+            x = x << s | (a // p**j) % p
+    return x
 
 
 def _unit(n, *positions):

@@ -172,6 +172,13 @@ def test_verify_respects_enumeration_cap(code_file, capsys):
     assert statuses["spread_maximal"] == "SKIPPED"
 
 
+def test_verify_rejects_a_negative_enumeration_cap(code_file, capsys):
+    exit_code = main(["verify", "--code", str(code_file), "--max-enumeration", "-1"])
+    captured = capsys.readouterr()
+    assert (exit_code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.startswith("error:") and "-1" in captured.err
+
+
 def test_verify_tampered_file_fails(code_file, tmp_path, capsys):
     doc = json.loads(code_file.read_text())
     lines = doc["generators"][0].splitlines()
@@ -288,6 +295,22 @@ def test_bounds_inapplicable_case(capsys):
 def test_bounds_large_exact(capsys):
     exit_code, out = run(capsys, "bounds", "--p", "2", "--n", "10", "--k", "4")
     assert json.loads(out)["lemma22"] == 65
+
+
+def test_bounds_refuses_an_n_past_the_digit_limit(capsys, monkeypatch):
+    # Refused before any bound is computed, so nothing of size q^n is built.
+    import flagcodes.cli as cli
+
+    def never(*args):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(cli, "aq_exact", never)
+    monkeypatch.setattr(cli, "partial_spread_bound", never)
+    for argv in (("--n", "100000", "--k", "3"), ("--n", "30000000", "--k", "29999999")):
+        assert main(["bounds", "--p", "2", *argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"n = {argv[1]}" in err and "q = 2" in err
+        assert "Traceback" not in err
 
 
 def test_bounds_on_code_file(code_file, capsys):

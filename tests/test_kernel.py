@@ -133,7 +133,7 @@ def test_characteristic_2_points_match_oracle(p, m, modulus):
         while U.dim != k:
             U = rowspace(_random_matrix(field, k, n, rng))
         want = set(oracle_points(field, [list(r) for r in U.rows]))
-        for S in (U, Subspace._from_packed(field, n, U.packed, U.pivots)):
+        for S in (U, Subspace._from_packed(U.space, U.packed, U.pivots)):
             found = points(S)
             assert len(found) == len(set(found)) == gaussian_binomial(k, 1, field.q)
             assert set(found) == want
@@ -149,7 +149,7 @@ def test_rows_from_packed_integers_are_the_rref_rows(p, m, modulus):
     for n in (1, 2, 3, 7, 8, 9, 16, 17):
         for k in range(min(n, 4) + 1):
             U = rowspace(_random_matrix(field, k, n, rng))
-            S = Subspace._from_packed(field, n, U.packed, U.pivots)
+            S = Subspace._from_packed(U.space, U.packed, U.pivots)
             assert (S, S.rows, S.pivots, S.dim) == (U, U.rows, U.pivots, U.dim)
             assert Subspace._check_rref(S.rows) == S.pivots
 

@@ -76,6 +76,13 @@ def test_max_distance_full():
     assert max_distance(8) == 32
 
 
+def test_max_distance_full_type_is_the_closed_form():
+    # The sum over the full type, for small n; a huge n takes no loop.
+    for n in range(40):
+        assert max_distance(n) == 2 * sum(min(t, n - t) for t in range(1, n))
+    assert max_distance(10**100) == 10**200 // 2
+
+
 def test_max_distance_general_type():
     # type (1, 3) on n = 4: 2 * (1 + 1)
     assert max_distance(4, (1, 3)) == 4

@@ -158,10 +158,9 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     `linalg.subspace_from_draw` owns that digit format: it runs the rank
     test, and for an accepted draw, whose coefficients are the coordinates
     of the target's basis in sub's RREF rows, reduces them once and combines
-    sub's rows by them, so the result is in RREF with no product formed and
-    no reduction of the ambient-width rows. Over characteristic 2 it works
-    on packed rows: the coefficient rows are bit slices of the draw, reduced
-    by XOR, and each result row is the XOR of `sub.multiples` entries.
+    sub's packed rows by them from `sub.multiples`, so the result is in RREF
+    with no product formed, no reduction of the ambient-width rows, and no
+    `rows` built.
     """
     if not (0 <= dim <= sub.dim):
         raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")

@@ -202,12 +202,11 @@ class _Digits:
     the element's own integer. `slot[a]` is the slot form of a, and
     `element` maps a slot form back (None elsewhere).
 
-    Integers of several slot-form entries are read t = max(1, 8 // e)
+    An integer of several slot-form entries is read t = max(1, 8 // e)
     entries, one chunk of t·e bits, at a time: `high[v]` is the t elements
-    of chunk v, high entry first, and `scaled(a)` is
-    the table from each chunk to the same entries times a, built on first
-    use of a. Digits in slots add by `_Space.add`, so a table gives the
-    product of a whole chunk by one lookup.
+    of chunk v, high entry first, and `scaled(a)`, built on first use of a,
+    maps each chunk to the same entries times a, so `scale` multiplies a
+    whole chunk by one lookup. `base_digits` serves `_base_q_digits`.
     """
 
     __slots__ = (
@@ -290,10 +289,12 @@ class _Space:
     (n - 1 - c)·e. Over characteristic 2 this is the vector's base-q
     integer. One object per field and n, from `_space`.
 
-    This is the one kernel of row operations; the subclasses differ only in
-    how two rows add. Scalar multiples come from the `_Digits` chunk tables,
-    except that 1 and p - 1 = -1 need none, and a row's q multiples are
-    formed by additions from its multiples by the powers of x.
+    This is the one kernel of row operations on packed rows; its two
+    subclasses differ in how rows add, and each writes out the hot loops,
+    `reduce` and `span`, with its addition inline. A one-off scalar
+    multiple comes from the `_Digits` chunk tables, except that 1 and
+    p - 1 = -1 need none, and a row's q multiples are sums of its multiples
+    by the powers of x.
     """
 
     def __init__(self, field: FiniteField, n: int):
@@ -688,7 +689,8 @@ def check_same_ambient(U: Subspace, V: Subspace):
 def sum_dim(U: Subspace, V: Subspace) -> int:
     """dim(U + V): dim U plus the rank of V's packed rows reduced against
     U's pivots by `U.multiples`. U is already in RREF, so it is not reduced
-    again, and V ⊆ U leaves no residual to rank."""
+    again, and V ⊆ U leaves no residual to rank. Every step is an integer
+    operation on digit-slot rows (see `_Space`); neither `rows` is built."""
     check_same_ambient(U, V)
     space = U.space
     return U.dim + space.rank(space.reduce(V.packed, U.pivots, U.multiples))
@@ -831,10 +833,12 @@ def orthogonal_complement(U: Subspace) -> Subspace:
 
 def points(U: Subspace) -> list:
     """The points of U, one per 1-dim subspace, as the packed integers of
-    their vectors with leading entry 1: the form of `packed`, so a 1-dim
-    subspace P is the point `P.packed[0]`. They are the combinations of U's
-    packed RREF rows whose first nonzero coefficient is 1, formed by
-    `_Space.span` from each row's scalar multiples.
+    their vectors with leading entry 1: the digit-slot form of `packed`
+    (1 bit a digit over characteristic 2, where it is the base-q integer,
+    bit_length(p - 1) + 1 bits over odd p), so a 1-dim subspace P is the
+    point `P.packed[0]`. They are the combinations of U's packed RREF rows
+    whose first nonzero coefficient is 1, formed by `_Space.span` from each
+    row's scalar multiples; U's `rows` are neither read nor built.
     """
     return U.space.span(U.packed)
 

@@ -357,22 +357,6 @@ class _Space:
             out = [add(w, c) for c in self._copies(self.digits.scale(x, p**j)) for w in out]
         return tuple(out)
 
-    def rank(self, rows) -> int:
-        """Rank of nonzero packed rows, by forward elimination keyed on the
-        leading column, each new pivot row scaled to a leading 1."""
-        if len(rows) < 2:
-            return len(rows)
-        found = {}
-        for v in rows:
-            while v:
-                c, a = self.lead(v)
-                u = found.get(c)
-                if u is None:
-                    found[c] = self.scale(v, self.inv[a])
-                    break
-                v = self.sub(v, self.scale(u, a))
-        return len(found)
-
     def insert(self, rows: list, pivots: list, vectors) -> int:
         """Add packed `vectors` one at a time to the packed RREF `rows` with
         pivot columns `pivots`, lists kept in RREF in place; returns how
@@ -423,6 +407,24 @@ class _XorSpace(_Space):
             if v:
                 out.append(v)
         return out
+
+    def rank(self, rows) -> int:
+        """Rank of packed rows by forward elimination on their leading
+        entry, as M4RI eliminates packed words: a row is XORed with the
+        pivot row of its leading entry until it is zero or leads a new one,
+        kept scaled to a leading 1 (over F_2 every entry is 1)."""
+        e, emask, inv, scale = self.e, self.emask, self.inv, self.digits.scale
+        found = {}
+        for v in rows:
+            while v:
+                k = (v.bit_length() - 1) // e
+                a = (v >> (k * e)) & emask
+                u = found.get(k)
+                if u is None:
+                    found[k] = v if a == 1 else scale(v, inv[a])
+                    break
+                v ^= u if a == 1 else scale(u, a)
+        return len(found)
 
     def span(self, rows) -> list:
         """The points of the span of packed RREF rows: each combination
@@ -476,6 +478,23 @@ class _SlotSpace(_Space):
             if v:
                 out.append(v)
         return out
+
+    def rank(self, rows) -> int:
+        """As `_XorSpace.rank`, subtracting slot by slot."""
+        e, emask, element, inv = self.e, self.emask, self.element, self.inv
+        p, v_, ones, carry, pones = self.p, self.v, self.ones, self.carry, self.pones
+        found = {}
+        for v in rows:
+            while v:
+                k = (v.bit_length() - 1) // e
+                a = element[(v >> (k * e)) & emask]
+                u = found.get(k)
+                if u is None:
+                    found[k] = self.scale(v, inv[a])
+                    break
+                x = v + pones - self.scale(u, a)
+                v = x - p * (((x + carry) >> v_) & ones)
+        return len(found)
 
     def span(self, rows) -> list:
         """As `_XorSpace.span`, adding slot by slot."""

@@ -19,11 +19,11 @@ from .linalg import (
     LinAlgError,
     MatrixFq,
     Subspace,
-    _space,
     contains,
     dump_matrix,
     parse_matrix,
     points,
+    prefix_rowspaces,
     rank,
 )
 
@@ -322,17 +322,14 @@ class Flag:
 
 def flag_from_generator(S: MatrixFq) -> Flag:
     """Flag of the row spaces of the leading j-row slices of a square
-    generator, in one pass: rows 1 .. n-1 are packed and inserted by
-    `_Space.insert`, and each level is the packed RREF so far. A row that
-    adds no pivot raises; row n is never inserted, so only `verify`'s rank
-    check sees it."""
-    n = S.cols
-    space = _space(S.field, n)
-    rows, pivots, levels = [], [], []
-    for j in range(n - 1):
-        if not space.insert(rows, pivots, (space.fold(S.row(j)),)):
-            raise ConstructionError(f"generator rows 1..{j + 1} have rank {j}, want {j + 1}")
-        levels.append(Subspace._from_packed(space, tuple(rows), tuple(pivots)))
+    generator, from one elimination pass (`linalg.prefix_rowspaces`). A row
+    that adds no pivot raises; row n is never inserted, so only `verify`'s
+    rank check sees it."""
+    levels = []
+    for j, level in enumerate(prefix_rowspaces(S, S.cols - 1), start=1):
+        if level.dim != j:
+            raise ConstructionError(f"generator rows 1..{j} have rank {j - 1}, want {j}")
+        levels.append(level)
     return Flag._nested(tuple(levels))
 
 

@@ -31,6 +31,7 @@ from .linalg import (
     contains,
     dump_matrix,
     parse_matrix,
+    points,
     rowspace,
     subspace_from_draw,
     subspace_sum,
@@ -204,10 +205,10 @@ def accumulate(received: ReceivedSequence, k1: int):
 
 
 def _covering(table: dict, sub: Subspace, rows: slice) -> int:
-    """Bitmask of the codewords covering a point of the span of the packed
-    RREF rows sub.packed[rows]."""
+    """Bitmask of the codewords covering a point of the span of sub's RREF
+    rows `rows`."""
     mask = 0
-    for x in sub.space.span(sub.packed[rows]):
+    for x in points(sub, rows):
         mask |= table.get(x, 0)
     return mask
 

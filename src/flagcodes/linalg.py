@@ -850,7 +850,7 @@ def orthogonal_complement(U: Subspace) -> Subspace:
     return rowspace(MatrixFq.from_rows(U.field, vectors))
 
 
-def points(U: Subspace) -> list:
+def points(U: Subspace, rows: slice = slice(None)) -> list:
     """The points of U, one per 1-dim subspace, as the packed integers of
     their vectors with leading entry 1: the digit-slot form of `packed`
     (1 bit a digit over characteristic 2, where it is the base-q integer,
@@ -858,8 +858,23 @@ def points(U: Subspace) -> list:
     point `P.packed[0]`. They are the combinations of U's packed RREF rows
     whose first nonzero coefficient is 1, formed by `_Space.span` from each
     row's scalar multiples; U's `rows` are neither read nor built.
+
+    With `rows`, a slice of U's RREF rows, they are the points of the span
+    of those rows alone, which are in RREF too.
     """
-    return U.space.span(U.packed)
+    return U.space.span(U.packed[rows])
+
+
+def prefix_rowspaces(A: MatrixFq, count: int):
+    """rowspace(A.first_rows(j)) for j = 1 .. count, one at a time, from
+    one elimination pass: row j is packed and inserted by `_Space.insert`
+    into the packed RREF of the rows before it. A row in the span of the
+    rows before it adds nothing, so its prefix has dimension below j."""
+    space = _space(A.field, A.cols)
+    rows, pivots = [], []
+    for j in range(count):
+        space.insert(rows, pivots, (space.fold(A.row(j)),))
+        yield Subspace._from_packed(space, tuple(rows), tuple(pivots))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -739,14 +739,15 @@ def subspace_from_coordinates(U: Subspace, coeffs) -> Subspace:
     return Subspace._from_packed(space, tuple(packed), tuple(U.pivots[c] for c in pivots))
 
 
-def _xor_rref(field: FiniteField, rows: list):
+def _xor_rref(digits: _Digits, rows: list):
     """RREF of independent rows of base-2^m digits, entry c the m-bit field
     at bit c·m (low digit first), by XOR: each row is reduced at its lowest
     nonzero digit against the pivot rows found so far, then scaled to a
     leading 1 and kept; then each pivot column is cleared from the rows of
     smaller pivot. Returns the reduced rows and their pivot columns, both
     ascending by pivot. Over F_2 every digit is 1, so nothing is scaled."""
-    m, w, inv, scale = field.m, field.q - 1, field.inv_table, _digits(field).scale
+    field, scale = digits.field, digits.scale
+    m, w, inv = field.m, field.q - 1, field.inv_table
     found = {}
     for v in rows:
         while True:
@@ -777,14 +778,15 @@ def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
     of the target's basis in U's RREF rows B. `rank` of that matrix decides
     whether the draw is accepted, and R·B is formed on packed rows from
     `U.multiples` (see `subspace_from_coordinates`), so the result carries
-    `packed` and `pivots` and no `rows`. Over odd p the digits come by
-    divmod and go to `subspace_from_coordinates`. Over characteristic 2
-    each digit is an m-bit field of x, so coefficient row i is a bit slice
-    of x: `_xor_rref` reduces those slices to R, and row t of R·B is the
-    XOR over the columns f of `U.multiples[f][R[t][f]]`.
+    `packed` and `pivots` and no `rows`. The digits are read several a
+    `divmod` (`_base_q_digits`). Over odd p the coefficient rows go to
+    `subspace_from_coordinates`. Over characteristic 2 each digit is an
+    m-bit field of x, so coefficient row i is a bit slice of x: `_xor_rref`
+    reduces those slices to R, and row t of R·B is the XOR over the columns
+    f of `U.multiples[f][R[t][f]]`.
     """
-    field, k = U.field, U.dim
-    coeffs = MatrixFq._trusted(field, dim, k, _base_q_digits(U.space.digits, x, dim * k))
+    field, k, digits = U.field, U.dim, U.space.digits
+    coeffs = MatrixFq._trusted(field, dim, k, _base_q_digits(digits, x, dim * k))
     if rank(coeffs) != dim:
         return None
     if field.p != 2:
@@ -792,7 +794,7 @@ def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
     m = field.m
     row_bits, w = k * m, field.q - 1
     mask = (1 << row_bits) - 1
-    R, cols = _xor_rref(field, [(x >> (i * row_bits)) & mask for i in range(dim)])
+    R, cols = _xor_rref(digits, [(x >> (i * row_bits)) & mask for i in range(dim)])
     packed = []
     for r in R:
         v = 0

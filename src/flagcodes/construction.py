@@ -326,7 +326,7 @@ def flag_from_generator(S: MatrixFq) -> Flag:
     that adds no pivot raises; row n is never inserted, so only `verify`'s
     rank check sees it."""
     levels = []
-    for j, level in enumerate(prefix_rowspaces(S, S.cols - 1), start=1):
+    for j, level in enumerate(prefix_rowspaces(S.first_rows(S.cols - 1)), start=1):
         if level.dim != j:
             raise ConstructionError(f"generator rows 1..{j} have rank {j - 1}, want {j}")
         levels.append(level)

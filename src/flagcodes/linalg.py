@@ -442,39 +442,39 @@ class _XorSpace(_Space):
 
 class _SlotSpace(_Space):
     """Odd p: bit_length(p - 1) + 1 bits a digit. Rows add slot by slot as
-    x = a + b, then x - p·(((x + K) >> v) & ONES), v = bit_length(p - 1),
-    ONES the lowest bit of every slot and K = (2^v - p)·ONES: a slot holds
-    at most 2p - 2 < 2^(v+1), and carries into its bit v iff it is >= p
-    (Warren, Hacker's Delight, ch. 2). a - b is a + p·ONES - b, reduced
-    the same way."""
+    x = a + b, then x - p·(((x + K) >> v) & ONES), v = bit_length(p - 1)
+    the guard bit, ONES the lowest bit of every slot and K = (2^v - p)·ONES:
+    a slot holds at most 2p - 1 < 2^(v+1), and carries into its guard bit
+    iff it is >= p (Warren, Hacker's Delight, ch. 2). a - b is
+    a + p·ONES - b, reduced the same way."""
 
     def __init__(self, field: FiniteField, n: int):
         super().__init__(field, n)
         s = self.digits.s
-        self.v = s - 1
+        self.guard = s - 1
         self.ones = sum(1 << (i * s) for i in range(n * self.m))
-        self.carry = ((1 << self.v) - self.p) * self.ones
+        self.carry = ((1 << self.guard) - self.p) * self.ones
         self.pones = self.p * self.ones
 
     def add(self, a: int, b: int) -> int:
         x = a + b
-        return x - self.p * (((x + self.carry) >> self.v) & self.ones)
+        return x - self.p * (((x + self.carry) >> self.guard) & self.ones)
 
     def sub(self, a: int, b: int) -> int:
         x = a + self.pones - b
-        return x - self.p * (((x + self.carry) >> self.v) & self.ones)
+        return x - self.p * (((x + self.carry) >> self.guard) & self.ones)
 
     def reduce(self, vectors, pivots, multiples) -> list:
         """As `_XorSpace.reduce`, subtracting slot by slot."""
         top, e, emask, element = self.top, self.e, self.emask, self.element
-        p, v_, ones, carry, pones = self.p, self.v, self.ones, self.carry, self.pones
+        p, guard, ones, carry, pones = self.p, self.guard, self.ones, self.carry, self.pones
         out = []
         for v in vectors:
             for mult, piv in zip(multiples, pivots):
                 c = (v >> (top - piv * e)) & emask
                 if c:
                     x = v + pones - mult[element[c]]
-                    v = x - p * (((x + carry) >> v_) & ones)
+                    v = x - p * (((x + carry) >> guard) & ones)
             if v:
                 out.append(v)
         return out
@@ -482,7 +482,7 @@ class _SlotSpace(_Space):
     def rank(self, rows) -> int:
         """As `_XorSpace.rank`, subtracting slot by slot."""
         e, emask, element, inv = self.e, self.emask, self.element, self.inv
-        p, v_, ones, carry, pones = self.p, self.v, self.ones, self.carry, self.pones
+        p, guard, ones, carry, pones = self.p, self.guard, self.ones, self.carry, self.pones
         found = {}
         for v in rows:
             while v:
@@ -493,20 +493,20 @@ class _SlotSpace(_Space):
                     found[k] = self.scale(v, inv[a])
                     break
                 x = v + pones - self.scale(u, a)
-                v = x - p * (((x + carry) >> v_) & ones)
+                v = x - p * (((x + carry) >> guard) & ones)
         return len(found)
 
     def span(self, rows) -> list:
         """As `_XorSpace.span`, adding slot by slot."""
-        p, v, ones, carry = self.p, self.v, self.ones, self.carry
+        p, guard, ones, carry = self.p, self.guard, self.ones, self.carry
         span = [0]  # the span of the rows below row i
         out = []
         for i in reversed(range(len(rows))):
             row = rows[i]
-            out += [(x := w + row) - p * (((x + carry) >> v) & ones) for w in span]
+            out += [(x := w + row) - p * (((x + carry) >> guard) & ones) for w in span]
             if i:
                 span = [
-                    (x := w + c) - p * (((x + carry) >> v) & ones)
+                    (x := w + c) - p * (((x + carry) >> guard) & ones)
                     for c in self.multiples(row)
                     for w in span
                 ]
@@ -867,14 +867,14 @@ def points(U: Subspace, rows: slice = slice(None)) -> list:
     return U.space.span(U.packed[rows])
 
 
-def prefix_rowspaces(A: MatrixFq, count: int):
-    """rowspace(A.first_rows(j)) for j = 1 .. count, one at a time, from
+def prefix_rowspaces(A: MatrixFq):
+    """rowspace(A.first_rows(j)) for j = 1 .. A.rows, one at a time, from
     one elimination pass: row j is packed and inserted by `_Space.insert`
     into the packed RREF of the rows before it. A row in the span of the
     rows before it adds nothing, so its prefix has dimension below j."""
     space = _space(A.field, A.cols)
     rows, pivots = [], []
-    for j in range(count):
+    for j in range(A.rows):
         space.insert(rows, pivots, (space.fold(A.row(j)),))
         yield Subspace._from_packed(space, tuple(rows), tuple(pivots))
 

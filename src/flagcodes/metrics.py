@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -73,7 +75,11 @@ def max_distance(n: int, type_vector=None) -> int:
 @dataclass(frozen=True)
 class ProjectedCode:
     """The distinct i-th subspaces of a flag code and the pairs of them that
-    lie below the level maximum 2 min(i, n - i); every other pair is at it."""
+    lie below the level maximum 2 min(i, n - i); every other pair is at it.
+
+    `projected_code` finds those pairs among the members that share a point
+    of their `distance_points`, or makes one `subspace_distance` per pair
+    where that is cheaper."""
 
     index: int
     subspaces: tuple
@@ -101,8 +107,14 @@ class ProjectedCode:
 
 
 def projected_code(code, i: int) -> ProjectedCode:
-    """Projected code of level i: one subspace_distance per pair of distinct
-    subspaces, of which only those below the maximum are kept."""
+    """Projected code of level i: its distinct i-th subspaces, in order of
+    first appearance, and the pairs of them below the level maximum.
+
+    The pairs are read off the points the members share (see
+    `_below_by_incidence`) unless that costs more than one
+    `subspace_distance` per pair, which is then made instead. Members of
+    different `_Space`s raise LinAlgError, as `check_same_ambient` does.
+    """
     flags = _flags_of(code)
     n = flags[0].ambient
     if not (1 <= i <= n - 1):
@@ -110,13 +122,49 @@ def projected_code(code, i: int) -> ProjectedCode:
     position = {}
     of_flag = tuple(position.setdefault(f[i], len(position)) for f in flags)
     subs = tuple(position)
+    for U in subs:
+        check_same_ambient(subs[0], U)
     maximum = 2 * min(i, n - i)
-    below = {}
-    for a, b in itertools.combinations(range(len(subs)), 2):
-        d = subspace_distance(subs[a], subs[b])
-        if d < maximum:
-            below[a, b] = d
+    points = [U.distance_points for U in subs]
+    below = _below_by_incidence(points, subs[0].field.q, maximum // 2)
+    if below is None:
+        below = {}
+        for a, b in itertools.combinations(range(len(subs)), 2):
+            d = subspace_distance(subs[a], subs[b])
+            if d < maximum:
+                below[a, b] = d
     return ProjectedCode(i, subs, MappingProxyType(below), of_flag, maximum)
+
+
+def _below_by_incidence(point_sets, q: int, m: int):
+    """`below` of the N distinct m-spaces with these point sets, read off
+    the points they share; None where one `subspace_distance` per pair is
+    no dearer.
+
+    Two members sharing c = [j,1]_q > 0 points meet in a j-space and lie
+    2 (m - j) apart; members sharing none are at the maximum 2m and are
+    never visited. Each point is indexed by the members holding it, and
+    shared points are counted only within each point's list. None when the
+    point entries sum_a |P_a| reach the C(N, 2) pairs, or when the pairs
+    within the lists, sum_p C(m_p, 2) with m_p members holding point p,
+    exceed them; both counts are known before the work they choose.
+    """
+    pairs = math.comb(len(point_sets), 2)
+    if sum(map(len, point_sets)) >= pairs:
+        return None
+    holding = Counter(itertools.chain.from_iterable(point_sets))
+    if sum(map(math.comb, holding.values(), itertools.repeat(2))) > pairs:
+        return None
+    shared = {x for x, count in holding.items() if count > 1}
+    holders = {x: [] for x in shared}
+    for a, P in enumerate(point_sets):
+        for x in P & shared:
+            holders[x].append(a)
+    common = Counter(
+        pair for group in holders.values() for pair in itertools.combinations(group, 2)
+    )
+    dims = _dims_by_point_count(q, m)
+    return {pair: 2 * (m - dims[c]) for pair, c in common.items()}
 
 
 def projected_min_distance(pc: ProjectedCode) -> int:

@@ -129,6 +129,26 @@ def test_report_example_fixture(tmp_path, capsys):
     assert doc["projected_cardinalities"] == [2, 3, 3, 3, 3, 2]
 
 
+def test_report_refuses_a_fixture_over_two_fields(tmp_path, capsys, code_221, code_321):
+    # Without a field key each matrix's q names its field: F_2 and F_3 here.
+    from flagcodes.linalg import dump_matrix
+
+    fixture = {
+        "ambient": 5,
+        "flags": [
+            [dump_matrix(sub.basis) for sub in flag.subspaces]
+            for flag in code_221.flags + code_321.flags
+        ],
+    }
+    path = tmp_path / "two-fields.json"
+    path.write_text(json.dumps(fixture))
+    assert main(["report", "--code", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "subspaces live in different ambient spaces" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_report_fixture_over_non_default_modulus(tmp_path, capsys):
     # Six flags over F_8 built from x^3 + x + 1, not the default x^3 + x^2 + 1
     from flagcodes import classify, code_from_json

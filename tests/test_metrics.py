@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -251,9 +253,27 @@ def _generated_flags(name):
     return shared_level_flags(field_new(p, m), n, 16, levels, rng)
 
 
+def _shared_v2_flags():
+    """The 31 flags of F_2^7 with V_1 = <e1> and V_2 = <e1, e2> whose V_3 is
+    V_2 + <v> for each nonzero v of <e3, ..., e7>: all 31 level-3 members
+    hold the 3 points of V_2, so the pairs within the points' holder lists
+    outnumber the members' pairs."""
+    field = field_new(2)
+    e = [[int(j == i) for j in range(7)] for i in range(7)]
+    flags = []
+    for x in range(1, 32):
+        v = [0, 0] + [x >> (4 - j) & 1 for j in range(5)]
+        lead = v.index(1)
+        rows = [e[0], e[1], v] + [e[j] for j in range(2, 7) if j != lead]
+        flags.append(flag_from_generator(MatrixFq.from_rows(field, rows)))
+    return flags
+
+
 def _case_flags(case):
     if case == "example":
         return three_flags_f2_7()
+    if case == "shared-V2":
+        return _shared_v2_flags()
     if case == "shared-levels":
         return _shared_level_flags()
     if case == "second-holder":
@@ -264,26 +284,77 @@ def _case_flags(case):
     return build_code(SandwichParams(field_new(q), k1, r)).flags
 
 
+def _oracle_projected(flags, i):
+    """(below, of_flag, maximum) of level i, by one subspace_distance per
+    pair of distinct i-th subspaces."""
+    distinct = list(dict.fromkeys(f[i] for f in flags))
+    n = flags[0].ambient
+    maximum = 2 * min(i, n - i)
+    below = {}
+    for (a, U), (b, V) in itertools.combinations(enumerate(distinct), 2):
+        d = subspace_distance(U, V)
+        if d < maximum:
+            below[a, b] = d
+    return below, tuple(distinct.index(f[i]) for f in flags), maximum
+
+
+def _path(flags, i):
+    """The path projected_code should take at level i: "entries" or
+    "incidence" when the point entries, or the pairs within the points'
+    holder lists, reach the members' pairs, else "index"."""
+    sets = [U.distance_points for U in dict.fromkeys(f[i] for f in flags)]
+    pairs = math.comb(len(sets), 2)
+    if sum(map(len, sets)) >= pairs:
+        return "entries"
+    holding = Counter(x for P in sets for x in P)
+    if sum(math.comb(c, 2) for c in holding.values()) > pairs:
+        return "incidence"
+    return "index"
+
+
+def _count_distance_calls(monkeypatch):
+    calls = []
+    real = flagcodes.metrics.subspace_distance
+
+    def counting(U, V):
+        calls.append(1)
+        return real(U, V)
+
+    monkeypatch.setattr(flagcodes.metrics, "subspace_distance", counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "case",
     [
+        (2, 2, 0),
         (2, 2, 1),
         (2, 3, 2),
         (3, 2, 1),
         "example",
         "shared-levels",
         "second-holder",
+        "shared-V2",
         *GENERATED,
     ],
     ids=str,
 )
-def test_pairwise_sweep_matches_the_oracles(case):
+def test_pairwise_sweep_matches_the_oracles(case, monkeypatch):
     flags = _case_flags(case)
+    n = flags[0].ambient
+    calls = _count_distance_calls(monkeypatch)
     sweep = pairwise_sweep(flags)
+    # Each fallback level makes one subspace_distance per pair, the index none.
+    assert len(calls) == sum(
+        math.comb(len(pc), 2) for pc in sweep.projected if _path(flags, pc.index) != "index"
+    )
+    monkeypatch.undo()
     pairs = list(itertools.combinations(range(len(flags)), 2))
     assert sweep.d_f == min(flag_distance(flags[a], flags[b]) for a, b in pairs)
-    n = flags[0].ambient
     for i in range(1, n):
+        swept = sweep.projected[i - 1]
+        assert swept.index == i
+        assert (dict(swept.below), swept.of_flag, swept.maximum) == _oracle_projected(flags, i)
         distinct = list(dict.fromkeys(f[i] for f in flags))
         brute = min(
             (subspace_distance(U, V) for U, V in itertools.combinations(distinct, 2)),
@@ -291,7 +362,6 @@ def test_pairwise_sweep_matches_the_oracles(case):
         )
         pc = projected_code(flags, i)
         assert sweep.projected_distances[i - 1] == projected_min_distance(pc) == brute
-        swept = sweep.projected[i - 1]
         assert len(swept) == len(pc) == len(distinct)
         for a, b in pairs:
             d = swept.distance(swept.of_flag[a], swept.of_flag[b])
@@ -302,6 +372,22 @@ def test_pairwise_sweep_matches_the_oracles(case):
             None,
         )
         assert swept.meeting_pair() == meeting
+
+
+@pytest.mark.parametrize(
+    "case, level, path",
+    [((2, 2, 0), 2, "entries"), ("shared-V2", 3, "incidence"), ((2, 3, 2), 4, "index")],
+    ids=str,
+)
+def test_each_path_of_projected_code_runs(case, level, path, monkeypatch):
+    # Both fallbacks make one subspace_distance per pair and the index
+    # makes none. Level 2 of (2,2,0) is a spread, so no pair is below it.
+    flags = _case_flags(case)
+    assert _path(flags, level) == path
+    calls = _count_distance_calls(monkeypatch)
+    pc = projected_code(flags, level)
+    assert len(calls) == (0 if path == "index" else math.comb(len(pc), 2))
+    assert bool(pc.below) == (case != (2, 2, 0))
 
 
 @pytest.mark.parametrize("name", GENERATED)
@@ -331,21 +417,30 @@ def test_min_flag_distance_rejects_mixed_ambients(example_flags, code_221):
         min_flag_distance([example_flags[0], code_221.flags[0]])
 
 
+def test_min_flag_distance_rejects_mixed_fields(code_221, code_321):
+    # Point integers of F_2^5 and F_3^5 may coincide, so on the index path
+    # only the one-space check keeps them apart.
+    flags = code_221.flags + code_321.flags
+    assert all(_path(flags, i) == "index" for i in range(1, 5))
+    with pytest.raises(LinAlgError, match="different ambient spaces"):
+        min_flag_distance(flags)
+
+
 def test_report_and_verify_share_one_sweep(monkeypatch):
     calls = []
-    real = flagcodes.metrics.subspace_distance
+    real = flagcodes.metrics.projected_code
 
-    def counting(U, V):
-        calls.append(1)
-        return real(U, V)
+    def counting(code, i):
+        calls.append(i)
+        return real(code, i)
 
     code = build_code(SandwichParams(field_new(2), 2, 1))
-    monkeypatch.setattr(flagcodes.metrics, "subspace_distance", counting)
+    monkeypatch.setattr(flagcodes.metrics, "projected_code", counting)
     classify(code)
-    # one subspace_distance per pair of the 9 flags at each of the 4 levels
-    assert len(calls) == 4 * 36
+    # one projected code at each of the n - 1 = 4 levels
+    assert calls == [1, 2, 3, 4]
     checks = [check_spread_disjoint, check_distance_profile, check_distance_sum_identity]
     assert all(check(code).status == PASS for check in checks)
     assert all(r.status == PASS for r in verify_code(code))
     assert min_flag_distance(code) == 12
-    assert len(calls) == 4 * 36
+    assert calls == [1, 2, 3, 4]

@@ -25,7 +25,7 @@ def oracle_spread_maximal(code):
     p = code.params
     members = {flag[p.k1] for flag in code.flags}
     for cand in enumerate_subspaces(p.field, p.n, p.k1):
-        if cand not in members and all(intersect_dim(cand, m) == 0 for m in members):
+        if cand not in members and all(intersect_dim(m, cand) == 0 for m in members):
             return FAIL
     return PASS
 
@@ -42,9 +42,26 @@ def _with_duplicate_codeword(code):
     )
 
 
-@pytest.mark.parametrize("q, k1, r", [(2, 2, 1), (2, 3, 1), (3, 2, 0), (3, 2, 1), (2, 3, 2)])
-def test_hole_set_maximality_matches_the_oracle(q, k1, r):
-    code = build_code(SandwichParams(field_new(q), k1, r))
+# (p, m, k1, r) over F_{p^m}, named q-k1-r.
+HOLE_SET_CODES = [
+    (2, 1, 2, 1),
+    (2, 1, 3, 1),
+    (3, 1, 2, 0),
+    (3, 1, 2, 1),
+    (2, 1, 3, 2),
+    (2, 2, 2, 0),
+    (5, 1, 2, 0),
+    (7, 1, 2, 0),
+    (2, 3, 2, 0),
+    (3, 2, 2, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "p, m, k1, r", HOLE_SET_CODES, ids=[f"{p**m}-{k1}-{r}" for p, m, k1, r in HOLE_SET_CODES]
+)
+def test_hole_set_maximality_matches_the_oracle(p, m, k1, r):
+    code = build_code(SandwichParams(field_new(p, m), k1, r))
     assert check_spread_maximal(code).status == oracle_spread_maximal(code) == PASS
     for broken in (_without_last_flag(code), _with_duplicate_codeword(code)):
         result = check_spread_maximal(broken)

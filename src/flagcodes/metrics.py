@@ -78,8 +78,8 @@ class ProjectedCode:
     lie below the level maximum 2 min(i, n - i); every other pair is at it.
 
     `projected_code` finds those pairs among the members that share a point
-    of their `distance_points`, or makes one `subspace_distance` per pair
-    where that is cheaper."""
+    of their `distance_points`, or, on a level with no more pairs than point
+    entries, makes one `subspace_distance` per pair."""
 
     index: int
     subspaces: tuple
@@ -111,9 +111,13 @@ def projected_code(code, i: int) -> ProjectedCode:
     first appearance, and the pairs of them below the level maximum.
 
     The pairs are read off the points the members share (see
-    `_below_by_incidence`) unless that costs more than one
-    `subspace_distance` per pair, which is then made instead. Members of
-    different `_Space`s raise LinAlgError, as `check_same_ambient` does.
+    `_below_by_incidence`). A level whose point entries sum_a |P_a| reach
+    its C(N, 2) member pairs, such as level 2 of the (2,2,0) code, makes one
+    `subspace_distance` per pair instead. That rule is not a cost threshold
+    (the index is the faster path on all but the smallest levels); it keeps
+    `subspace_distance`, whose calls perfbench's tracer counts, on the path
+    of small codes. Members of different `_Space`s raise LinAlgError, as
+    `check_same_ambient` does.
     """
     flags = _flags_of(code)
     n = flags[0].ambient
@@ -126,8 +130,9 @@ def projected_code(code, i: int) -> ProjectedCode:
         check_same_ambient(subs[0], U)
     maximum = 2 * min(i, n - i)
     points = [U.distance_points for U in subs]
-    below = _below_by_incidence(points, subs[0].field.q, maximum // 2)
-    if below is None:
+    if sum(map(len, points)) < math.comb(len(subs), 2):
+        below = _below_by_incidence(points, subs[0].field.q, maximum // 2)
+    else:
         below = {}
         for a, b in itertools.combinations(range(len(subs)), 2):
             d = subspace_distance(subs[a], subs[b])
@@ -136,25 +141,18 @@ def projected_code(code, i: int) -> ProjectedCode:
     return ProjectedCode(i, subs, MappingProxyType(below), of_flag, maximum)
 
 
-def _below_by_incidence(point_sets, q: int, m: int):
-    """`below` of the N distinct m-spaces with these point sets, read off
-    the points they share; None where one `subspace_distance` per pair is
-    no dearer.
+def _below_by_incidence(point_sets, q: int, m: int) -> dict:
+    """`below` of the distinct m-spaces with these point sets, read off the
+    points they share.
 
     Two members sharing c = [j,1]_q > 0 points meet in a j-space and lie
     2 (m - j) apart; members sharing none are at the maximum 2m and are
     never visited. Each point is indexed by the members holding it, and
-    shared points are counted only within each point's list. None when the
-    point entries sum_a |P_a| reach the C(N, 2) pairs, or when the pairs
-    within the lists, sum_p C(m_p, 2) with m_p members holding point p,
-    exceed them; both counts are known before the work they choose.
+    shared points are counted only within each point's list, sum_p C(m_p, 2)
+    steps with m_p members holding point p: the sum over pairs of the
+    points they share, no more than the pair loop's set work on them.
     """
-    pairs = math.comb(len(point_sets), 2)
-    if sum(map(len, point_sets)) >= pairs:
-        return None
     holding = Counter(itertools.chain.from_iterable(point_sets))
-    if sum(map(math.comb, holding.values(), itertools.repeat(2))) > pairs:
-        return None
     shared = {x for x, count in holding.items() if count > 1}
     holders = {x: [] for x in shared}
     for a, P in enumerate(point_sets):

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -257,7 +256,7 @@ def _shared_v2_flags():
     """The 31 flags of F_2^7 with V_1 = <e1> and V_2 = <e1, e2> whose V_3 is
     V_2 + <v> for each nonzero v of <e3, ..., e7>: all 31 level-3 members
     hold the 3 points of V_2, so the pairs within the points' holder lists
-    outnumber the members' pairs."""
+    (3 C(31, 2)) outnumber the members' pairs."""
     field = field_new(2)
     e = [[int(j == i) for j in range(7)] for i in range(7)]
     flags = []
@@ -299,17 +298,15 @@ def _oracle_projected(flags, i):
 
 
 def _path(flags, i):
-    """The path projected_code should take at level i: "entries" or
-    "incidence" when the point entries, or the pairs within the points'
-    holder lists, reach the members' pairs, else "index"."""
+    """The path projected_code should take at level i: "pairs" when the
+    point entries reach the members' pairs, else "index"."""
     sets = [U.distance_points for U in dict.fromkeys(f[i] for f in flags)]
-    pairs = math.comb(len(sets), 2)
-    if sum(map(len, sets)) >= pairs:
-        return "entries"
-    holding = Counter(x for P in sets for x in P)
-    if sum(math.comb(c, 2) for c in holding.values()) > pairs:
-        return "incidence"
-    return "index"
+    return "pairs" if sum(map(len, sets)) >= math.comb(len(sets), 2) else "index"
+
+
+# Levels whose path is pinned: (2,2,0) level 2 has 15 point entries against
+# 10 pairs; shared-V2 level 3 and (2,3,2) level 4 take the index.
+PINNED_PATHS = {(2, 2, 0): {2: "pairs"}, "shared-V2": {3: "index"}, (2, 3, 2): {4: "index"}}
 
 
 def _count_distance_calls(monkeypatch):
@@ -342,11 +339,13 @@ def _count_distance_calls(monkeypatch):
 def test_pairwise_sweep_matches_the_oracles(case, monkeypatch):
     flags = _case_flags(case)
     n = flags[0].ambient
+    for i, path in PINNED_PATHS.get(case, {}).items():
+        assert _path(flags, i) == path
     calls = _count_distance_calls(monkeypatch)
     sweep = pairwise_sweep(flags)
-    # Each fallback level makes one subspace_distance per pair, the index none.
+    # The pair loop makes one subspace_distance per pair, the index none.
     assert len(calls) == sum(
-        math.comb(len(pc), 2) for pc in sweep.projected if _path(flags, pc.index) != "index"
+        math.comb(len(pc), 2) for pc in sweep.projected if _path(flags, pc.index) == "pairs"
     )
     monkeypatch.undo()
     pairs = list(itertools.combinations(range(len(flags)), 2))
@@ -372,22 +371,6 @@ def test_pairwise_sweep_matches_the_oracles(case, monkeypatch):
             None,
         )
         assert swept.meeting_pair() == meeting
-
-
-@pytest.mark.parametrize(
-    "case, level, path",
-    [((2, 2, 0), 2, "entries"), ("shared-V2", 3, "incidence"), ((2, 3, 2), 4, "index")],
-    ids=str,
-)
-def test_each_path_of_projected_code_runs(case, level, path, monkeypatch):
-    # Both fallbacks make one subspace_distance per pair and the index
-    # makes none. Level 2 of (2,2,0) is a spread, so no pair is below it.
-    flags = _case_flags(case)
-    assert _path(flags, level) == path
-    calls = _count_distance_calls(monkeypatch)
-    pc = projected_code(flags, level)
-    assert len(calls) == (0 if path == "index" else math.comb(len(pc), 2))
-    assert bool(pc.below) == (case != (2, 2, 0))
 
 
 @pytest.mark.parametrize("name", GENERATED)

@@ -265,7 +265,14 @@ def layer_S(params: SandwichParams, i: int) -> MatrixFq:
     """Full n x n generator: A[i] over B[i] over A[i+1], wrapping A[1] in at
     the last index. Always full rank; anything else is an internal error."""
     nxt = 1 if i == params.num_generators else i + 1
-    S = _upper_block(params, i).stack(layer_A(params, nxt))
+    return _generator(params, i, _upper_block(params, i), _upper_block(params, nxt))
+
+
+def _generator(
+    params: SandwichParams, i: int, upper: MatrixFq, next_upper: MatrixFq
+) -> MatrixFq:
+    """S[i] from the upper blocks of i and of the next index, rank-checked."""
+    S = upper.stack(next_upper.first_rows(params.k1))
     if rank(S) != params.n:
         raise ConstructionError(
             f"generator S[{i}] is rank-deficient (internal error):\n{dump_matrix(S)}"
@@ -353,10 +360,14 @@ class FlagCode:
 def build_code(params: SandwichParams) -> FlagCode:
     """Construct the full flag code for the given parameters.
 
-    Deterministic; validates cardinality and flag distinctness.
+    Deterministic; validates cardinality and flag distinctness. Each upper
+    block is built once: S[i] is block i over the first k1 rows of block
+    i + 1, as `layer_S` stacks them.
     """
+    count = params.num_generators
+    blocks = [_upper_block(params, i) for i in range(1, count + 1)]
     generators = tuple(
-        layer_S(params, i) for i in range(1, params.num_generators + 1)
+        _generator(params, i, blocks[i - 1], blocks[i % count]) for i in range(1, count + 1)
     )
     flags = tuple(flag_from_generator(S) for S in generators)
     if len(set(flags)) != params.num_generators:

@@ -22,9 +22,16 @@ class EnumerationCapExceeded(LinAlgError):
 
 
 class MatrixFq:
-    """Dense rows x cols matrix over a FiniteField, entries row-major ints."""
+    """Dense rows x cols matrix over a FiniteField, entries row-major ints.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    A matrix holds its entries, its rows packed as integers of
+    `_space(field, cols)` (see `_Space`), or both: one built from entries
+    folds them into `packed` on first read, and one the kernel built from
+    packed rows unfolds `entries` on first read. The hot readers, `row` and
+    `rank`, read the `_entries` slot directly, not through the property.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_entries", "_packed")
 
     def __init__(self, field: FiniteField, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -37,14 +44,23 @@ class MatrixFq:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._entries = entries
+        self._packed = None
 
     @classmethod
     def _trusted(cls, field: FiniteField, rows: int, cols: int, entries: tuple) -> "MatrixFq":
         """A matrix the kernel computed, its entries a tuple already in range:
         neither the shape nor the range is checked."""
         A = cls.__new__(cls)
-        A.field, A.rows, A.cols, A.entries = field, rows, cols, entries
+        A.field, A.rows, A.cols, A._entries, A._packed = field, rows, cols, entries, None
+        return A
+
+    @classmethod
+    def _from_packed(cls, field: FiniteField, cols: int, packed: tuple) -> "MatrixFq":
+        """The matrix of the kernel's packed rows of `_space(field, cols)`,
+        one row each, unchecked as `_trusted`."""
+        A = cls.__new__(cls)
+        A.field, A.rows, A.cols, A._entries, A._packed = field, len(packed), cols, None, packed
         return A
 
     @classmethod
@@ -61,24 +77,49 @@ class MatrixFq:
     def identity(cls, field: FiniteField, n: int) -> "MatrixFq":
         return cls(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            rows = map(_space(self.field, self.cols).unfold, self._packed) if self.cols else ()
+            self._entries = tuple(itertools.chain.from_iterable(rows))
+        return self._entries
+
+    @property
+    def packed(self) -> tuple:
+        """Each row as one packed integer of `_space(field, cols)`."""
+        if self._packed is None:
+            fold = _space(self.field, self.cols).fold
+            self._packed = tuple(map(fold, map(self.row, range(self.rows))))
+        return self._packed
+
     def row(self, i: int):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        entries = self._entries
+        if entries is None:
+            entries = self.entries
+        return entries[i * self.cols : (i + 1) * self.cols]
 
     def row_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     # Slices and stacks of checked matrices need no range check: 0 <= t <= rows.
+    # They keep the packed rows where there are some, else the entries.
     def first_rows(self, t: int) -> "MatrixFq":
-        return MatrixFq._trusted(self.field, t, self.cols, self.entries[: t * self.cols])
+        if self._packed is not None:
+            return MatrixFq._from_packed(self.field, self.cols, self._packed[:t])
+        return MatrixFq._trusted(self.field, t, self.cols, self._entries[: t * self.cols])
 
     def last_rows(self, t: int) -> "MatrixFq":
+        if self._packed is not None:
+            return MatrixFq._from_packed(self.field, self.cols, self._packed[self.rows - t :])
         return MatrixFq._trusted(
-            self.field, t, self.cols, self.entries[(self.rows - t) * self.cols :]
+            self.field, t, self.cols, self._entries[(self.rows - t) * self.cols :]
         )
 
     def stack(self, other: "MatrixFq") -> "MatrixFq":
         if other.cols != self.cols or other.field != self.field:
             raise LinAlgError("stack shape/field mismatch")
+        if self._packed is not None and other._packed is not None:
+            return MatrixFq._from_packed(self.field, self.cols, self._packed + other._packed)
         return MatrixFq._trusted(
             self.field, self.rows + other.rows, self.cols, self.entries + other.entries
         )
@@ -103,7 +144,9 @@ class MatrixFq:
         return MatrixFq._trusted(F, self.rows, other.cols, tuple(out))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        if self._packed is not None:
+            return not any(self._packed)
+        return not any(self._entries)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == MatrixFq.identity(self.field, self.rows)
@@ -291,10 +334,10 @@ class _Space:
 
     This is the one kernel of row operations on packed rows; its two
     subclasses differ in how rows add, and each writes out the hot loops,
-    `reduce` and `span`, with its addition inline. A one-off scalar
-    multiple comes from the `_Digits` chunk tables, except that 1 and
-    p - 1 = -1 need none, and a row's q multiples are sums of its multiples
-    by the powers of x.
+    `insert`, `reduce`, `rank` and `span`, with its addition inline. A
+    one-off scalar multiple comes from the `_Digits` chunk tables, except
+    that 1 and p - 1 = -1 need none, and a row's q multiples are sums of its
+    multiples by the powers of x.
     """
 
     def __init__(self, field: FiniteField, n: int):
@@ -304,6 +347,10 @@ class _Space:
         self.e, self.slot, self.element = digits.e, digits.slot, digits.element
         self.emask = (1 << digits.e) - 1
         self.top = (n - 1) * digits.e  # the shift of entry 0
+        self.shifts = tuple(range(self.top, -1, -digits.e))  # entry c's, top - c·e
+        # The slot form of -a at the slot form of each element a.
+        neg = field.sub_table[0]
+        self.negated = [None if a is None else self.slot[neg[a]] for a in self.element]
 
     def fold(self, row) -> int:
         """The packed integer of a row of field elements."""
@@ -326,21 +373,6 @@ class _Space:
             row += high[(x >> s) & mask]
         return row[chunks * t - self.n :]
 
-    def entry(self, x: int, c: int) -> int:
-        return self.element[(x >> (self.top - c * self.e)) & self.emask]
-
-    def lead(self, x: int):
-        """(column, element) of the first nonzero entry of x != 0."""
-        k = (x.bit_length() - 1) // self.e
-        return self.n - 1 - k, self.element[(x >> (k * self.e)) & self.emask]
-
-    def scale(self, x: int, a: int) -> int:
-        if a == 1:
-            return x
-        if a == self.p - 1:
-            return self.sub(0, x)
-        return self.digits.scale(x, a)
-
     def _copies(self, b: int) -> list:
         """c·b for c = 0 .. p - 1, each a sum of c copies of b."""
         out = [0, b]
@@ -357,31 +389,6 @@ class _Space:
             out = [add(w, c) for c in self._copies(self.digits.scale(x, p**j)) for w in out]
         return tuple(out)
 
-    def insert(self, rows: list, pivots: list, vectors) -> int:
-        """Add packed `vectors` one at a time to the packed RREF `rows` with
-        pivot columns `pivots`, lists kept in RREF in place; returns how
-        many were added. Each vector is reduced and skipped if nothing is
-        left, else scaled to a leading 1, cleared from the earlier rows and
-        inserted at its pivot's place."""
-        start = len(rows)
-        for v in vectors:
-            for u, p in zip(rows, pivots):
-                c = self.entry(v, p)
-                if c:
-                    v = self.sub(v, self.scale(u, c))
-            if not v:
-                continue
-            lead, a = self.lead(v)
-            v = self.scale(v, self.inv[a])
-            for i, u in enumerate(rows):
-                c = self.entry(u, lead)
-                if c:
-                    rows[i] = self.sub(u, self.scale(v, c))
-            at = bisect.bisect(pivots, lead)
-            rows.insert(at, v)
-            pivots.insert(at, lead)
-        return len(rows) - start
-
 
 class _XorSpace(_Space):
     """Characteristic 2: one bit a digit, so rows add by XOR."""
@@ -390,7 +397,34 @@ class _XorSpace(_Space):
     def add(a: int, b: int) -> int:
         return a ^ b
 
-    sub = add
+    def insert(self, rows: list, pivots: list, vectors) -> int:
+        """Add packed `vectors` one at a time to the packed RREF `rows` with
+        pivot columns `pivots`, lists kept in RREF in place; returns how
+        many were added. Each vector is reduced against the rows and skipped
+        if nothing is left, else scaled to a leading 1, cleared from the
+        earlier rows and inserted at its pivot's place."""
+        top, e, emask, inv, scale = self.top, self.e, self.emask, self.inv, self.digits.scale
+        start = len(rows)
+        for v in vectors:
+            for u, p in zip(rows, pivots):
+                c = (v >> (top - p * e)) & emask
+                if c:
+                    v ^= u if c == 1 else scale(u, c)
+            if not v:
+                continue
+            k = (v.bit_length() - 1) // e  # the lead's shift is k·e
+            a = (v >> (k * e)) & emask
+            if a != 1:
+                v = scale(v, inv[a])
+            for i, u in enumerate(rows):
+                c = (u >> (k * e)) & emask
+                if c:
+                    rows[i] = u ^ (v if c == 1 else scale(v, c))
+            lead = self.n - 1 - k
+            at = bisect.bisect(pivots, lead)
+            rows.insert(at, v)
+            pivots.insert(at, lead)
+        return len(rows) - start
 
     def reduce(self, vectors, pivots, multiples) -> list:
         """The nonzero residuals v - sum_j v[p_j] u_j of packed `vectors`
@@ -464,6 +498,49 @@ class _SlotSpace(_Space):
         x = a + self.pones - b
         return x - self.p * (((x + self.carry) >> self.guard) & self.ones)
 
+    def scale(self, x: int, a: int) -> int:
+        if a == 1:
+            return x
+        if a == self.p - 1:
+            return self.sub(0, x)
+        return self.digits.scale(x, a)
+
+    def insert(self, rows: list, pivots: list, vectors) -> int:
+        """As `_XorSpace.insert`, subtracting slot by slot: c·u is u itself
+        for c = 1, and for c = p - 1 = -1 it is added instead."""
+        top, e, emask, element, inv = self.top, self.e, self.emask, self.element, self.inv
+        p, guard, ones, carry, pones = self.p, self.guard, self.ones, self.carry, self.pones
+        scale, minus = self.digits.scale, p - 1
+        start = len(rows)
+        for v in vectors:
+            for u, piv in zip(rows, pivots):
+                c = element[(v >> (top - piv * e)) & emask]
+                if c:
+                    if c == minus:
+                        x = v + u
+                    else:
+                        x = v + pones - (u if c == 1 else scale(u, c))
+                    v = x - p * (((x + carry) >> guard) & ones)
+            if not v:
+                continue
+            k = (v.bit_length() - 1) // e  # the lead's shift is k·e
+            a = element[(v >> (k * e)) & emask]
+            if a != 1:
+                v = self.scale(v, inv[a])
+            for i, u in enumerate(rows):
+                c = element[(u >> (k * e)) & emask]
+                if c:
+                    if c == minus:
+                        x = u + v
+                    else:
+                        x = u + pones - (v if c == 1 else scale(v, c))
+                    rows[i] = x - p * (((x + carry) >> guard) & ones)
+            lead = self.n - 1 - k
+            at = bisect.bisect(pivots, lead)
+            rows.insert(at, v)
+            pivots.insert(at, lead)
+        return len(rows) - start
+
     def reduce(self, vectors, pivots, multiples) -> list:
         """As `_XorSpace.reduce`, subtracting slot by slot."""
         top, e, emask, element = self.top, self.e, self.emask, self.element
@@ -535,10 +612,15 @@ def _rank_packed(packed) -> int:
 
 
 def rref(A: MatrixFq):
-    """Reduced row echelon form of A: (rref_matrix, rank, pivot_columns)."""
-    rows, rank, pivots = _rref_rows(A.field, A.row_lists())
-    R = MatrixFq._trusted(A.field, A.rows, A.cols, tuple(itertools.chain.from_iterable(rows)))
-    return R, rank, pivots
+    """Reduced row echelon form of A: (rref_matrix, rank, pivot_columns).
+
+    A's packed rows are inserted one at a time by `_Space.insert`; the
+    result keeps its packed rows, the nonzero ones first, and unfolds its
+    entries only if they are read."""
+    rows, pivots = [], []
+    _space(A.field, A.cols).insert(rows, pivots, A.packed)
+    R = MatrixFq._from_packed(A.field, A.cols, (*rows, *(0,) * (A.rows - len(rows))))
+    return R, len(rows), tuple(pivots)
 
 
 # F_2 entries 0 and 1 as the bytes of the digits "0" and "1".
@@ -550,9 +632,12 @@ def rank(A: MatrixFq) -> int:
     otherwise. Over F_2 all entries are read as one binary numeral, whose
     cols-bit slices are the rows (last row lowest)."""
     if A.field.q == 2:
-        if not A.entries:
+        entries = A._entries
+        if entries is None:
+            entries = A.entries
+        if not entries:
             return 0
-        bits, c = int(bytes(A.entries).translate(_BINARY_DIGITS), 2), A.cols
+        bits, c = int(bytes(entries).translate(_BINARY_DIGITS), 2), A.cols
         mask = (1 << c) - 1
         return _rank_packed((bits >> s) & mask for s in range(0, A.rows * c, c))
     return _rank_rows(A.field, A.row_lists())
@@ -695,9 +780,10 @@ class Subspace:
 
 
 def rowspace(A: MatrixFq) -> Subspace:
-    """Canonical Subspace spanned by the rows of A."""
+    """Canonical Subspace spanned by the rows of A: the packed rows of its
+    `rref`, never unfolded."""
     R, r, pivots = rref(A)
-    return Subspace._reduced(A.field, A.cols, map(R.row, range(r)), pivots)
+    return Subspace._from_packed(_space(A.field, A.cols), R.packed[:r], pivots)
 
 
 def check_same_ambient(U: Subspace, V: Subspace):
@@ -835,21 +921,24 @@ def orthogonal_complement(U: Subspace) -> Subspace:
 
     A basis is read off U's RREF R: for each non-pivot column j, the vector
     with 1 at j and -R[i][j] at row i's pivot is orthogonal to every row of
-    R, and these n - dim U vectors are independent. The entries R[i][j] are
-    read off `packed`. One `rowspace` makes the basis canonical.
+    R, and these n - dim U vectors are independent. Each vector is packed
+    by shifts: R[i][j] is read off `packed` at entry j's shift and its
+    negative written at entry p_i's. One `rowspace` makes the basis
+    canonical.
     """
-    neg, entry = U.field.sub_table[0], U.space.entry
-    free = [j for j in range(U.ambient) if j not in U.pivots]
+    space = U.space
+    shifts, negated, emask = space.shifts, space.negated, space.emask
+    pivot_shifts = [shifts[p] for p in U.pivots]
     vectors = []
-    for j in free:
-        v = [0] * U.ambient
-        v[j] = 1
-        for row, p in zip(U.packed, U.pivots):
-            v[p] = neg[entry(row, j)]
-        vectors.append(v)
+    for j, sj in enumerate(shifts):
+        if j not in U.pivots:
+            v = 1 << sj  # 1 is its own slot form
+            for row, sp in zip(U.packed, pivot_shifts):
+                v |= negated[(row >> sj) & emask] << sp
+            vectors.append(v)
     if not vectors:
         return Subspace.zero(U.field, U.ambient)
-    return rowspace(MatrixFq.from_rows(U.field, vectors))
+    return rowspace(MatrixFq._from_packed(U.field, U.ambient, tuple(vectors)))
 
 
 def points(U: Subspace, rows: slice = slice(None)) -> list:
@@ -869,13 +958,13 @@ def points(U: Subspace, rows: slice = slice(None)) -> list:
 
 def prefix_rowspaces(A: MatrixFq):
     """rowspace(A.first_rows(j)) for j = 1 .. A.rows, one at a time, from
-    one elimination pass: row j is packed and inserted by `_Space.insert`
+    one elimination pass: A's packed row j is inserted by `_Space.insert`
     into the packed RREF of the rows before it. A row in the span of the
     rows before it adds nothing, so its prefix has dimension below j."""
     space = _space(A.field, A.cols)
     rows, pivots = [], []
-    for j in range(A.rows):
-        space.insert(rows, pivots, (space.fold(A.row(j)),))
+    for v in A.packed:
+        space.insert(rows, pivots, (v,))
         yield Subspace._from_packed(space, tuple(rows), tuple(pivots))
 
 

@@ -13,6 +13,31 @@ SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 ORDERS = SMALL_ORDERS + [(2, 4), (2, 8)]
 
 
+def oracle_rref_rows(field, rows):
+    """Gauss-Jordan elimination with scalar field operations."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [
+                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])
+                ]
+        pivots.append(c)
+        r += 1
+    return rows, r, tuple(pivots)
+
+
 @pytest.fixture(scope="session")
 def F2():
     return field_new(2)

@@ -21,6 +21,7 @@ from flagcodes.construction import (
 )
 from flagcodes.fields import field_from_order, field_new
 from flagcodes.linalg import MatrixFq, dump_matrix, intersect_dim, rank, rowspace
+from conftest import oracle_rref_rows
 
 X2_X_1 = (1, 1, 1)  # x^2 + x + 1
 X3_X_1 = (1, 1, 0, 1)  # x^3 + x + 1
@@ -273,7 +274,8 @@ def test_flag_from_generator_prefixes(code_221):
     for S, flag in zip(code_221.generators, code_221.flags):
         assert flag_from_generator(S) == flag
         for j in range(1, code_221.ambient):
-            assert flag[j] == rowspace(S.first_rows(j))
+            rows, r, pivots = oracle_rref_rows(S.field, S.first_rows(j).row_lists())
+            assert (flag[j].basis.row_lists(), flag[j].pivots) == (rows[:r], pivots)
 
 
 def test_build_deterministic(F2, code_221):
@@ -320,6 +322,8 @@ def test_layers_match_the_paper_formula(q, k1, r):
         assert power == field_power(M, e)
     N = params.num_generators
     paper = {i: _paper_layers(params, i) for i in range(1, N + 1)}
+    # build_code builds each upper block once and stacks it twice.
+    generators = build_code(params).generators
     for i, (A, B) in paper.items():
         assert layer_A(params, i).row_lists() == A
         if r:
@@ -328,6 +332,7 @@ def test_layers_match_the_paper_formula(q, k1, r):
             assert layer_B(params, i) is None
         A_next = paper[i % N + 1][0]
         assert layer_S(params, i).row_lists() == A + B + A_next
+        assert generators[i - 1] == layer_S(params, i)
 
 
 def test_layers_take_no_matrix_power(F3, monkeypatch):

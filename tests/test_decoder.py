@@ -42,7 +42,7 @@ from flagcodes.linalg import (
     rowspace,
     subspace_from_coordinates,
 )
-from conftest import ORDERS, point_int
+from conftest import ORDERS, oracle_rref_rows, point_int
 
 
 def _zero_received(code):
@@ -569,12 +569,15 @@ def scan_decode(code, received):
     for i in range(1, k1 + 1):
         if received[i].dim > 0:
             return scan(i, received[i], 1)
-    # Y_i by the old path, a rowspace of the stacked bases, so that the
-    # decoder's `accumulate` is checked against it.
+    # Y_i by the old path, a scalar elimination of the stacked bases, so
+    # that the decoder's `accumulate` is checked against it.
     acc, Y = [], Subspace.zero(p.field, n)
     for i in range(1, n):
         if i > k1:
-            Y = rowspace(Y.basis.stack(received[i].basis))
+            rows, dim, _ = oracle_rref_rows(
+                p.field, Y.basis.row_lists() + received[i].basis.row_lists()
+            )
+            Y = Subspace(MatrixFq(p.field, dim, n, itertools.chain.from_iterable(rows[:dim])))
         acc.append(Y)
     for i in range(k1 + 1, k1 + r + 1):
         if acc[i - 1].dim > i - k1:

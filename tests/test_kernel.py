@@ -18,6 +18,7 @@ from flagcodes.linalg import (
     _rank_rows,
     _rref_rows,
     contains,
+    dump_matrix,
     gaussian_binomial,
     intersect_dim,
     orthogonal_complement,
@@ -29,32 +30,7 @@ from flagcodes.linalg import (
     subspace_sum,
     sum_dim,
 )
-from conftest import ORDERS, perturbed_flags, point_int, shared_level_flags
-
-
-def oracle_rref_rows(field, rows):
-    """Gauss-Jordan elimination with scalar field operations."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-    return rows, r, tuple(pivots)
+from conftest import ORDERS, oracle_rref_rows, perturbed_flags, point_int, shared_level_flags
 
 
 def oracle_matmul(A, B):
@@ -169,15 +145,57 @@ def test_multiples_are_the_scalar_multiples_of_each_row(field):
         assert U.multiples is U.multiples
 
 
-def test_rref_rank_rowspace_match_oracle(field):
+# Every field of ORDERS and F_8 by x^3 + x + 1.
+HARNESS_FIELDS = [(p, m, None) for p, m in ORDERS] + [(2, 3, (1, 1, 0, 1))]
+
+
+def _field_id(spec):
+    p, m, modulus = spec
+    return f"F{p ** m}" + ("" if modulus is None else "-" + "".join(map(str, modulus)))
+
+
+def _both_ways(A):
+    """A built afresh from its entries and from its packed rows, each
+    matrix holding that one form until a reader unfolds or folds it."""
+    return MatrixFq(A.field, A.rows, A.cols, A.entries), MatrixFq._from_packed(
+        A.field, A.cols, A.packed
+    )
+
+
+def _readings(M, other):
+    """What every reader of M gives, slices and stacks with `other` too."""
+    rows = M.rows
+    parts = [M.first_rows(t) for t in range(rows + 1)] + [M.last_rows(t) for t in range(rows + 1)]
+    parts += [M.stack(other), other.stack(M)]
+    return (
+        M.rows, M.cols, [M.row(i) for i in range(rows)], M.row_lists(), M.is_zero(),
+        dump_matrix(M), M.entries, M.packed, [(S.rows, S.row_lists(), S.packed) for S in parts],
+    )
+
+
+@pytest.mark.parametrize("spec", HARNESS_FIELDS, ids=_field_id)
+def test_rref_rank_rowspace_match_oracle(spec):
+    # Each input also built from its packed rows: the two agree on every
+    # reader and under `==` and `hash`, and give the same rref, rank and
+    # rowspace. The rref, built from packed rows, equals the oracle's rows
+    # built from entries.
+    field = field_new(*spec)
     rng = random.Random(field.q)
     for A in _shapes(field, rng):
+        for way in (0, 1):  # stacked with a matrix built from entries, then packed rows
+            E, P = _both_ways(A)
+            assert _readings(E, _both_ways(A)[way]) == _readings(P, _both_ways(A)[way])
+        E, P = _both_ways(A)
+        assert E == P and P == E and hash(E) == hash(P)
         rows, r, pivots = oracle_rref_rows(field, A.row_lists())
-        R, rank_, pivots_ = rref(A)
-        assert R.row_lists() == rows
-        assert (rank_, pivots_) == (r, pivots)
-        assert rank(A) == r
-        assert rowspace(A).basis.row_lists() == rows[:r]
+        want = MatrixFq(field, A.rows, A.cols, itertools.chain.from_iterable(rows))
+        for M in _both_ways(A):
+            R, rank_, pivots_ = rref(M)
+            assert R.row_lists() == rows
+            assert R == want and hash(R) == hash(want)
+            assert (rank_, pivots_) == (r, pivots)
+            assert rank(M) == r
+            assert rowspace(M).basis.row_lists() == rows[:r]
 
 
 def _deficient_rows(field, rng):
@@ -256,9 +274,9 @@ def test_subspace_sum_is_the_rowspace_of_the_stacked_bases(field):
     for U in subspaces:
         for V in subspaces:
             S = subspace_sum(U, V)
-            want = rowspace(U.basis.stack(V.basis))
-            assert S.basis.entries == want.basis.entries
-            assert S.pivots == want.pivots
+            rows, r, pivots = oracle_rref_rows(field, U.basis.row_lists() + V.basis.row_lists())
+            assert S.basis.row_lists() == rows[:r]
+            assert S.pivots == pivots
 
 
 def test_trusted_constructions_are_in_rref(field):
@@ -400,9 +418,9 @@ def test_flag_levels_are_the_prefix_rowspaces(field):
         flag = flag_from_generator(S)
         assert len(flag) == n - 1
         for j in range(1, n):
-            want = rowspace(S.first_rows(j))
-            assert flag[j].basis.entries == want.basis.entries
-            assert flag[j].pivots == want.pivots
+            rows, r, pivots = oracle_rref_rows(field, S.first_rows(j).row_lists())
+            assert flag[j].basis.row_lists() == rows[:r]
+            assert flag[j].pivots == pivots
             assert flag[j].dim == j
 
 
@@ -430,14 +448,6 @@ def test_matmul_matches_oracle(field):
 # ORDERS and F_8 by x^3 + x + 1, on seeded random subspaces of every dimension
 # and on every level of seeded flags whose subspaces share, contain and meet
 # each other.
-
-HARNESS_FIELDS = [(p, m, None) for p, m in ORDERS] + [(2, 3, (1, 1, 0, 1))]
-
-
-def _field_id(spec):
-    p, m, modulus = spec
-    return f"F{p ** m}" + ("" if modulus is None else "-" + "".join(map(str, modulus)))
-
 
 @pytest.fixture(scope="module", params=HARNESS_FIELDS, ids=_field_id)
 def harness(request):
@@ -468,15 +478,17 @@ def test_harness_points_match_oracle(harness):
 
 def test_harness_sums_match_the_stacked_rowspace(harness):
     # sum_dim, contains and subspace_sum of every ordered pair against one
-    # elimination of the stacked bases.
-    _, subspaces, _ = harness
+    # scalar elimination of the stacked bases; the subspace of its rows is
+    # built by the checked constructor.
+    field, subspaces, _ = harness
     for U in subspaces:
         for V in subspaces:
-            want = rowspace(U.basis.stack(V.basis))
-            assert sum_dim(U, V) == want.dim
-            assert contains(U, V) == (want.dim == U.dim)
+            rows, r, pivots = oracle_rref_rows(field, U.basis.row_lists() + V.basis.row_lists())
+            want = Subspace(MatrixFq(field, r, U.ambient, itertools.chain.from_iterable(rows[:r])))
+            assert sum_dim(U, V) == r
+            assert contains(U, V) == (r == U.dim)
             S = subspace_sum(U, V)
-            assert (S, S.pivots, S.basis.entries) == (want, want.pivots, want.basis.entries)
+            assert (S, S.pivots, S.basis.row_lists()) == (want, pivots, rows[:r])
 
 
 def test_harness_orthogonal_complement_is_orthogonal(harness):

@@ -102,24 +102,17 @@ class MatrixFq:
         return [list(self.row(i)) for i in range(self.rows)]
 
     # Slices and stacks of checked matrices need no range check: 0 <= t <= rows.
-    # They keep the packed rows where there are some, else the entries.
     def first_rows(self, t: int) -> "MatrixFq":
-        if self._packed is not None:
-            return MatrixFq._from_packed(self.field, self.cols, self._packed[:t])
-        return MatrixFq._trusted(self.field, t, self.cols, self._entries[: t * self.cols])
+        return MatrixFq._trusted(self.field, t, self.cols, self.entries[: t * self.cols])
 
     def last_rows(self, t: int) -> "MatrixFq":
-        if self._packed is not None:
-            return MatrixFq._from_packed(self.field, self.cols, self._packed[self.rows - t :])
         return MatrixFq._trusted(
-            self.field, t, self.cols, self._entries[(self.rows - t) * self.cols :]
+            self.field, t, self.cols, self.entries[(self.rows - t) * self.cols :]
         )
 
     def stack(self, other: "MatrixFq") -> "MatrixFq":
         if other.cols != self.cols or other.field != self.field:
             raise LinAlgError("stack shape/field mismatch")
-        if self._packed is not None and other._packed is not None:
-            return MatrixFq._from_packed(self.field, self.cols, self._packed + other._packed)
         return MatrixFq._trusted(
             self.field, self.rows + other.rows, self.cols, self.entries + other.entries
         )
@@ -144,9 +137,7 @@ class MatrixFq:
         return MatrixFq._trusted(F, self.rows, other.cols, tuple(out))
 
     def is_zero(self) -> bool:
-        if self._packed is not None:
-            return not any(self._packed)
-        return not any(self._entries)
+        return not any(self.entries)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == MatrixFq.identity(self.field, self.rows)
@@ -242,8 +233,9 @@ class _Digits:
     of `fields`; each digit gets a slot of s bits, low digit lowest: s = 1
     for p = 2 and bit_length(p - 1) + 1 for odd p, one guard bit above the
     digit, so an element takes e = m·s bits. Over characteristic 2 that is
-    the element's own integer. `slot[a]` is the slot form of a, and
-    `element` maps a slot form back (None elsewhere).
+    the element's own integer. `slot[a]` is the slot form of a, `element`
+    maps a slot form back (None elsewhere), and `negated` maps the slot form
+    of a to that of -a.
 
     An integer of several slot-form entries is read t = max(1, 8 // e)
     entries, one chunk of t·e bits, at a time: `high[v]` is the t elements
@@ -253,7 +245,7 @@ class _Digits:
     """
 
     __slots__ = (
-        "field", "s", "e", "slot", "element", "width", "high", "_scaled",
+        "field", "s", "e", "slot", "element", "negated", "width", "high", "_scaled",
         "base", "base_digits",
     )
 
@@ -266,6 +258,8 @@ class _Digits:
         self.element = [None] * (1 << e)
         for a, x in enumerate(self.slot):
             self.element[x] = a
+        neg = field.sub_table[0]
+        self.negated = [None if a is None else self.slot[neg[a]] for a in self.element]
         t = max(1, 8 // e)
         self.width = t * e
         self.high = [None] * (1 << self.width)
@@ -345,12 +339,10 @@ class _Space:
         self.p, self.m, self.inv = field.p, field.m, field.inv_table
         self.digits = digits = _digits(field)
         self.e, self.slot, self.element = digits.e, digits.slot, digits.element
+        self.negated = digits.negated
         self.emask = (1 << digits.e) - 1
         self.top = (n - 1) * digits.e  # the shift of entry 0
         self.shifts = tuple(range(self.top, -1, -digits.e))  # entry c's, top - c·e
-        # The slot form of -a at the slot form of each element a.
-        neg = field.sub_table[0]
-        self.negated = [None if a is None else self.slot[neg[a]] for a in self.element]
 
     def fold(self, row) -> int:
         """The packed integer of a row of field elements."""

@@ -96,16 +96,43 @@ def matrix_order(M: MatrixFq) -> int:
     return e
 
 
+def _x_power(poly, field: FiniteField, e: int) -> tuple:
+    """x^e modulo the monic poly of degree k, low coefficient first, by
+    square-and-multiply on the field's tables: k^2 steps a square, times x
+    by a shift, and k^2 to reduce by x^k = x^k - poly."""
+    k, mul, sub = len(poly) - 1, field.mul_table, field.sub_table
+    tail, r = poly[:k], [1] + [0] * (k - 1)
+    for bit in map(int, bin(e)[2:]):
+        acc = [0] * (2 * k - 1 + bit)  # r^2·x^bit, as acc - (-a)·r in `matmul`
+        for i, a in enumerate(r, start=bit):
+            if a:
+                m = mul[sub[0][a]]
+                for j, b in enumerate(r, start=i):
+                    acc[j] = sub[acc[j]][m[b]]
+        for d in range(len(acc) - 1, k - 1, -1):
+            c = acc.pop()
+            if c:
+                for j, f in enumerate(tail, start=d - k):
+                    acc[j] = sub[acc[j]][mul[c][f]]
+        r = acc
+    return tuple(r)
+
+
 def is_primitive(poly, field: FiniteField) -> bool:
-    """True iff the companion matrix of poly has order q^deg - 1."""
+    """True iff the companion matrix of poly has order q^k - 1, k = deg: iff
+    x^(q^k - 1) is 1 modulo poly and no x^((q^k - 1)/p) is, p a prime factor
+    (then x's powers are every nonzero residue, so poly is irreducible)."""
     poly = tuple(poly)
     if poly[0] == 0:
         return False
-    M = companion_matrix(poly, field)
-    try:
-        return matrix_order(M) == field.q ** (len(poly) - 1) - 1
-    except ConstructionError:
+    k = len(poly) - 1
+    if k < 1 or poly[k] != 1 or not all(0 <= c < field.q for c in poly):
+        raise ConstructionError(f"polynomial {poly} is not monic of degree >= 1 over F_{field.q}")
+    n = field.q**k - 1
+    one = (1,) + (0,) * (k - 1)
+    if _x_power(poly, field, n) != one:
         return False
+    return all(_x_power(poly, field, n // p) != one for p in _prime_factors(n))
 
 
 def find_primitive_poly(field: FiniteField, k2: int):
@@ -329,11 +356,11 @@ class Flag:
 
 def flag_from_generator(S: MatrixFq) -> Flag:
     """Flag of the row spaces of the leading j-row slices of a square
-    generator, from one elimination pass (`linalg.prefix_rowspaces`). A row
-    that adds no pivot raises; row n is never inserted, so only `verify`'s
-    rank check sees it."""
+    generator, from one elimination pass (`linalg.prefix_rowspaces`) over its
+    packed rows. A row that adds no pivot raises; row n is never inserted, so
+    only `verify`'s rank check sees it."""
     levels = []
-    for j, level in enumerate(prefix_rowspaces(S.first_rows(S.cols - 1)), start=1):
+    for j, level in enumerate(itertools.islice(prefix_rowspaces(S), S.cols - 1), start=1):
         if level.dim != j:
             raise ConstructionError(f"generator rows 1..{j} have rank {j - 1}, want {j}")
         levels.append(level)

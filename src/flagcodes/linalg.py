@@ -27,8 +27,8 @@ class MatrixFq:
     A matrix holds its entries, its rows packed as integers of
     `_space(field, cols)` (see `_Space`), or both: one built from entries
     folds them into `packed` on first read, and one the kernel built from
-    packed rows unfolds `entries` on first read. The hot readers, `row` and
-    `rank`, read the `_entries` slot directly, not through the property.
+    packed rows (`parse_matrix`, `rref`) unfolds `entries` on first read.
+    `row` and `rank` read the slots directly, not through the properties.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_packed")
@@ -588,21 +588,6 @@ def _space(field: FiniteField, n: int) -> _Space:
     return (_XorSpace if field.p == 2 else _SlotSpace)(field, n)
 
 
-def _rank_packed(packed) -> int:
-    """Rank of F_2 rows as base-2 integers, by XOR on their leading bit, as
-    M4RI eliminates packed words."""
-    pivots = {}
-    for row in packed:
-        while row:
-            lead = row.bit_length()
-            p = pivots.get(lead)
-            if p is None:
-                pivots[lead] = row
-                break
-            row ^= p
-    return len(pivots)
-
-
 def rref(A: MatrixFq):
     """Reduced row echelon form of A: (rref_matrix, rank, pivot_columns).
 
@@ -615,24 +600,12 @@ def rref(A: MatrixFq):
     return R, len(rows), tuple(pivots)
 
 
-# F_2 entries 0 and 1 as the bytes of the digits "0" and "1".
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def rank(A: MatrixFq) -> int:
-    """The one rank entry point: packed rows over F_2, forward elimination
-    otherwise. Over F_2 all entries are read as one binary numeral, whose
-    cols-bit slices are the rows (last row lowest)."""
-    if A.field.q == 2:
-        entries = A._entries
-        if entries is None:
-            entries = A.entries
-        if not entries:
-            return 0
-        bits, c = int(bytes(entries).translate(_BINARY_DIGITS), 2), A.cols
-        mask = (1 << c) - 1
-        return _rank_packed((bits >> s) & mask for s in range(0, A.rows * c, c))
-    return _rank_rows(A.field, A.row_lists())
+    """`_Space.rank` of A's packed rows, except that `_rank_rows` ranks an
+    entries-only matrix over odd p, whose rows cost more to fold than save."""
+    if A._packed is None and A.field.p != 2:
+        return _rank_rows(A.field, A.row_lists())
+    return _space(A.field, A.cols).rank(A.packed)
 
 
 class Subspace:
@@ -856,23 +829,26 @@ def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
     of the target's basis in U's RREF rows B. `rank` of that matrix decides
     whether the draw is accepted, and R·B is formed on packed rows from
     `U.multiples` (see `subspace_from_coordinates`), so the result carries
-    `packed` and `pivots` and no `rows`. The digits are read several a
-    `divmod` (`_base_q_digits`). Over odd p the coefficient rows go to
-    `subspace_from_coordinates`. Over characteristic 2 each digit is an
-    m-bit field of x, so coefficient row i is a bit slice of x: `_xor_rref`
-    reduces those slices to R, and row t of R·B is the XOR over the columns
-    f of `U.multiples[f][R[t][f]]`.
+    `packed` and `pivots` and no `rows`. Over odd p the digits, read several
+    a `divmod` (`_base_q_digits`), go to `subspace_from_coordinates`. Over
+    characteristic 2 each digit is an m-bit field of x, so coefficient row i
+    is a bit slice of x; read as packed rows, the slices are that matrix with
+    its columns reversed, of the same rank. `_xor_rref` reduces them to R,
+    and row t of R·B is the XOR over f of `U.multiples[f][R[t][f]]`.
     """
     field, k, digits = U.field, U.dim, U.space.digits
-    coeffs = MatrixFq._trusted(field, dim, k, _base_q_digits(digits, x, dim * k))
-    if rank(coeffs) != dim:
-        return None
     if field.p != 2:
+        coeffs = MatrixFq._trusted(field, dim, k, _base_q_digits(digits, x, dim * k))
+        if rank(coeffs) != dim:
+            return None
         return subspace_from_coordinates(U, map(coeffs.row, range(dim)))
     m = field.m
     row_bits, w = k * m, field.q - 1
     mask = (1 << row_bits) - 1
-    R, cols = _xor_rref(digits, [(x >> (i * row_bits)) & mask for i in range(dim)])
+    slices = tuple((x >> (i * row_bits)) & mask for i in range(dim))
+    if rank(MatrixFq._from_packed(field, k, slices)) != dim:
+        return None
+    R, cols = _xor_rref(digits, slices)
     packed = []
     for r in R:
         v = 0
@@ -1016,6 +992,9 @@ def dump_matrix(A: MatrixFq) -> str:
 
 
 def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
+    """The packed-row matrix of `dump_matrix` text (over the header's q by
+    default): a token as `dump_matrix` writes it is one dict lookup, any
+    other is read by `int()` and range-checked, so "01" is 1."""
     if not isinstance(text, str):
         raise LinAlgError(f"matrix text must be a string, not {type(text).__name__}")
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
@@ -1031,10 +1010,24 @@ def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
         raise FieldError(f"matrix header q={q} does not match field q={field.q}")
     if len(lines) - 1 != nrows:
         raise LinAlgError(f"expected {nrows} rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = [int(x) for x in ln.split()]
+    digits = _digits(field)
+    e, tokens = digits.e, {str(a): x for a, x in enumerate(digits.slot)}
+    packed = []
+    for i, ln in enumerate(lines[1:], start=1):
+        row = ln.split()
         if len(row) != ncols:
             raise LinAlgError(f"row {ln!r} has wrong length")
-        rows.append(row)
-    return MatrixFq.from_rows(field, rows) if nrows else MatrixFq(field, 0, ncols, ())
+        v = 0
+        for t in row:
+            x = tokens.get(t)
+            if x is None:
+                try:
+                    a = int(t)
+                except ValueError:
+                    raise LinAlgError(f"row {i} has the non-integer entry {t!r}") from None
+                if not 0 <= a < field.q:
+                    raise LinAlgError("entry out of field range")
+                x = tokens[str(a)]
+            v = v << e | x
+        packed.append(v)
+    return MatrixFq._from_packed(field, ncols, tuple(packed))

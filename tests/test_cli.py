@@ -269,6 +269,42 @@ def test_a_float_parameter_fails_to_load(code_file, tmp_path, capsys):
     assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
 
 
+def _with_token(text, token):
+    """Matrix text with row 2's first entry written as `token`."""
+    lines = text.splitlines()
+    lines[2] = " ".join([token, *lines[2].split()[1:]])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("token", ["x", "1.0"])
+def test_a_non_integer_entry_fails_to_load(code_file, tmp_path, capsys, token):
+    # As an out-of-range entry does: exit 2 with an error line naming the
+    # row and the token, and a `load` FAIL from verify.
+    doc = json.loads(code_file.read_text())
+    doc["generators"][3] = _with_token(doc["generators"][3], token)
+    bad = tmp_path / "token.json"
+    bad.write_text(json.dumps(doc))
+    detail = f"malformed code document: row 2 has the non-integer entry {token!r}"
+    for command in (["report"], ["simulate", "--trials", "5"]):
+        assert main([*command, "--code", str(bad)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {detail}\n"
+    exit_code, out = run(capsys, "verify", "--code", str(bad))
+    assert exit_code == EXIT_VERIFY_FAIL
+    assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
+    received = tmp_path / "received.json"
+    shot = _with_token("2 2 5\n1 0 0 0 0\n0 1 0 0 0", token)
+    received.write_text(json.dumps({"ambient": 5, "shots": [shot]}))
+    assert main(["decode", "--code", str(code_file), "--received", str(received)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: malformed received-sequence file: row 2 has the non-integer entry {token!r}\n"
+    )
+    fixture = tmp_path / "fixture.json"
+    level2 = _with_token("2 2 3\n1 0 0\n0 1 0", token)
+    fixture.write_text(json.dumps({"ambient": 3, "flags": [["2 1 3\n1 0 0", level2]]}))
+    assert main(["report", "--code", str(fixture)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: row 2 has the non-integer entry {token!r}\n"
+
+
 def test_verify_load_failure_on_a_bare_fixture(tmp_path, capsys):
     from flagcodes.linalg import dump_matrix
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -13,6 +14,7 @@ from flagcodes.construction import (
     field_power,
     find_primitive_poly,
     flag_from_generator,
+    is_primitive,
     layer_A,
     layer_B,
     layer_S,
@@ -67,6 +69,41 @@ def test_find_primitive_poly(F2, F3):
     assert find_primitive_poly(F2, 3) == X3_X_1
     assert find_primitive_poly(F2, 2) == X2_X_1
     assert find_primitive_poly(F3, 1) == (1, 1)  # x + 1: companion [2] generates F_3^*
+
+
+# (p, m) -> the largest degree whose monic polynomials are all tried.
+PRIMITIVE_DEGREES = {(2, 1): 7, (3, 1): 4, (2, 2): 3, (5, 1): 3, (7, 1): 2, (2, 3): 2, (3, 2): 2}
+
+
+def _companion_is_primitive(poly, field):
+    """The companion matrix of poly has order q^deg - 1, by `matrix_order`."""
+    if poly[0] == 0:
+        return False
+    try:
+        return matrix_order(companion_matrix(poly, field)) == field.q ** (len(poly) - 1) - 1
+    except ConstructionError:
+        return False
+
+
+@pytest.mark.parametrize("p,m", list(PRIMITIVE_DEGREES))
+def test_is_primitive_agrees_with_the_companion_order(p, m):
+    # Every monic polynomial of degree 1 up to the cap, the reducible ones
+    # and those with constant term 0 included.
+    field = field_new(p, m)
+    found = 0
+    for k in range(1, PRIMITIVE_DEGREES[p, m] + 1):
+        for tail in itertools.product(range(field.q), repeat=k):
+            poly = (*tail, 1)
+            assert is_primitive(poly, field) == _companion_is_primitive(poly, field), poly
+            found += is_primitive(poly, field)
+    assert found > 0
+
+
+def test_is_primitive_refuses_a_polynomial_it_cannot_read(F2, F4):
+    for poly, field in [((1, 1, 0), F2), ((1,), F2), ((1, 5, 1), F4), ((1, 3, 0, 1), F2)]:
+        with pytest.raises(ConstructionError):
+            is_primitive(poly, field)
+    assert not is_primitive((0, 1, 1), F2)
 
 
 def test_field_power_zero_is_zero_matrix(F2):

@@ -15,18 +15,23 @@ from flagcodes.fields import MAX_ORDER, FieldError, field_new
 from flagcodes.linalg import (
     MatrixFq,
     Subspace,
+    _base_q_digits,
+    _digits,
     _rank_rows,
     _rref_rows,
+    _space,
     contains,
     dump_matrix,
     gaussian_binomial,
     intersect_dim,
     orthogonal_complement,
+    parse_matrix,
     points,
     rank,
     rowspace,
     rref,
     subspace_from_coordinates,
+    subspace_from_draw,
     subspace_sum,
     sum_dim,
 )
@@ -214,7 +219,8 @@ def _deficient_rows(field, rng):
 
 def test_rank_rows_matches_rref_rows(field):
     # Forward elimination counts the pivots Gauss-Jordan finds, on random,
-    # rank-deficient, zero, 0-row and 1-row inputs.
+    # rank-deficient, zero, 0-row and 1-row inputs: on row lists, and by
+    # `rank` on a matrix of entries and on one of packed rows only.
     rng = random.Random(field.q + 8)
     cases = [A.row_lists() for A in _shapes(field, rng)]
     cases += list(_deficient_rows(field, rng))
@@ -225,6 +231,55 @@ def test_rank_rows_matches_rref_rows(field):
         assert _rref_rows(field, [list(r) for r in rows])[1] == want
         assert _rank_rows(field, [list(r) for r in rows]) == want
         assert rank(MatrixFq.from_rows(field, rows)) == want
+        cols = len(rows[0]) if rows else 0
+        packed = tuple(map(_space(field, cols).fold, rows))
+        assert rank(MatrixFq._from_packed(field, cols, packed)) == want
+
+
+@pytest.mark.parametrize("spec", HARNESS_FIELDS, ids=_field_id)
+def test_parse_matrix_folds_each_row_into_its_packed_integer(spec):
+    # The text of every shape parses to a matrix that holds only packed
+    # rows: the folds of the rows, unfolding to the same entries, and
+    # dumping back to the same text byte for byte.
+    field = field_new(*spec)
+    rng = random.Random(field.q + 14)
+    for A in _shapes(field, rng):
+        text = dump_matrix(A)
+        M = parse_matrix(text, field)
+        assert M._entries is None
+        assert M.packed == tuple(map(_space(field, A.cols).fold, A.row_lists()))
+        assert (M.rows, M.cols, M.entries) == (A.rows, A.cols, A.entries)
+        assert dump_matrix(parse_matrix(text, field)) == text
+
+
+# Per characteristic-2 field: (dim, dim U) pairs whose draws are all tried.
+DRAW_SHAPES = {
+    (2, 1): [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4)],
+    (2, 2): [(1, 2), (2, 2), (1, 3), (2, 3)],
+    (2, 3): [(1, 2), (2, 2), (1, 3)],
+}
+
+
+@pytest.mark.parametrize("p,m", list(DRAW_SHAPES))
+def test_a_draw_is_ranked_on_its_bit_slices(p, m):
+    # Every draw x of each shape: `rank` of the bit slices of x, read as
+    # packed rows, is the rank of the coefficient matrix of x's base-q
+    # digits by `_rank_rows` (checked against the oracle above), and
+    # `subspace_from_draw` refuses exactly the deficient draws.
+    field = field_new(p, m)
+    digits = _digits(field)
+    rng = random.Random(field.q + 15)
+    for dim, k in DRAW_SHAPES[p, m]:
+        U = Subspace.zero(field, 5)
+        while U.dim != k:
+            U = rowspace(_random_matrix(field, k, 5, rng))
+        mask = (1 << (k * m)) - 1
+        for x in range(field.q ** (dim * k)):
+            entries = _base_q_digits(digits, x, dim * k)
+            want = _rank_rows(field, [entries[i * k : (i + 1) * k] for i in range(dim)])
+            slices = tuple((x >> (i * k * m)) & mask for i in range(dim))
+            assert rank(MatrixFq._from_packed(field, k, slices)) == want
+            assert (subspace_from_draw(U, dim, x) is None) == (want != dim)
 
 
 def test_subspace_from_coordinates_is_the_dense_product(field):

@@ -205,3 +205,26 @@ def test_matrix_text_zero_rows(F2):
 def test_parse_matrix_rejects_garbage():
     with pytest.raises(LinAlgError):
         parse_matrix("not a matrix")
+
+
+def test_parse_matrix_reads_any_integer_token(F3):
+    # A token `dump_matrix` would not write is read by int(): same value.
+    A = MatrixFq.from_rows(F3, [[0, 1, 2], [2, 2, 0]])
+    assert parse_matrix("3 2 3\n00 +1 02\n2 2 -0", F3) == A
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2 2\n1 0\n0 x", "row 2 has the non-integer entry 'x'"),
+        ("2 2 2\n1.0 0\n0 1", "row 1 has the non-integer entry '1.0'"),
+        ("2 2 2\n1 0\n0 2", "entry out of field range"),
+        ("2 2 2\n1 0\n-1 1", "entry out of field range"),
+        ("2 2 2\n1 0\n0 1 1", "row '0 1 1' has wrong length"),
+    ],
+    ids=["x", "1.0", "2", "-1", "length"],
+)
+def test_parse_matrix_names_a_bad_entry(F2, text, message):
+    with pytest.raises(LinAlgError) as info:
+        parse_matrix(text, F2)
+    assert str(info.value) == message

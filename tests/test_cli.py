@@ -110,6 +110,26 @@ def test_report_on_the_grid_is_pinned(name, tmp_path, capsys):
     assert out == (DATA / f"report-{name}.json").read_text()
 
 
+@pytest.mark.parametrize("p, m", [(5, 1), (3, 2)], ids=["f5", "f9"])
+def test_odd_channel_erase_is_pinned(p, m, tmp_path, capsys):
+    # `erase --seed 9` on codeword 7 of the (2,1) code over F_5 and F_9,
+    # levels 2..4 cut to a proper subspace, is the committed received file
+    # byte for byte: the odd-p draw keeps the seeded stream.
+    code, received = tmp_path / "code.json", tmp_path / "received.json"
+    exit_code, _ = run(
+        capsys,
+        "construct", "--p", str(p), "--m", str(m), "--k1", "2", "--r", "1", "--out", str(code),
+    )
+    assert exit_code == EXIT_OK
+    exit_code, _ = run(
+        capsys,
+        "erase", "--code", str(code), "--codeword", "7", "--erasures", "1,1,1,2",
+        "--seed", "9", "--out", str(received),
+    )
+    assert exit_code == EXIT_OK
+    assert received.read_text() == (DATA / f"received-f{p ** m}.json").read_text()
+
+
 def test_report_example_fixture(tmp_path, capsys):
     from flagcodes.linalg import dump_matrix
 

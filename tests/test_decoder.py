@@ -758,8 +758,9 @@ def test_decode_reads_no_shot_above_its_trigger(name, request):
 
 # sha256 of received_to_json(erase(flags[5], [min(i, 3i mod 4) for i < n],
 # seed=11)) and of json.dumps(simulate(code, 200, seed=5).to_dict()) for the
-# code over F_{p^m} with (k1, r): (2,3,2), (3,3,1) and F_4 (3,0). The same
-# digests come out under CPython 3.10, 3.11 and 3.12.
+# code over F_{p^m} with (k1, r): (2,3,2), (3,3,1), F_4 (3,0), and F_9 and
+# F_5 (2,1), whose odd-p draws hold several digit slots an entry or wide
+# slots. The first three digests come out under CPython 3.10, 3.11 and 3.12.
 CHANNEL_SHA256 = {
     (2, 1, 3, 2): (
         "815e1f5ea1251a22044aa2471d4445b53946e80f16ef1544a7b30dbb6f18c7ce",
@@ -772,6 +773,14 @@ CHANNEL_SHA256 = {
     (2, 2, 3, 0): (
         "8dd87d2453cfde7f1b4ab3bbfd06ee30e875b41d52f31f75828f45cc7d797ab4",
         "f36542ca1bcad3cf4b7a6384c1829caea4be64427344633b01a8a3cf351d2bc1",
+    ),
+    (3, 2, 2, 1): (
+        "bbb5dbee9168ea528852dc71fd371908ea9e6c23acdf4a93767cc439ca5c7a22",
+        "fdd399473ff77be0f46e36f2b97908f29f3be54e3b271672b6202b1a339d854b",
+    ),
+    (5, 1, 2, 1): (
+        "a04682d681681ff80ccb29a727b8cb6a3a40e31004ffccce401134414406f58f",
+        "404980e33e69fc0fe90de31a4162e3712a54eda020345add2ced80c76875eac8",
     ),
 }
 

@@ -34,7 +34,7 @@ from .decoder import (
     simulate,
 )
 from .fields import FieldError, field_new, parse_field_spec
-from .linalg import LinAlgError, parse_matrix, rowspace
+from .linalg import LinAlgError, parse_matrices, rowspace
 from .metrics import aq_exact, bound_verdict, classify, max_distance, partial_spread_bound
 from .verify import FAIL, CheckResult, verify_code
 
@@ -78,8 +78,8 @@ def _load_code_or_flags(path: str):
     try:
         field = parse_field_spec(doc["field"]) if "field" in doc else None
         flags = [
-            Flag(rowspace(parse_matrix(text, field)) for text in levels)
-            for levels in doc["flags"]
+            Flag(map(rowspace, parse_matrices(levels, field, f"flag {f} level")))
+            for f, levels in enumerate(doc["flags"], start=1)
         ]
     except (KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"malformed flag fixture {path}: {exc}") from exc

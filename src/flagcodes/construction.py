@@ -21,7 +21,7 @@ from .linalg import (
     Subspace,
     contains,
     dump_matrix,
-    parse_matrix,
+    parse_matrices,
     points,
     prefix_rowspaces,
     rank,
@@ -449,7 +449,7 @@ def code_from_dict(doc: dict) -> FlagCode:
         pd = doc["params"]
         fld = field_new(pd["p"], pd["m"], tuple(pd["modulus"]) or None)
         params = SandwichParams(fld, pd["k1"], pd["r"], tuple(pd["prim_poly"]))
-        generators = tuple(parse_matrix(text, fld) for text in doc["generators"])
+        generators = tuple(parse_matrices(doc["generators"], fld, "generator"))
     except (KeyError, TypeError, LinAlgError) as exc:
         raise ConstructionError(f"malformed code document: {exc}") from exc
     if len(generators) != params.num_generators:

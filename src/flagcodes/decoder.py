@@ -30,7 +30,7 @@ from .linalg import (
     Subspace,
     contains,
     dump_matrix,
-    parse_matrix,
+    parse_matrices,
     points,
     rowspace,
     subspace_from_draw,
@@ -356,7 +356,7 @@ def received_from_json(text: str, field: FiniteField) -> ReceivedSequence:
             raise ChannelError(
                 f"received file is over the field {spec!r}, not {field.spec()!r}"
             )
-        shots = [rowspace(parse_matrix(t, field)) for t in doc["shots"]]
+        shots = list(map(rowspace, parse_matrices(doc["shots"], field, "shot")))
     except ChannelError:
         raise
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -159,47 +159,13 @@ class MatrixFq:
         return f"MatrixFq({self.rows}x{self.cols} over q={self.field.q}: {body})"
 
 
-def _rref_rows(field: FiniteField, rows):
-    """Gauss-Jordan elimination to RREF on a list of rows, by table lookups.
-
-    Rows are replaced, never mutated, so they may be any sequences of
-    elements. Returns (rows, rank, pivots).
-    """
-    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        pivot = rows[r]
-        if pivot[c] != 1:
-            m = mul[inv[pivot[c]]]
-            pivot = rows[r] = [m[x] for x in pivot]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                m = mul[f]
-                rows[i] = [sub[x][m[y]] for x, y in zip(rows[i], pivot)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, r, tuple(pivots)
-
-
 def _rank_rows(field: FiniteField, rows) -> int:
     """Rank of a list of rows by forward elimination, by table lookups.
 
     Each pivot clears only the rows below it, each scaled by the pivot's
     inverse on the fly: no row is normalised and nothing above a pivot is
     cleared, since only the count of pivots is read. Rows are replaced,
-    never mutated, as in `_rref_rows`.
+    never mutated, so they may be any sequences of elements.
     """
     nrows = len(rows)
     if nrows < 2:
@@ -241,12 +207,17 @@ class _Digits:
     entries, one chunk of t·e bits, at a time: `high[v]` is the t elements
     of chunk v, high entry first, and `scaled(a)`, built on first use of a,
     maps each chunk to the same entries times a, so `scale` multiplies a
-    whole chunk by one lookup. `base_digits` serves `_base_q_digits`.
+    whole chunk by one lookup.
+
+    A channel draw is read `draw_digits` base-q digits a `divmod`, the most
+    with q^t <= 256: `draw_table()`, built on first use, maps each r below
+    q^t to its t digits, low digit first, as slot-form entries with the
+    first most significant (see `_draw_rows`).
     """
 
     __slots__ = (
         "field", "s", "e", "slot", "element", "negated", "width", "high", "_scaled",
-        "base", "base_digits",
+        "draw_digits", "_draw_table",
     )
 
     def __init__(self, field: FiniteField):
@@ -269,15 +240,10 @@ class _Digits:
                 v = v << e | self.slot[a]
             self.high[v] = digits
         self._scaled = {}
-        # Base-q digits, low first, of each integer below q^t, t the most
-        # that keeps q^t <= 256: an integer is read t digits a divmod.
         t = 1
         while q ** (t + 1) <= 256:
             t += 1
-        self.base = q**t
-        self.base_digits = [
-            tuple(reversed(digits)) for digits in itertools.product(range(q), repeat=t)
-        ]
+        self.draw_digits, self._draw_table = t, None
 
     def scaled(self, a: int) -> list:
         table = self._scaled.get(a)
@@ -292,6 +258,14 @@ class _Digits:
                     table[v] = x
             self._scaled[a] = table
         return table
+
+    def draw_table(self) -> list:
+        if self._draw_table is None:
+            fold = _space(self.field, self.draw_digits).fold
+            # product's last digit varies fastest: it is r's low digit.
+            product = itertools.product(range(self.field.q), repeat=self.draw_digits)
+            self._draw_table = [fold(reversed(digits)) for digits in product]
+        return self._draw_table
 
     def scale(self, v: int, a: int) -> int:
         """v, an integer of slot-form entries, with each entry times a."""
@@ -310,14 +284,29 @@ def _digits(field: FiniteField) -> _Digits:
     return _Digits(field)
 
 
-def _base_q_digits(digits: _Digits, x: int, size: int) -> tuple:
-    """The lowest `size` base-q digits of x, low digit first."""
-    base, table = digits.base, digits.base_digits
-    out = ()
-    for _ in range(-(-size // len(table[0]))):
-        x, r = divmod(x, base)
-        out += table[r]
-    return out[:size]
+def _draw_rows(digits: _Digits, x: int, dim: int, k: int) -> tuple:
+    """The dim coefficient rows of the draw x as packed rows of
+    `_space(field, k)`: row i is base-q digits i·k .. i·k + k - 1 of x, low
+    digit first, the first entry most significant. Each row is one
+    `divmod` by q^k, then read t = `draw_digits` digits a `divmod` and one
+    lookup of the draw table, the first chunk highest; the padding slots
+    past the k-th entry, zero since the row is below q^k, are shifted off."""
+    table, t, e, q = digits.draw_table(), digits.draw_digits, digits.e, digits.field.q
+    chunks = -(-k // t)
+    row_base, chunk_base, width = q**k, q**t, t * e
+    pad = (chunks * t - k) * e
+    rows = []
+    for _ in range(dim):
+        x, y = divmod(x, row_base)
+        if chunks == 1:  # y < q^k <= q^t is its own chunk
+            rows.append(table[y] >> pad)
+            continue
+        v = 0
+        for _ in range(chunks):
+            y, r = divmod(y, chunk_base)
+            v = v << width | table[r]
+        rows.append(v >> pad)
+    return tuple(rows)
 
 
 class _Space:
@@ -766,30 +755,6 @@ def sum_dim(U: Subspace, V: Subspace) -> int:
     return U.dim + space.rank(space.reduce(V.packed, U.pivots, U.multiples))
 
 
-def subspace_from_coordinates(U: Subspace, coeffs) -> Subspace:
-    """The subspace of U whose basis has the full-rank coefficient rows
-    `coeffs` as its coordinates in U's RREF rows B: the rowspace of
-    coeffs·B, with no product formed and one reduction of the small matrix.
-
-    Reduce the coefficients to their RREF R with pivot columns c_t. Then
-    R·B is in RREF already: B's pivot columns hold the identity, so they
-    carry R's pivot columns into R·B, and B's rows are zero left of their
-    pivots. Row t of R·B is B's row c_t plus R[t][f] times B's row f for
-    each column f > c_t, read off `U.multiples`; R is zero at its other
-    pivot columns, so those add nothing.
-    """
-    space, multiples, B = U.space, U.multiples, U.packed
-    R, _, pivots = _rref_rows(U.field, list(coeffs))
-    packed = []
-    for r, c in zip(R, pivots):
-        v = B[c]
-        for f in range(c + 1, U.dim):
-            if r[f]:
-                v = space.add(v, multiples[f][r[f]])
-        packed.append(v)
-    return Subspace._from_packed(space, tuple(packed), tuple(U.pivots[c] for c in pivots))
-
-
 def _xor_rref(digits: _Digits, rows: list):
     """RREF of independent rows of base-2^m digits, entry c the m-bit field
     at bit c·m (low digit first), by XOR: each row is reduced at its lowest
@@ -827,21 +792,39 @@ def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
     x, below q ** (dim * dim U), is read as the base-q digits of a dim x
     dim U coefficient matrix, low digit first, row by row: the coordinates
     of the target's basis in U's RREF rows B. `rank` of that matrix decides
-    whether the draw is accepted, and R·B is formed on packed rows from
-    `U.multiples` (see `subspace_from_coordinates`), so the result carries
-    `packed` and `pivots` and no `rows`. Over odd p the digits, read several
-    a `divmod` (`_base_q_digits`), go to `subspace_from_coordinates`. Over
-    characteristic 2 each digit is an m-bit field of x, so coefficient row i
-    is a bit slice of x; read as packed rows, the slices are that matrix with
-    its columns reversed, of the same rank. `_xor_rref` reduces them to R,
-    and row t of R·B is the XOR over f of `U.multiples[f][R[t][f]]`.
+    whether the draw is accepted; an accepted one is reduced once to its
+    RREF R, with pivot columns c_t. R·B is then in RREF: B's pivot columns
+    hold the identity and its rows are zero left of their pivots. It is
+    formed on packed rows from `U.multiples`, so the result carries
+    `packed` and `pivots` and no `rows`.
+
+    Over odd p `_draw_rows` reads the coefficient rows as packed rows,
+    `_Space.insert` reduces them, and row t of R·B is B's row c_t plus
+    R[t][f] times B's row f for each f > c_t. Over characteristic 2 each
+    digit is an m-bit field of x, so coefficient row i is a bit slice of x;
+    read as packed rows, the slices are that matrix with its columns
+    reversed, of the same rank. `_xor_rref` reduces them to R, and row t of
+    R·B is the XOR over f of `U.multiples[f][R[t][f]]`.
     """
     field, k, digits = U.field, U.dim, U.space.digits
     if field.p != 2:
-        coeffs = MatrixFq._trusted(field, dim, k, _base_q_digits(digits, x, dim * k))
-        if rank(coeffs) != dim:
+        rows = _draw_rows(digits, x, dim, k)
+        if rank(MatrixFq._from_packed(field, k, rows)) != dim:
             return None
-        return subspace_from_coordinates(U, map(coeffs.row, range(dim)))
+        coeffs = _space(field, k)
+        R, cols = [], []
+        coeffs.insert(R, cols, rows)
+        shifts, element, emask = coeffs.shifts, coeffs.element, coeffs.emask
+        space, multiples, B = U.space, U.multiples, U.packed
+        packed = []
+        for r, c in zip(R, cols):
+            v = B[c]
+            for f in range(c + 1, k):
+                a = element[(r >> shifts[f]) & emask]
+                if a:
+                    v = space.add(v, multiples[f][a])
+            packed.append(v)
+        return Subspace._from_packed(space, tuple(packed), tuple(U.pivots[c] for c in cols))
     m = field.m
     row_bits, w = k * m, field.q - 1
     mask = (1 << row_bits) - 1
@@ -1031,3 +1014,14 @@ def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
             v = v << e | x
         packed.append(v)
     return MatrixFq._from_packed(field, ncols, tuple(packed))
+
+
+def parse_matrices(texts, field: FiniteField | None, name: str):
+    """`parse_matrix` of each text in turn, an error naming the matrix by
+    `name` and its index from 1: "generator 4: row 2 has the non-integer
+    entry 'x'"."""
+    for i, text in enumerate(texts, start=1):
+        try:
+            yield parse_matrix(text, field)
+        except (LinAlgError, FieldError) as exc:
+            raise type(exc)(f"{name} {i}: {exc}") from exc

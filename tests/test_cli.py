@@ -258,7 +258,7 @@ def test_matrices_that_are_not_text_fail_to_load(code_file, tmp_path, capsys):
     doc["generators"] = [1] * len(doc["generators"])
     bad = tmp_path / "numbers.json"
     bad.write_text(json.dumps(doc))
-    detail = "malformed code document: matrix text must be a string, not int"
+    detail = "malformed code document: generator 1: matrix text must be a string, not int"
     for command in (["report"], ["simulate", "--trials", "5"]):
         assert main([*command, "--code", str(bad)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {detail}\n"
@@ -269,7 +269,7 @@ def test_matrices_that_are_not_text_fail_to_load(code_file, tmp_path, capsys):
     received.write_text(json.dumps({"ambient": 3, "shots": [1, 2]}))
     assert main(["decode", "--code", str(code_file), "--received", str(received)]) == EXIT_USAGE
     assert capsys.readouterr().err == (
-        "error: malformed received-sequence file: matrix text must be a string, not int\n"
+        "error: malformed received-sequence file: shot 1: matrix text must be a string, not int\n"
     )
 
 
@@ -299,12 +299,12 @@ def _with_token(text, token):
 @pytest.mark.parametrize("token", ["x", "1.0"])
 def test_a_non_integer_entry_fails_to_load(code_file, tmp_path, capsys, token):
     # As an out-of-range entry does: exit 2 with an error line naming the
-    # row and the token, and a `load` FAIL from verify.
+    # matrix, the row and the token, and a `load` FAIL from verify.
     doc = json.loads(code_file.read_text())
     doc["generators"][3] = _with_token(doc["generators"][3], token)
     bad = tmp_path / "token.json"
     bad.write_text(json.dumps(doc))
-    detail = f"malformed code document: row 2 has the non-integer entry {token!r}"
+    detail = f"malformed code document: generator 4: row 2 has the non-integer entry {token!r}"
     for command in (["report"], ["simulate", "--trials", "5"]):
         assert main([*command, "--code", str(bad)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {detail}\n"
@@ -316,13 +316,15 @@ def test_a_non_integer_entry_fails_to_load(code_file, tmp_path, capsys, token):
     received.write_text(json.dumps({"ambient": 5, "shots": [shot]}))
     assert main(["decode", "--code", str(code_file), "--received", str(received)]) == EXIT_USAGE
     assert capsys.readouterr().err == (
-        f"error: malformed received-sequence file: row 2 has the non-integer entry {token!r}\n"
+        f"error: malformed received-sequence file: shot 1: row 2 has the non-integer entry {token!r}\n"
     )
     fixture = tmp_path / "fixture.json"
     level2 = _with_token("2 2 3\n1 0 0\n0 1 0", token)
     fixture.write_text(json.dumps({"ambient": 3, "flags": [["2 1 3\n1 0 0", level2]]}))
     assert main(["report", "--code", str(fixture)]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: row 2 has the non-integer entry {token!r}\n"
+    assert capsys.readouterr().err == (
+        f"error: flag 1 level 2: row 2 has the non-integer entry {token!r}\n"
+    )
 
 
 def test_verify_load_failure_on_a_bare_fixture(tmp_path, capsys):

@@ -21,7 +21,7 @@ from flagcodes.construction import (
     matrix_order,
     matrix_power,
 )
-from flagcodes.fields import field_from_order, field_new
+from flagcodes.fields import FieldError, field_from_order, field_new
 from flagcodes.linalg import MatrixFq, dump_matrix, intersect_dim, rank, rowspace
 from conftest import oracle_rref_rows
 
@@ -296,6 +296,22 @@ def test_serialization_rejects_generators_of_the_wrong_shape(code_221):
     texts[3] = short
     with pytest.raises(ConstructionError, match="generator 4 is 3x5"):
         code_from_json(_with_generators(code_221, texts))
+
+
+def test_a_parse_error_names_its_generator(code_221):
+    # Counted from 1: an entry out of range in generator 3, and a header
+    # over F_3 in generator 9, the last, which stays a FieldError.
+    texts = [dump_matrix(S) for S in code_221.generators]
+    bad = list(texts)
+    bad[2] = bad[2].replace("\n1", "\n2", 1)
+    with pytest.raises(
+        ConstructionError, match="^malformed code document: generator 3: entry out of field range$"
+    ):
+        code_from_json(_with_generators(code_221, bad))
+    bad = list(texts)
+    bad[8] = "3" + bad[8][1:]
+    with pytest.raises(FieldError, match="^generator 9: matrix header q=3 does not match field q=2$"):
+        code_from_json(_with_generators(code_221, bad))
 
 
 def test_public_flag_refuses_a_chain_that_is_not_nested(F2):

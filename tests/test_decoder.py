@@ -40,7 +40,6 @@ from flagcodes.linalg import (
     points,
     rank,
     rowspace,
-    subspace_from_coordinates,
 )
 from conftest import ORDERS, oracle_rref_rows, point_int
 
@@ -134,9 +133,8 @@ def test_random_subspace_is_the_dense_product_of_the_draw(source, request):
     # full-rank draw of a replayed stream, B the member's RREF basis, and
     # the channel reads exactly the draws the replay reads. The subspaces are
     # the first flags of a code, or seeded random subspaces over a field;
-    # over characteristic 2 the result is built from packed rows, so its
-    # `packed` must also be the fold of its rows, and it must equal what the
-    # list route makes of the same coefficients.
+    # the result is built from packed rows, so its `packed` must also be the
+    # fold of its rows.
     if isinstance(source, str):
         code = request.getfixturevalue(source)
         field, groups = code.params.field, [flag.subspaces for flag in code.flags[:6]]
@@ -152,7 +150,6 @@ def test_random_subspace_is_the_dense_product_of_the_draw(source, request):
                 got = random_subspace_of(sub, dim, rng)
                 assert (got, got.pivots) == (want, want.pivots)
                 assert got.packed == tuple(point_int(row, field.q) for row in got.rows)
-                assert subspace_from_coordinates(sub, coeffs.row_lists()) == got
                 assert rng.getstate() == replay.getstate()
 
 

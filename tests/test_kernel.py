@@ -15,10 +15,9 @@ from flagcodes.fields import MAX_ORDER, FieldError, field_new
 from flagcodes.linalg import (
     MatrixFq,
     Subspace,
-    _base_q_digits,
     _digits,
+    _draw_rows,
     _rank_rows,
-    _rref_rows,
     _space,
     contains,
     dump_matrix,
@@ -30,7 +29,6 @@ from flagcodes.linalg import (
     rank,
     rowspace,
     rref,
-    subspace_from_coordinates,
     subspace_from_draw,
     subspace_sum,
     sum_dim,
@@ -218,9 +216,10 @@ def _deficient_rows(field, rng):
 
 
 def test_rank_rows_matches_rref_rows(field):
-    # Forward elimination counts the pivots Gauss-Jordan finds, on random,
-    # rank-deficient, zero, 0-row and 1-row inputs: on row lists, and by
-    # `rank` on a matrix of entries and on one of packed rows only.
+    # Forward elimination counts the pivots the Gauss-Jordan oracle finds,
+    # on random, rank-deficient, zero, 0-row and 1-row inputs: on row lists
+    # by `_rank_rows`, and by `rank` on a matrix of entries and on one of
+    # packed rows only.
     rng = random.Random(field.q + 8)
     cases = [A.row_lists() for A in _shapes(field, rng)]
     cases += list(_deficient_rows(field, rng))
@@ -228,7 +227,6 @@ def test_rank_rows_matches_rref_rows(field):
     cases += [[[rng.randrange(field.q) for _ in range(4)] for _ in range(k)] for k in range(6)]
     for rows in cases:
         want = oracle_rref_rows(field, rows)[1]
-        assert _rref_rows(field, [list(r) for r in rows])[1] == want
         assert _rank_rows(field, [list(r) for r in rows]) == want
         assert rank(MatrixFq.from_rows(field, rows)) == want
         cols = len(rows[0]) if rows else 0
@@ -252,6 +250,21 @@ def test_parse_matrix_folds_each_row_into_its_packed_integer(spec):
         assert dump_matrix(parse_matrix(text, field)) == text
 
 
+def _oracle_draw_digits(x, q, size):
+    """The lowest `size` base-q digits of x, low digit first, one `%` each."""
+    out = []
+    for _ in range(size):
+        out.append(x % q)
+        x //= q
+    return out
+
+
+def _draw_of(C):
+    """The channel's draw x of the coefficient matrix C: its entries, row
+    by row, as the base-q digits of x, low digit first."""
+    return sum(a * C.field.q**i for i, a in enumerate(C.entries))
+
+
 # Per characteristic-2 field: (dim, dim U) pairs whose draws are all tried.
 DRAW_SHAPES = {
     (2, 1): [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4)],
@@ -263,11 +276,10 @@ DRAW_SHAPES = {
 @pytest.mark.parametrize("p,m", list(DRAW_SHAPES))
 def test_a_draw_is_ranked_on_its_bit_slices(p, m):
     # Every draw x of each shape: `rank` of the bit slices of x, read as
-    # packed rows, is the rank of the coefficient matrix of x's base-q
-    # digits by `_rank_rows` (checked against the oracle above), and
-    # `subspace_from_draw` refuses exactly the deficient draws.
+    # packed rows, is the oracle's rank of the coefficient matrix of x's
+    # base-q digits, and `subspace_from_draw` refuses exactly the deficient
+    # draws.
     field = field_new(p, m)
-    digits = _digits(field)
     rng = random.Random(field.q + 15)
     for dim, k in DRAW_SHAPES[p, m]:
         U = Subspace.zero(field, 5)
@@ -275,16 +287,53 @@ def test_a_draw_is_ranked_on_its_bit_slices(p, m):
             U = rowspace(_random_matrix(field, k, 5, rng))
         mask = (1 << (k * m)) - 1
         for x in range(field.q ** (dim * k)):
-            entries = _base_q_digits(digits, x, dim * k)
-            want = _rank_rows(field, [entries[i * k : (i + 1) * k] for i in range(dim)])
+            entries = _oracle_draw_digits(x, field.q, dim * k)
+            want = oracle_rref_rows(field, [entries[i * k : (i + 1) * k] for i in range(dim)])[1]
             slices = tuple((x >> (i * k * m)) & mask for i in range(dim))
             assert rank(MatrixFq._from_packed(field, k, slices)) == want
             assert (subspace_from_draw(U, dim, x) is None) == (want != dim)
 
 
+# Per odd-p field: (dim, dim U) pairs whose draws are all tried. The last
+# pair's rows are wider than one chunk of the draw table: 5 digits of F_3,
+# 3 of F_5, 2 of F_9.
+ODD_DRAW_SHAPES = {
+    (3, 1): [(1, 2), (2, 2), (1, 3), (2, 3), (1, 6)],
+    (5, 1): [(1, 2), (2, 2), (1, 3), (1, 4)],
+    (3, 2): [(1, 2), (2, 2), (1, 3)],
+}
+
+
+@pytest.mark.parametrize("p,m", list(ODD_DRAW_SHAPES))
+def test_an_odd_draw_is_the_dense_product_of_its_digits(p, m):
+    # Every draw x of each shape: `_draw_rows` is the fold of the rows of
+    # x's base-q digits, the draw is refused iff the oracle ranks those rows
+    # below dim, and an accepted draw is rowspace(C·B), pivots included.
+    field = field_new(p, m)
+    digits, space = _digits(field), _space(field, 7)
+    rng = random.Random(field.q + 16)
+    for dim, k in ODD_DRAW_SHAPES[p, m]:
+        U = Subspace.zero(field, 7)
+        while U.dim != k:
+            U = rowspace(_random_matrix(field, k, 7, rng))
+        fold = _space(field, k).fold
+        for x in range(field.q ** (dim * k)):
+            entries = _oracle_draw_digits(x, field.q, dim * k)
+            rows = [entries[i * k : (i + 1) * k] for i in range(dim)]
+            assert _draw_rows(digits, x, dim, k) == tuple(map(fold, rows))
+            got = subspace_from_draw(U, dim, x)
+            if oracle_rref_rows(field, rows)[1] < dim:
+                assert got is None
+                continue
+            want = rowspace(MatrixFq.from_rows(field, rows).matmul(U.basis))
+            assert (got, got.pivots) == (want, want.pivots)
+            assert got.space is space
+
+
 def test_subspace_from_coordinates_is_the_dense_product(field):
-    # The rows of U combined by R, the RREF of full-rank coefficients, are
-    # the rowspace of the product coeffs·B, entries and pivots both.
+    # The rows of U combined by R, the RREF of full-rank coordinates given
+    # as the channel's draw, are the rowspace of the product coeffs·B,
+    # entries and pivots both.
     rng = random.Random(field.q + 9)
     n = 6
     for d in range(2, n + 1):
@@ -292,7 +341,7 @@ def test_subspace_from_coordinates_is_the_dense_product(field):
             U = rowspace(_random_matrix(field, d, n, rng))
             for k in range(1, U.dim):
                 C = _full_rank(field, U.dim, rng, rows=k)
-                S = subspace_from_coordinates(U, C.row_lists())
+                S = subspace_from_draw(U, k, _draw_of(C))
                 want = rowspace(C.matmul(U.basis))
                 assert S.basis.entries == want.basis.entries
                 assert S.pivots == want.pivots
@@ -346,7 +395,7 @@ def test_trusted_constructions_are_in_rref(field):
         built += [random_subspace_of(U, d, rng) for d in range(U.dim + 1)]
         built += [subspace_sum(U, V) for V in rng.sample(subspaces, 4)]
         built += [
-            subspace_from_coordinates(U, _full_rank(field, U.dim, rng, rows=k).row_lists())
+            subspace_from_draw(U, k, _draw_of(_full_rank(field, U.dim, rng, rows=k)))
             for k in range(1, U.dim + 1)
         ]
         built.append(orthogonal_complement(U))
@@ -363,7 +412,8 @@ def test_trusted_constructions_are_in_rref(field):
 def test_every_construction_of_a_subspace_is_equal_and_hashes_equal(field):
     # One space U = rowspace(C·B) of V = rowspace(B), built by the checked
     # constructor, `rowspace`, `_reduced`, `subspace_sum` of two row blocks
-    # and `subspace_from_coordinates`, at every dimension from 0 up.
+    # and the channel's `subspace_from_draw` of C, at every dimension from 0
+    # up.
     rng = random.Random(field.q + 10)
     n = 6
     for k in range(n):
@@ -375,7 +425,7 @@ def test_every_construction_of_a_subspace_is_equal_and_hashes_equal(field):
             Subspace(MatrixFq(field, k, n, itertools.chain.from_iterable(U.rows))),
             Subspace._reduced(field, n, [list(r) for r in U.rows], list(U.pivots)),
             subspace_sum(rowspace(A.first_rows(k // 2)), rowspace(A.last_rows(k - k // 2))),
-            subspace_from_coordinates(V, C.row_lists()),
+            subspace_from_draw(V, k, _draw_of(C)),
         ]
         if not k:
             built.append(Subspace.zero(field, n))

@@ -209,10 +209,10 @@ class _Digits:
     maps each chunk to the same entries times a, so `scale` multiplies a
     whole chunk by one lookup.
 
-    A channel draw is read `draw_digits` base-q digits a `divmod`, the most
-    with q^t <= 256: `draw_table()`, built on first use, maps each r below
-    q^t to its t digits, low digit first, as slot-form entries with the
-    first most significant (see `_draw_rows`).
+    A channel draw is read d = `draw_digits` base-q digits a `divmod`, d
+    the most with q^d <= 256: `draw_table()`, built on first use, maps each
+    r below q^d to its d digits, low digit first, as slot-form entries with
+    the first most significant (see `_draw_rows`).
     """
 
     __slots__ = (

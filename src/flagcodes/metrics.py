@@ -79,7 +79,9 @@ class ProjectedCode:
 
     `projected_code` finds those pairs among the members that share a point
     of their `distance_points`, or, on a level with no more pairs than point
-    entries, makes one `subspace_distance` per pair."""
+    entries, makes one `subspace_distance` per pair. `pairwise_sweep` builds
+    the levels beyond an apart one directly: every flag its own member, in
+    flag order, and no pair below the maximum."""
 
     index: int
     subspaces: tuple
@@ -120,6 +122,8 @@ def projected_code(code, i: int) -> ProjectedCode:
     `check_same_ambient` does.
     """
     flags = _flags_of(code)
+    if not flags:
+        raise MetricsError("empty flag list")
     n = flags[0].ambient
     if not (1 <= i <= n - 1):
         raise MetricsError(f"projected index {i} out of range for n={n}")
@@ -181,8 +185,27 @@ class PairwiseSweep:
     projected_distances: tuple
 
 
+_NONE_BELOW = MappingProxyType({})
+
+
 def pairwise_sweep(code) -> PairwiseSweep:
     """The only O(N^2) pass over a code, cached on a FlagCode; see projected_code.
+
+    The levels are computed outward from the middle, one side at a time:
+    n//2 down to 1, then ceil(n/2) up to n - 1, with the middle level of an
+    even n computed once for both sides. A level is apart when every flag
+    has its own subspace there and no pair of them is below the level
+    maximum. Once a level is apart, so is every level further out on its
+    side, and those levels are built without a point set or a complement.
+    The rule is exact because every `Flag` is nested (`Flag(...)` checks
+    it, and `Flag._nested` is fed only `prefix_rowspaces`). Below the
+    middle, a pair at the maximum meets in {0}, and U_i ⊂ U_{i+1} gives
+    U_i ∩ V_i ⊂ U_{i+1} ∩ V_{i+1}: the pair meets in {0}, and so differs,
+    at every lower level too. Above it, the complements meet in {0}, and
+    U_{i+1}⊥ ⊂ U_i⊥: going up, the complements only shrink. This is the
+    lemma behind `classify`'s ODFC criterion (Alonso-González, Navarro-Pérez
+    and Soler-Escrivà, "Optimum distance flag codes from spreads via perfect
+    matchings in graphs").
 
     d_f is max_distance(n) less the largest total deficit of a pair of
     flags. At each level, two flags that share their subspace owe the whole
@@ -199,7 +222,18 @@ def pairwise_sweep(code) -> PairwiseSweep:
     n = flags[0].ambient
     if any(f.ambient != n for f in flags):
         raise MetricsError("flags have different ambient/type")
-    projected = tuple(projected_code(flags, i) for i in range(1, n))
+    identity = tuple(range(len(flags)))
+    projected = {}
+    for side in (range(n // 2, 0, -1), range((n + 1) // 2, n)):
+        apart = False
+        for i in side:
+            if apart:
+                subs = tuple(f[i] for f in flags)
+                projected[i] = ProjectedCode(i, subs, _NONE_BELOW, identity, 2 * min(i, n - i))
+            elif i not in projected:
+                projected[i] = projected_code(flags, i)
+            apart = len(projected[i]) == len(flags) and not projected[i].below
+    projected = tuple(projected[i] for i in range(1, n))
     deficit = {}  # (f, g) with f < g -> total deficit of flags f and g
     for pc in projected:
         holders = [[] for _ in pc.subspaces]  # flags in increasing order
@@ -321,7 +355,9 @@ def classify(code) -> CodeReport:
     R = (n + 1) // 2  # min i with 2i >= n
 
     # Equivalent ODFC criterion: the L-th and R-th projected codes have
-    # maximum distance and the same cardinality as the code.
+    # maximum distance and the same cardinality as the code. By the lemma
+    # behind pairwise_sweep's apart rule, those two levels being apart
+    # makes every level apart.
     odfc_criterion = (
         proj_dist[L - 1] == min(2 * L, 2 * (n - L))
         and proj_dist[R - 1] == min(2 * R, 2 * (n - R))

@@ -71,6 +71,13 @@ def test_min_flag_distance_empty():
         min_flag_distance([])
 
 
+def test_projected_code_and_the_sweep_reject_an_empty_flag_list():
+    with pytest.raises(MetricsError, match="empty flag list"):
+        projected_code([], 1)
+    with pytest.raises(MetricsError, match="empty flag list"):
+        pairwise_sweep([])
+
+
 def test_max_distance_full():
     assert max_distance(7) == 24
     assert max_distance(5) == 12
@@ -297,6 +304,27 @@ def _oracle_projected(flags, i):
     return below, tuple(distinct.index(f[i]) for f in flags), maximum
 
 
+def _apart(flags, i):
+    """Whether every flag has its own i-th subspace and no pair of them is
+    below the level maximum, by the pair oracle."""
+    below, of_flag, _ = _oracle_projected(flags, i)
+    return not below and len(set(of_flag)) == len(flags)
+
+
+def _outward_levels(flags):
+    """The levels pairwise_sweep should hand to projected_code: on each side
+    of the middle, outward up to and including the first apart level."""
+    n = flags[0].ambient
+    levels = []
+    for side in (range(n // 2, 0, -1), range((n + 1) // 2, n)):
+        for i in side:
+            if i not in levels:
+                levels.append(i)
+            if _apart(flags, i):
+                break
+    return levels
+
+
 def _path(flags, i):
     """The path projected_code should take at level i: "pairs" when the
     point entries reach the members' pairs, else "index"."""
@@ -307,6 +335,28 @@ def _path(flags, i):
 # Levels whose path is pinned: (2,2,0) level 2 has 15 point entries against
 # 10 pairs; shared-V2 level 3 and (2,3,2) level 4 take the index.
 PINNED_PATHS = {(2, 2, 0): {2: "pairs"}, "shared-V2": {3: "index"}, (2, 3, 2): {4: "index"}}
+
+# Levels whose computation is pinned: (2,3,2) level 4 meets while levels 3
+# and 5 are apart, so levels 1, 2, 6 and 7 skip projected_code; no level of
+# shared-F2 or perturbed-F3 is apart before the last of its side.
+PINNED_LEVELS = {
+    (2, 3, 2): [4, 3, 5],
+    "shared-F2": [3, 2, 1, 4, 5],
+    "perturbed-F3": [2, 1, 3, 4],
+}
+
+
+def _record_levels(monkeypatch):
+    """The levels handed to metrics.projected_code, in order."""
+    levels = []
+    real = flagcodes.metrics.projected_code
+
+    def recording(code, i):
+        levels.append(i)
+        return real(code, i)
+
+    monkeypatch.setattr(flagcodes.metrics, "projected_code", recording)
+    return levels
 
 
 def _count_distance_calls(monkeypatch):
@@ -342,12 +392,15 @@ def test_pairwise_sweep_matches_the_oracles(case, monkeypatch):
     for i, path in PINNED_PATHS.get(case, {}).items():
         assert _path(flags, i) == path
     calls = _count_distance_calls(monkeypatch)
+    levels = _record_levels(monkeypatch)
     sweep = pairwise_sweep(flags)
-    # The pair loop makes one subspace_distance per pair, the index none.
-    assert len(calls) == sum(
-        math.comb(len(pc), 2) for pc in sweep.projected if _path(flags, pc.index) == "pairs"
-    )
     monkeypatch.undo()
+    assert levels == PINNED_LEVELS.get(case, levels) == _outward_levels(flags)
+    # On a computed level the pair loop makes one subspace_distance per
+    # pair, the index none; a level beyond an apart one makes none.
+    assert len(calls) == sum(
+        math.comb(len(sweep.projected[i - 1]), 2) for i in levels if _path(flags, i) == "pairs"
+    )
     pairs = list(itertools.combinations(range(len(flags)), 2))
     assert sweep.d_f == min(flag_distance(flags[a], flags[b]) for a, b in pairs)
     for i in range(1, n):
@@ -410,20 +463,39 @@ def test_min_flag_distance_rejects_mixed_fields(code_221, code_321):
 
 
 def test_report_and_verify_share_one_sweep(monkeypatch):
-    calls = []
-    real = flagcodes.metrics.projected_code
-
-    def counting(code, i):
-        calls.append(i)
-        return real(code, i)
-
     code = build_code(SandwichParams(field_new(2), 2, 1))
-    monkeypatch.setattr(flagcodes.metrics, "projected_code", counting)
+    levels = _record_levels(monkeypatch)
     classify(code)
-    # one projected code at each of the n - 1 = 4 levels
-    assert calls == [1, 2, 3, 4]
+    # n = 5: the middle levels 2 and 3 are apart, so levels 1 and 4 are built
+    # without a projected_code call
+    assert levels == [2, 3]
     checks = [check_spread_disjoint, check_distance_profile, check_distance_sum_identity]
     assert all(check(code).status == PASS for check in checks)
     assert all(r.status == PASS for r in verify_code(code))
     assert min_flag_distance(code) == 12
-    assert calls == [1, 2, 3, 4]
+    assert levels == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "p, m, k1, r, levels",
+    [
+        (2, 1, 3, 2, [4, 3, 5]),
+        (2, 1, 4, 2, [5, 4, 6]),
+        (3, 1, 3, 1, [3, 4]),
+        (2, 2, 3, 0, [3]),
+        (2, 1, 2, 0, [2]),
+        (2, 1, 2, 1, [2, 3]),
+    ],
+    ids=["2-3-2", "2-4-2", "3-3-1", "F4-3-0", "2-2-0", "2-2-1"],
+)
+def test_pairwise_sweep_computes_levels_outward_from_the_middle(
+    p, m, k1, r, levels, monkeypatch
+):
+    code = build_code(SandwichParams(field_new(p, m), k1, r))
+    computed = _record_levels(monkeypatch)
+    sweep = pairwise_sweep(code)
+    monkeypatch.undo()
+    assert computed == levels
+    # A level built without projected_code is the one it would return.
+    n = code.flags[0].ambient
+    assert sweep.projected == tuple(projected_code(code, i) for i in range(1, n))

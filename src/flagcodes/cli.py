@@ -48,12 +48,22 @@ class CliError(Exception):
     pass
 
 
-def _parse_ints(text):
-    return tuple(int(x) for x in text.split(",")) if text else None
+def _parse_ints(text, flag: str):
+    """The comma-separated integers of `flag`'s value, None if it is not
+    given; a token that is no integer is a usage error naming both."""
+    if not text:
+        return None
+    out = []
+    for token in text.split(","):
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise CliError(f"{flag}: {token!r} is not an integer") from None
+    return tuple(out)
 
 
 def _build_field(args):
-    modulus = _parse_ints(getattr(args, "modulus", None))
+    modulus = _parse_ints(getattr(args, "modulus", None), "--modulus")
     return field_new(args.p, args.m, modulus)
 
 
@@ -96,7 +106,7 @@ def _emit(args, doc: dict, text_lines):
 
 def cmd_construct(args) -> int:
     field = _build_field(args)
-    params = SandwichParams(field, args.k1, args.r, _parse_ints(args.prim_poly))
+    params = SandwichParams(field, args.k1, args.r, _parse_ints(args.prim_poly, "--prim-poly"))
     code = build_code(params)
     payload = code_to_json(code)
     if args.out:
@@ -179,7 +189,7 @@ def cmd_erase(args) -> int:
     code = _load_code(args.code)
     if not (1 <= args.codeword <= len(code)):
         raise CliError(f"codeword index {args.codeword} outside [1, {len(code)}]")
-    erasures = _parse_ints(args.erasures)
+    erasures = _parse_ints(args.erasures, "--erasures")
     if erasures is None:
         erasures = (0,) * (code.ambient - 1)
     received = erase(code.flags[args.codeword - 1], erasures, args.seed)

@@ -156,12 +156,12 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     likely, and every target subspace has the same number |GL(dim, q)| of
     full-rank coefficient matrices, so the result is exactly uniform.
 
-    `linalg.subspace_from_draw` owns that digit format: it runs the rank
-    test, and for an accepted draw, whose coefficients are the coordinates
-    of the target's basis in sub's RREF rows, reduces them once and combines
-    sub's packed rows by them from `sub.multiples`, so the result is in RREF
-    with no product formed, no reduction of the ambient-width rows, and no
-    `rows` built.
+    `linalg.subspace_from_draw` owns that digit format: the coefficients
+    are the coordinates of the target's basis in sub's RREF rows B, so it
+    forms the rows of C·B from sub's cached chunk tables (`sub.chunks`),
+    one lookup per group of digits, runs the rank test on them, and puts
+    an accepted draw in RREF with one insertion pass, so the shot carries
+    packed rows and builds no `rows`.
     """
     if not (0 <= dim <= sub.dim):
         raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")

@@ -209,15 +209,15 @@ class _Digits:
     maps each chunk to the same entries times a, so `scale` multiplies a
     whole chunk by one lookup.
 
-    A channel draw is read d = `draw_digits` base-q digits a `divmod`, d
-    the most with q^d <= 256: `draw_table()`, built on first use, maps each
-    r below q^d to its d digits, low digit first, as slot-form entries with
-    the first most significant (see `_draw_rows`).
+    A channel draw is read t = `draw_digits` base-q coefficient digits at
+    a time, t the most with q^t <= 256: each group of t rows of the subspace
+    drawn from has a table of its q^t combinations (`Subspace.chunks`), so
+    one lookup adds a whole group (see `_Space.draw`).
     """
 
     __slots__ = (
         "field", "s", "e", "slot", "element", "negated", "width", "high", "_scaled",
-        "draw_digits", "_draw_table",
+        "draw_digits",
     )
 
     def __init__(self, field: FiniteField):
@@ -243,7 +243,7 @@ class _Digits:
         t = 1
         while q ** (t + 1) <= 256:
             t += 1
-        self.draw_digits, self._draw_table = t, None
+        self.draw_digits = t
 
     def scaled(self, a: int) -> list:
         table = self._scaled.get(a)
@@ -258,14 +258,6 @@ class _Digits:
                     table[v] = x
             self._scaled[a] = table
         return table
-
-    def draw_table(self) -> list:
-        if self._draw_table is None:
-            fold = _space(self.field, self.draw_digits).fold
-            # product's last digit varies fastest: it is r's low digit.
-            product = itertools.product(range(self.field.q), repeat=self.draw_digits)
-            self._draw_table = [fold(reversed(digits)) for digits in product]
-        return self._draw_table
 
     def scale(self, v: int, a: int) -> int:
         """v, an integer of slot-form entries, with each entry times a."""
@@ -284,31 +276,6 @@ def _digits(field: FiniteField) -> _Digits:
     return _Digits(field)
 
 
-def _draw_rows(digits: _Digits, x: int, dim: int, k: int) -> tuple:
-    """The dim coefficient rows of the draw x as packed rows of
-    `_space(field, k)`: row i is base-q digits i·k .. i·k + k - 1 of x, low
-    digit first, the first entry most significant. Each row is one
-    `divmod` by q^k, then read t = `draw_digits` digits a `divmod` and one
-    lookup of the draw table, the first chunk highest; the padding slots
-    past the k-th entry, zero since the row is below q^k, are shifted off."""
-    table, t, e, q = digits.draw_table(), digits.draw_digits, digits.e, digits.field.q
-    chunks = -(-k // t)
-    row_base, chunk_base, width = q**k, q**t, t * e
-    pad = (chunks * t - k) * e
-    rows = []
-    for _ in range(dim):
-        x, y = divmod(x, row_base)
-        if chunks == 1:  # y < q^k <= q^t is its own chunk
-            rows.append(table[y] >> pad)
-            continue
-        v = 0
-        for _ in range(chunks):
-            y, r = divmod(y, chunk_base)
-            v = v << width | table[r]
-        rows.append(v >> pad)
-    return tuple(rows)
-
-
 class _Space:
     """F_q^n with each vector packed into one integer of slot-form entries
     (see `_Digits`), the first entry most significant: entry c sits at bit
@@ -317,7 +284,8 @@ class _Space:
 
     This is the one kernel of row operations on packed rows; its two
     subclasses differ in how rows add, and each writes out the hot loops,
-    `insert`, `reduce`, `rank` and `span`, with its addition inline. A
+    `insert`, `reduce`, `rank`, `span`, `draw` and `sums`, with its
+    addition inline; `multiples` and `chunk_tables` are built on `sums`. A
     one-off scalar multiple comes from the `_Digits` chunk tables, except
     that 1 and p - 1 = -1 need none, and a row's q multiples are sums of its
     multiples by the powers of x.
@@ -364,11 +332,26 @@ class _Space:
     def multiples(self, x: int) -> tuple:
         """c·x for c = 0 .. q - 1: c = sum_j c_j p^j is sum_j c_j (x^j·x),
         with x^j·x from the chunk tables."""
-        add, p = self.add, self.p
         out = self._copies(x)
         for j in range(1, self.m):
-            out = [add(w, c) for c in self._copies(self.digits.scale(x, p**j)) for w in out]
+            out = self.sums(out, self._copies(self.digits.scale(x, self.p**j)))
         return tuple(out)
+
+    def chunk_tables(self, multiples) -> tuple:
+        """For each group of t = `draw_digits` consecutive rows, given by
+        their `multiples`, the table of the group's combinations: entry r is
+        sum_i r_i·(row i of the group), r_i the base-q digits of r, low digit
+        first. A last group of fewer than t rows has a smaller table. This is
+        the method of four Russians (Albrecht, Bard and Hart, ACM TOMS 2010)
+        over F_q: one lookup adds t rows."""
+        t = self.digits.draw_digits
+        tables = []
+        for j in range(0, len(multiples), t):
+            table = [0]
+            for mult in multiples[j : j + t]:
+                table = self.sums(table, mult)
+            tables.append(table)
+        return tuple(tables)
 
 
 class _XorSpace(_Space):
@@ -440,6 +423,34 @@ class _XorSpace(_Space):
                     break
                 v ^= u if a == 1 else scale(u, a)
         return len(found)
+
+    def draw(self, tables, x: int, dim: int, k: int) -> list:
+        """The dim packed rows of C·B for the channel's draw x, read as the
+        base-q digits of a dim x k coefficient matrix C, low digit first,
+        row by row, and `tables` the `chunk_tables` of the k rows of B: each
+        row of C is k·m bits of x, and each t digits of it one lookup, so a
+        row of at most t digits is one lookup and no sum."""
+        m = self.m
+        bits, width = k * m, self.digits.draw_digits * m
+        row_mask, mask = (1 << bits) - 1, (1 << width) - 1
+        if len(tables) == 1:
+            table = tables[0]
+            return [table[(x >> shift) & row_mask] for shift in range(0, dim * bits, bits)]
+        out = []
+        for shift in range(0, dim * bits, bits):
+            y = (x >> shift) & row_mask
+            v = 0
+            for table in tables:
+                v ^= table[y & mask]
+                y >>= width
+            out.append(v)
+        return out
+
+    @staticmethod
+    def sums(vectors, others) -> list:
+        """w + c for each c of `others` and each w of `vectors`, w varying
+        fastest."""
+        return [w ^ c for c in others for w in vectors]
 
     def span(self, rows) -> list:
         """The points of the span of packed RREF rows: each combination
@@ -554,6 +565,35 @@ class _SlotSpace(_Space):
                 v = x - p * (((x + carry) >> guard) & ones)
         return len(found)
 
+    def draw(self, tables, x: int, dim: int, k: int) -> list:
+        """As `_XorSpace.draw`, a row of C one `divmod` by q^k and t of its
+        digits one `divmod` by q^t, adding slot by slot."""
+        q, p, guard, ones, carry = self.field.q, self.p, self.guard, self.ones, self.carry
+        row_base, base = q**k, q**self.digits.draw_digits
+        if len(tables) == 1:
+            table = tables[0]
+            out = []
+            for _ in range(dim):
+                x, y = divmod(x, row_base)
+                out.append(table[y])
+            return out
+        out = []
+        for _ in range(dim):
+            x, y = divmod(x, row_base)
+            v = 0
+            for table in tables:
+                y, r = divmod(y, base)
+                v = (z := v + table[r]) - p * (((z + carry) >> guard) & ones)
+            out.append(v)
+        return out
+
+    def sums(self, vectors, others) -> list:
+        """As `_XorSpace.sums`, adding slot by slot."""
+        p, guard, ones, carry = self.p, self.guard, self.ones, self.carry
+        return [
+            (x := w + c) - p * (((x + carry) >> guard) & ones) for c in others for w in vectors
+        ]
+
     def span(self, rows) -> list:
         """As `_XorSpace.span`, adding slot by slot."""
         p, guard, ones, carry = self.p, self.guard, self.ones, self.carry
@@ -610,8 +650,9 @@ class Subspace:
 
     `rows`, the RREF rows as tuples of field elements (none for {0}),
     `basis`, the dim x n matrix of `rows`, `multiples`, each row's q scalar
-    multiples, and `distance_points` are built on first read and kept; the
-    kernel reads none but `multiples`, so a subspace it builds never forms
+    multiples, `chunks`, the channel's tables of combinations of the rows,
+    and `distance_points` are built on first read and kept; the kernel reads
+    none but `multiples` and `chunks`, so a subspace it builds never forms
     `rows` unless a caller reads them.
 
     `Subspace(basis)` checks that the basis is in RREF and keeps it; the
@@ -622,7 +663,7 @@ class Subspace:
 
     __slots__ = (
         "space", "field", "ambient", "dim", "packed", "pivots",
-        "_rows", "_basis", "_multiples", "_points",
+        "_rows", "_basis", "_multiples", "_points", "_chunks",
     )
 
     def __init__(self, basis: MatrixFq):
@@ -673,11 +714,22 @@ class Subspace:
     @property
     def multiples(self) -> tuple:
         """For each row, its q scalar multiples c·row, c = 0 .. q - 1, as
-        packed integers: what `sum_dim` reduces by and the channel's R·B
-        combines."""
+        packed integers: what `sum_dim` reduces by and the channel's
+        `chunks` are built from."""
         if self._multiples is None:
             self._multiples = tuple(map(self.space.multiples, self.packed))
         return self._multiples
+
+    @property
+    def chunks(self) -> tuple:
+        """`_Space.chunk_tables` of the rows, what the channel draws from:
+        built on first read and kept. `_set` leaves the slot unset, so a
+        subspace that is never drawn from pays nothing for it."""
+        try:
+            return self._chunks
+        except AttributeError:
+            self._chunks = self.space.chunk_tables(self.multiples)
+            return self._chunks
 
     @property
     def distance_points(self) -> frozenset:
@@ -755,94 +807,26 @@ def sum_dim(U: Subspace, V: Subspace) -> int:
     return U.dim + space.rank(space.reduce(V.packed, U.pivots, U.multiples))
 
 
-def _xor_rref(digits: _Digits, rows: list):
-    """RREF of independent rows of base-2^m digits, entry c the m-bit field
-    at bit c·m (low digit first), by XOR: each row is reduced at its lowest
-    nonzero digit against the pivot rows found so far, then scaled to a
-    leading 1 and kept; then each pivot column is cleared from the rows of
-    smaller pivot. Returns the reduced rows and their pivot columns, both
-    ascending by pivot. Over F_2 every digit is 1, so nothing is scaled."""
-    field, scale = digits.field, digits.scale
-    m, w, inv = field.m, field.q - 1, field.inv_table
-    found = {}
-    for v in rows:
-        while True:
-            c = ((v & -v).bit_length() - 1) // m
-            a = (v >> (c * m)) & w
-            p = found.get(c)
-            if p is None:
-                break
-            v ^= p if a == 1 else scale(p, a)
-        found[c] = v if a == 1 else scale(v, inv[a])
-    cols = sorted(found)
-    R = [found[c] for c in cols]
-    for j in range(1, len(R)):
-        shift, p = cols[j] * m, R[j]
-        for i in range(j):
-            a = (R[i] >> shift) & w
-            if a:
-                R[i] ^= p if a == 1 else scale(p, a)
-    return R, cols
-
-
 def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
     """The subspace of U that the channel's draw x selects, or None if the
     draw is rank-deficient.
 
     x, below q ** (dim * dim U), is read as the base-q digits of a dim x
-    dim U coefficient matrix, low digit first, row by row: the coordinates
-    of the target's basis in U's RREF rows B. `rank` of that matrix decides
-    whether the draw is accepted; an accepted one is reduced once to its
-    RREF R, with pivot columns c_t. R·B is then in RREF: B's pivot columns
-    hold the identity and its rows are zero left of their pivots. It is
-    formed on packed rows from `U.multiples`, so the result carries
-    `packed` and `pivots` and no `rows`.
-
-    Over odd p `_draw_rows` reads the coefficient rows as packed rows,
-    `_Space.insert` reduces them, and row t of R·B is B's row c_t plus
-    R[t][f] times B's row f for each f > c_t. Over characteristic 2 each
-    digit is an m-bit field of x, so coefficient row i is a bit slice of x;
-    read as packed rows, the slices are that matrix with its columns
-    reversed, of the same rank. `_xor_rref` reduces them to R, and row t of
-    R·B is the XOR over f of `U.multiples[f][R[t][f]]`.
+    dim U coefficient matrix C, low digit first, row by row: the coordinates
+    of the target's basis in U's RREF rows B. `_Space.draw` forms the rows
+    of C·B on packed rows from the chunk tables `U.chunks`, and `rank` of
+    those rows decides whether the draw is accepted: B's rows are
+    independent, so rank(C·B) = rank(C). One `_Space.insert` puts an
+    accepted draw in RREF, which is R·B for R the RREF of C, so the result
+    carries `packed` and `pivots` and no `rows`.
     """
-    field, k, digits = U.field, U.dim, U.space.digits
-    if field.p != 2:
-        rows = _draw_rows(digits, x, dim, k)
-        if rank(MatrixFq._from_packed(field, k, rows)) != dim:
-            return None
-        coeffs = _space(field, k)
-        R, cols = [], []
-        coeffs.insert(R, cols, rows)
-        shifts, element, emask = coeffs.shifts, coeffs.element, coeffs.emask
-        space, multiples, B = U.space, U.multiples, U.packed
-        packed = []
-        for r, c in zip(R, cols):
-            v = B[c]
-            for f in range(c + 1, k):
-                a = element[(r >> shifts[f]) & emask]
-                if a:
-                    v = space.add(v, multiples[f][a])
-            packed.append(v)
-        return Subspace._from_packed(space, tuple(packed), tuple(U.pivots[c] for c in cols))
-    m = field.m
-    row_bits, w = k * m, field.q - 1
-    mask = (1 << row_bits) - 1
-    slices = tuple((x >> (i * row_bits)) & mask for i in range(dim))
-    if rank(MatrixFq._from_packed(field, k, slices)) != dim:
+    space = U.space
+    rows = tuple(space.draw(U.chunks, x, dim, U.dim))
+    if rank(MatrixFq._from_packed(U.field, U.ambient, rows)) != dim:
         return None
-    R, cols = _xor_rref(digits, slices)
-    packed = []
-    for r in R:
-        v = 0
-        for multiples in U.multiples:
-            if not r:
-                break
-            if r & w:
-                v ^= multiples[r & w]
-            r >>= m
-        packed.append(v)
-    return Subspace._from_packed(U.space, tuple(packed), tuple(U.pivots[c] for c in cols))
+    packed, pivots = [], []
+    space.insert(packed, pivots, rows)
+    return Subspace._from_packed(space, tuple(packed), tuple(pivots))
 
 
 def intersect_dim(U: Subspace, V: Subspace) -> int:

@@ -110,15 +110,25 @@ def test_report_on_the_grid_is_pinned(name, tmp_path, capsys):
     assert out == (DATA / f"report-{name}.json").read_text()
 
 
-@pytest.mark.parametrize("p, m", [(5, 1), (3, 2)], ids=["f5", "f9"])
-def test_odd_channel_erase_is_pinned(p, m, tmp_path, capsys):
-    # `erase --seed 9` on codeword 7 of the (2,1) code over F_5 and F_9,
-    # levels 2..4 cut to a proper subspace, is the committed received file
-    # byte for byte: the odd-p draw keeps the seeded stream.
+# The (2,1) code over each field whose channel stream is pinned: F_8 by
+# x^3 + x + 1, the others by their default modulus.
+PINNED_FIELDS = {
+    "f2": ("--p", "2"),
+    "f4": ("--p", "2", "--m", "2"),
+    "f8": ("--p", "2", "--m", "3", "--modulus", "1,1,0,1"),
+    "f5": ("--p", "5"),
+    "f9": ("--p", "3", "--m", "2"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FIELDS))
+def test_channel_erase_is_pinned(name, tmp_path, capsys):
+    # `erase --seed 9` on codeword 7 of the (2,1) code, levels 2..4 cut to a
+    # proper subspace, is the committed received file byte for byte: the
+    # channel keeps its seeded stream over every characteristic.
     code, received = tmp_path / "code.json", tmp_path / "received.json"
     exit_code, _ = run(
-        capsys,
-        "construct", "--p", str(p), "--m", str(m), "--k1", "2", "--r", "1", "--out", str(code),
+        capsys, "construct", *PINNED_FIELDS[name], "--k1", "2", "--r", "1", "--out", str(code),
     )
     assert exit_code == EXIT_OK
     exit_code, _ = run(
@@ -127,7 +137,29 @@ def test_odd_channel_erase_is_pinned(p, m, tmp_path, capsys):
         "--seed", "9", "--out", str(received),
     )
     assert exit_code == EXIT_OK
-    assert received.read_text() == (DATA / f"received-f{p ** m}.json").read_text()
+    assert received.read_text() == (DATA / f"received-{name}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, token",
+    [
+        (("construct", "--k1", "2", "--modulus", "1,a,1"), "--modulus", "a"),
+        (("construct", "--k1", "2", "--prim-poly", "1,x"), "--prim-poly", "x"),
+        (("erase", "--codeword", "1", "--erasures", "a,b"), "--erasures", "a"),
+    ],
+    ids=["modulus", "prim-poly", "erasures"],
+)
+def test_an_integer_list_error_names_its_flag_and_token(argv, flag, token, tmp_path, capsys):
+    # A bad token of a comma-separated flag is a usage error (exit 2) that
+    # names the flag and the token, not a bare `int()` message.
+    code = tmp_path / "code.json"
+    assert main(["construct", "--k1", "2", "--r", "1", "--out", str(code)]) == EXIT_OK
+    if argv[0] == "erase":
+        argv = (*argv, "--code", str(code))
+    capsys.readouterr()
+    assert main(list(argv)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {flag}: {token!r} is not an integer\n"
 
 
 def test_report_example_fixture(tmp_path, capsys):

@@ -16,7 +16,6 @@ from flagcodes.linalg import (
     MatrixFq,
     Subspace,
     _digits,
-    _draw_rows,
     _rank_rows,
     _space,
     contains,
@@ -265,69 +264,71 @@ def _draw_of(C):
     return sum(a * C.field.q**i for i, a in enumerate(C.entries))
 
 
-# Per characteristic-2 field: (dim, dim U) pairs whose draws are all tried.
+# Per field: (dim, dim U) pairs whose draws are all tried. Rows wider than
+# one chunk table: 3 digits of F_8, 5 of F_3, 3 of F_5 and 2 of F_9.
 DRAW_SHAPES = {
     (2, 1): [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4)],
     (2, 2): [(1, 2), (2, 2), (1, 3), (2, 3)],
     (2, 3): [(1, 2), (2, 2), (1, 3)],
-}
-
-
-@pytest.mark.parametrize("p,m", list(DRAW_SHAPES))
-def test_a_draw_is_ranked_on_its_bit_slices(p, m):
-    # Every draw x of each shape: `rank` of the bit slices of x, read as
-    # packed rows, is the oracle's rank of the coefficient matrix of x's
-    # base-q digits, and `subspace_from_draw` refuses exactly the deficient
-    # draws.
-    field = field_new(p, m)
-    rng = random.Random(field.q + 15)
-    for dim, k in DRAW_SHAPES[p, m]:
-        U = Subspace.zero(field, 5)
-        while U.dim != k:
-            U = rowspace(_random_matrix(field, k, 5, rng))
-        mask = (1 << (k * m)) - 1
-        for x in range(field.q ** (dim * k)):
-            entries = _oracle_draw_digits(x, field.q, dim * k)
-            want = oracle_rref_rows(field, [entries[i * k : (i + 1) * k] for i in range(dim)])[1]
-            slices = tuple((x >> (i * k * m)) & mask for i in range(dim))
-            assert rank(MatrixFq._from_packed(field, k, slices)) == want
-            assert (subspace_from_draw(U, dim, x) is None) == (want != dim)
-
-
-# Per odd-p field: (dim, dim U) pairs whose draws are all tried. The last
-# pair's rows are wider than one chunk of the draw table: 5 digits of F_3,
-# 3 of F_5, 2 of F_9.
-ODD_DRAW_SHAPES = {
     (3, 1): [(1, 2), (2, 2), (1, 3), (2, 3), (1, 6)],
     (5, 1): [(1, 2), (2, 2), (1, 3), (1, 4)],
     (3, 2): [(1, 2), (2, 2), (1, 3)],
 }
 
 
-@pytest.mark.parametrize("p,m", list(ODD_DRAW_SHAPES))
-def test_an_odd_draw_is_the_dense_product_of_its_digits(p, m):
-    # Every draw x of each shape: `_draw_rows` is the fold of the rows of
-    # x's base-q digits, the draw is refused iff the oracle ranks those rows
-    # below dim, and an accepted draw is rowspace(C·B), pivots included.
+@pytest.mark.parametrize("p,m", list(DRAW_SHAPES))
+def test_a_draw_is_refused_or_is_the_rowspace_of_its_product(p, m):
+    # Every draw x of each shape, C the rows of x's base-q digits: the drawn
+    # rows are the packed rows of C·B, of the oracle's rank of C; the draw is
+    # refused iff that rank is below dim, and is otherwise rowspace(C·B),
+    # pivots and space included.
     field = field_new(p, m)
-    digits, space = _digits(field), _space(field, 7)
-    rng = random.Random(field.q + 16)
-    for dim, k in ODD_DRAW_SHAPES[p, m]:
+    rng = random.Random(field.q + 15)
+    for dim, k in DRAW_SHAPES[p, m]:
         U = Subspace.zero(field, 7)
         while U.dim != k:
             U = rowspace(_random_matrix(field, k, 7, rng))
-        fold = _space(field, k).fold
         for x in range(field.q ** (dim * k)):
             entries = _oracle_draw_digits(x, field.q, dim * k)
             rows = [entries[i * k : (i + 1) * k] for i in range(dim)]
-            assert _draw_rows(digits, x, dim, k) == tuple(map(fold, rows))
+            product = MatrixFq.from_rows(field, rows).matmul(U.basis)
+            drawn = MatrixFq._from_packed(field, 7, tuple(U.space.draw(U.chunks, x, dim, k)))
+            want_rank = oracle_rref_rows(field, rows)[1]
+            assert drawn.packed == product.packed and rank(drawn) == want_rank
             got = subspace_from_draw(U, dim, x)
-            if oracle_rref_rows(field, rows)[1] < dim:
+            if want_rank < dim:
                 assert got is None
                 continue
-            want = rowspace(MatrixFq.from_rows(field, rows).matmul(U.basis))
-            assert (got, got.pivots) == (want, want.pivots)
-            assert got.space is space
+            want = rowspace(product)
+            assert (got, got.pivots, got.space) == (want, want.pivots, want.space)
+
+
+@pytest.mark.parametrize("spec", HARNESS_FIELDS, ids=_field_id)
+def test_chunk_tables_are_the_sums_of_their_rows(spec):
+    # In F^(t + 2), t = `draw_digits`, every dim U from 0 up: below t, t, and
+    # above t but not a multiple of it when t > 1. Entry r of group j is
+    # sum_i r_i·B[jt + i] by the scalar methods, r_i the base-q digits of r,
+    # and the tables hold at most ceil(dim U / t)·q^t entries.
+    field = field_new(*spec)
+    q, t = field.q, _digits(field).draw_digits
+    n = t + 2
+    rng = random.Random(f"chunks:{field.spec()}")
+    for k in range(n + 1):
+        U = Subspace.zero(field, n)
+        while U.dim != k:
+            U = rowspace(_random_matrix(field, k, n, rng))
+        tables = U.chunks
+        assert U.chunks is tables
+        assert len(tables) == -(-k // t)
+        assert sum(map(len, tables)) <= len(tables) * q**t
+        for j, table in enumerate(tables):
+            group = U.rows[j * t : (j + 1) * t]
+            assert len(table) == q ** len(group)
+            for r, entry in enumerate(table):
+                v = [0] * n
+                for c, row in zip(_oracle_draw_digits(r, q, len(group)), group):
+                    v = [field.add(a, field.mul(c, b)) for a, b in zip(v, row)]
+                assert entry == point_int(v, q)
 
 
 def test_subspace_from_coordinates_is_the_dense_product(field):

@@ -402,21 +402,25 @@ def build_code(params: SandwichParams) -> FlagCode:
     return FlagCode(params, generators, flags)
 
 
-def spread_points(code: FlagCode) -> dict:
-    """Point -> bitmask of the codewords whose level-k1 subspace covers it.
+def level_points(code: FlagCode, level: int) -> dict:
+    """Point -> bitmask of the codewords whose level-`level` subspace
+    covers it.
 
-    Points are the integers of `linalg.points`, so a 1-dim subspace P is
-    looked up as `P.packed[0]`; bit i - 1 of a mask stands for codeword i.
-    On a partial spread every mask has one bit. Cached on the code.
+    Points are the integers of `linalg.points`, so a 1-dim subspace P, or
+    any RREF row, is looked up as its packed integer; bit i - 1 of a mask
+    stands for codeword i. At level k1 of a partial spread every mask has
+    one bit. Built on first use by visiting N·[level, 1]_q points, for N
+    codewords; it has at most [n, 1]_q keys. Cached on the code per level.
     """
-    table = code._cache.get("spread_points")
+    key = ("level_points", level)
+    table = code._cache.get(key)
     if table is None:
         table = {}
-        k1 = code.params.k1
         for bit, flag in enumerate(code.flags):
-            for x in points(flag[k1]):
-                table[x] = table.get(x, 0) | 1 << bit
-        code._cache["spread_points"] = table
+            mask = 1 << bit
+            for x in points(flag[level]):
+                table[x] = table.get(x, 0) | mask
+        code._cache[key] = table
     return table
 
 

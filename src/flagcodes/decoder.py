@@ -6,16 +6,15 @@ that the first k1 projected codes form a partial spread (step 1), that the
 middle band has pairwise intersections of dimension at most i - k1 (step 2),
 and that above the middle band intersections are at most 2i - n (step 3).
 
-Every step looks its trigger subspace Y up in one table, the point ->
-codeword map of the level-k1 spread (`construction.spread_points`), keyed
-by the point integers of `linalg.points`, instead of testing all |C|
-codewords. At level i, let W be the span of any w = max(1, i - k1 + 1) of
-Y's RREF rows. A codeword c with V_i(c) ⊇ Y has a point of V_k1(c) in W:
-for i <= k1, W lies in V_k1(c); above k1, W and V_k1(c) both lie in V_i(c),
-so dim(W ∩ V_k1(c)) >= w + k1 - i = 1. So every match covers a point of W
-from Y's first w rows and one of W′ from its last w, and testing only such
-codewords with `contains` gives the matches of the full scan, for any
-FlagCode. Each trigger guarantees dim Y >= w.
+Every step looks its trigger subspace Y up in the point table of its
+level ℓ (`construction.level_points`), keyed by the point integers of
+`linalg.points`, instead of testing all |C| codewords. A codeword c has
+V_ℓ(c) ⊇ Y iff V_ℓ(c) holds every RREF row of Y, and each such row, with
+its pivot entry 1, is a point key. So the codewords holding Y's rows read
+so far are a superset of the matches, and ANDing in the masks of Y's rows
+until at most one codeword is left, then testing it with `contains`,
+gives the matches of the full scan, for any FlagCode and any dim Y. An
+ambiguous Y keeps every match through every row.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ import json
 import random
 from dataclasses import dataclass
 
-from .construction import Flag, FlagCode, spread_points
+from .construction import Flag, FlagCode, level_points
 from .fields import FiniteField
 from .linalg import (
     Subspace,
     contains,
     dump_matrix,
     parse_matrices,
-    points,
     rowspace,
     subspace_from_draw,
     subspace_sum,
@@ -60,7 +58,7 @@ class ReceivedSequence:
     __slots__ = ("ambient", "shots")
 
     def __init__(self, ambient: int, shots):
-        if not isinstance(ambient, int):
+        if not isinstance(ambient, int) or isinstance(ambient, bool):
             raise ChannelError(f"ambient {ambient!r} is not an integer")
         shots = tuple(shots)
         if len(shots) != ambient - 1:
@@ -204,29 +202,27 @@ def accumulate(received: ReceivedSequence, k1: int):
         yield current
 
 
-def _covering(table: dict, sub: Subspace, rows: slice) -> int:
-    """Bitmask of the codewords covering a point of the span of sub's RREF
-    rows `rows`."""
-    mask = 0
-    for x in points(sub, rows):
-        mask |= table.get(x, 0)
-    return mask
+def _row_filter(table: dict, sub: Subspace, candidates: int) -> int:
+    """The `candidates` bitmask narrowed to the codewords whose subspace in
+    the point `table` holds each RREF row of `sub`, one row at a time,
+    until at most one is left."""
+    for row in sub.packed:
+        if not candidates & (candidates - 1):
+            break
+        candidates &= table.get(row, 0)
+    return candidates
 
 
 def _unique_containing(code: FlagCode, level: int, sub: Subspace, step: int) -> DecodeOutcome:
     """The codeword whose level-`level` subspace contains `sub`, if exactly one.
 
-    Only the codewords covering a point of W, the span of the first
-    w = max(1, level - k1 + 1) RREF rows of `sub`, and, if that leaves more
-    than one, a point of W′, the span of its last w rows, are tested with
-    `contains` (see the module docstring), so the matches are those of a scan
-    over all of C. Needs dim sub >= w, which each step's trigger guarantees.
+    Only the codewords that `_row_filter` keeps from the level's point table
+    are tested with `contains` (see the module docstring), so the matches
+    are those of a scan over all of C. The filter starts from every
+    codeword, so a zero `sub`, which no trigger passes, keeps them all.
     """
-    w = max(1, level - code.params.k1 + 1)
-    table = spread_points(code)
-    candidates = _covering(table, sub, slice(w))
-    if candidates & (candidates - 1) and sub.dim > w:
-        candidates &= _covering(table, sub, slice(sub.dim - w, None))
+    table = level_points(code, level)
+    candidates = _row_filter(table, sub, (1 << len(code.flags)) - 1)
     matches = []
     while candidates:
         low = candidates & -candidates

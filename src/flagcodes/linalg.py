@@ -876,7 +876,7 @@ def orthogonal_complement(U: Subspace) -> Subspace:
     return rowspace(MatrixFq._from_packed(U.field, U.ambient, tuple(vectors)))
 
 
-def points(U: Subspace, rows: slice = slice(None)) -> list:
+def points(U: Subspace) -> list:
     """The points of U, one per 1-dim subspace, as the packed integers of
     their vectors with leading entry 1: the digit-slot form of `packed`
     (1 bit a digit over characteristic 2, where it is the base-q integer,
@@ -884,11 +884,8 @@ def points(U: Subspace, rows: slice = slice(None)) -> list:
     point `P.packed[0]`. They are the combinations of U's packed RREF rows
     whose first nonzero coefficient is 1, formed by `_Space.span` from each
     row's scalar multiples; U's `rows` are neither read nor built.
-
-    With `rows`, a slice of U's RREF rows, they are the points of the span
-    of those rows alone, which are in RREF too.
     """
-    return U.space.span(U.packed[rows])
+    return U.space.span(U.packed)
 
 
 def prefix_rowspaces(A: MatrixFq):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .construction import FlagCode, spread_points
+from .construction import FlagCode, level_points
 from .fields import FiniteField
 from .linalg import EnumerationCapExceeded, contains, enumerate_subspaces, rank
 from .metrics import pairwise_sweep
@@ -75,12 +75,12 @@ def spread_holes(code: FlagCode, max_enumeration: int = 10**6) -> list:
     that no member covers, as their RREF rows in enumeration order.
 
     A point P is covered iff its integer `P.packed[0]` is a key of
-    `construction.spread_points`, the table the decoder looks its trigger
-    subspaces up in.
+    `construction.level_points` at level k1, the table the decoder looks
+    its level-k1 triggers up in.
     Raises EnumerationCapExceeded when the [n,1]_q points exceed the cap.
     """
     p = code.params
-    covered = spread_points(code)
+    covered = level_points(code, p.k1)
     points = enumerate_subspaces(p.field, p.n, 1, max_enumeration)
     return [P.rows[0] for P in points if P.packed[0] not in covered]
 

@@ -321,6 +321,15 @@ def test_a_float_parameter_fails_to_load(code_file, tmp_path, capsys):
     assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
 
 
+def test_a_bool_ambient_fails_to_load(code_file, tmp_path, capsys):
+    # "ambient": true would otherwise load as ambient 1 with no shots and
+    # fail later on the wrong ambient dimension: exit 2 naming the value.
+    received = tmp_path / "bool_ambient.json"
+    received.write_text(json.dumps({"ambient": True, "shots": []}))
+    assert main(["decode", "--code", str(code_file), "--received", str(received)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: ambient True is not an integer\n"
+
+
 def _with_token(text, token):
     """Matrix text with row 2's first entry written as `token`."""
     lines = text.splitlines()

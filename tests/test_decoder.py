@@ -9,7 +9,7 @@ import random
 import pytest
 
 from flagcodes import SandwichParams, build_code, decoder, field_new
-from flagcodes.construction import FlagCode, spread_points
+from flagcodes.construction import FlagCode, level_points
 from flagcodes.decoder import (
     DECODED,
     FAILURE,
@@ -490,29 +490,33 @@ def _doubled(code):
 
 
 @pytest.mark.parametrize("name", ["code_221", "code_321", "code_f4_21", "doubled"])
-def test_spread_points_match_containment(name, request):
+def test_level_points_match_containment(name, request):
     # Brute force over PG(n-1, q), each point folded here, not by `points`:
-    # a point's mask has the bit of every codeword whose level-k1 subspace
-    # contains it. The doubled code repeats codeword 1, so its points carry
-    # two bits.
+    # at every level, a point's mask has the bit of every codeword whose
+    # subspace at that level contains it. The doubled code repeats codeword
+    # 1, so at level k1 its points carry two bits and no other point does.
     if name == "doubled":
         code = _doubled(request.getfixturevalue("code_221"))
     else:
         code = request.getfixturevalue(name)
     field, k1 = code.params.field, code.params.k1
-    expected = {}
-    for P in enumerate_subspaces(field, code.ambient, 1):
-        mask = 0
-        for bit, flag in enumerate(code.flags):
-            if contains(flag[k1], P):
-                mask |= 1 << bit
-        if mask:
-            expected[point_int(P.basis.entries, field.q)] = mask
-    assert spread_points(code) == expected
-    two_bits = [m for m in expected.values() if m & (m - 1)]
-    assert len(two_bits) == (gaussian_binomial(k1, 1, field.q) if name == "doubled" else 0)
-    for flag in code.flags:
-        assert set(flag[k1].packed) <= set(points(flag[k1]))
+    pg = enumerate_subspaces(field, code.ambient, 1)
+    pg = [(point_int(P.basis.entries, field.q), P) for P in pg]
+    for level in range(1, code.ambient):
+        expected = {}
+        for x, P in pg:
+            mask = 0
+            for bit, flag in enumerate(code.flags):
+                if contains(flag[level], P):
+                    mask |= 1 << bit
+            if mask:
+                expected[x] = mask
+        assert level_points(code, level) == expected, level
+        if level == k1:
+            two_bits = [m for m in expected.values() if m & (m - 1)]
+            assert len(two_bits) == (gaussian_binomial(k1, 1, field.q) if name == "doubled" else 0)
+        for flag in code.flags:
+            assert set(flag[level].packed) <= set(points(flag[level]))
 
 
 def test_ambiguous_decode_is_loud(code_221):
@@ -547,7 +551,7 @@ def test_error_count_rejects_shots_over_another_modulus():
 
 def scan_decode(code, received):
     """The three-step decoder with every step testing `contains` against all
-    |C| codewords: the oracle for the spread-point table."""
+    |C| codewords: the oracle for the per-level point tables."""
     p = code.params
     n, k1, r = p.n, p.k1, p.r
 
@@ -607,6 +611,30 @@ def test_decode_matches_the_scan_on_every_erasure_vector_221(code_221, doubled):
     assert (AmbiguousDecodeError in outcomes) == doubled
 
 
+@pytest.mark.parametrize("name", ["code_321", "code_f4_21"])
+def test_decode_matches_the_scan_off_the_channel(name, request):
+    # Shots that are random subspaces of F^n, not erasures of a codeword:
+    # the one codeword left by the first rows of a trigger often lacks a
+    # later row, and only `contains` turns it away.
+    code = request.getfixturevalue(name)
+    field, n, k1 = code.params.field, code.ambient, code.params.k1
+    rng = random.Random(name)
+    statuses = collections.Counter()
+    for _ in range(300):
+        wiped = rng.random() < 0.5
+        shots = []
+        for i in range(1, n):
+            d = 0 if wiped and i <= k1 else rng.randint(0, i)
+            entries = [rng.randrange(field.q) for _ in range(d * n)]
+            shots.append(rowspace(MatrixFq(field, d, n, entries)))
+        received = ReceivedSequence(n, shots)
+        outcome = decode(code, received)
+        assert outcome == scan_decode(code, received), shots
+        statuses[outcome.status, outcome.step] += 1
+    assert statuses[FAILURE, None] > 0
+    assert {(DECODED, 1), (DECODED, 2)} <= set(statuses)
+
+
 @pytest.mark.parametrize("name", ["code_232", "code_321", "code_f4_21"])
 def test_decode_matches_the_scan_on_random_erasures(name, request):
     code = request.getfixturevalue(name)
@@ -664,22 +692,30 @@ def _deep_random_vector(code, rng):
 
 @pytest.mark.parametrize("name", ["code_321", "code_f4_21", "code_232", "doubled"])
 def test_decode_matches_the_scan_on_deep_erasures(name, request, monkeypatch):
-    # Step 1 never fires, so every decode that triggers looks up windows of
-    # an accumulated Y: the two windows coincide when dim Y = w and overlap
-    # when w < dim Y < 2w, and both cases occur.
+    # Step 1 never fires, so every decode that triggers filters the
+    # codewords by the rows of an accumulated Y: some filters are left with
+    # at most one codeword before Y's last row and stop there, and some read
+    # every row.
     if name == "doubled":
         code = _doubled(request.getfixturevalue("code_221"))
     else:
         code = request.getfixturevalue(name)
-    k1 = code.params.k1
     triggers = []
     unique_containing = decoder._unique_containing
 
+    class CountingTable(dict):
+        def get(self, key, default=None):
+            triggers[-1][1] += 1
+            return super().get(key, default)
+
+    tables = {level: CountingTable(level_points(code, level)) for level in range(1, code.ambient)}
+
     def recording(code, level, sub, step):
-        triggers.append((sub.dim, max(1, level - k1 + 1)))
+        triggers.append([sub.dim, 0])
         return unique_containing(code, level, sub, step)
 
     monkeypatch.setattr(decoder, "_unique_containing", recording)
+    monkeypatch.setattr(decoder, "level_points", lambda code, level: tables[level])
     rng = random.Random(name)
     outcomes = set()
     for _ in range(200):
@@ -688,17 +724,16 @@ def test_decode_matches_the_scan_on_deep_erasures(name, request, monkeypatch):
         outcome = _outcome(decode, code, received)
         assert outcome == _outcome(scan_decode, code, received), (sent, received.shots)
         outcomes.add(AmbiguousDecodeError if isinstance(outcome, str) else outcome.status)
-    assert any(dim == w for dim, w in triggers)
-    assert any(w < dim < 2 * w for dim, w in triggers)
+    assert all(0 < read <= dim for dim, read in triggers)
+    assert any(read < dim for dim, read in triggers)
+    assert any(read == dim for dim, read in triggers)
     assert DECODED in outcomes
     assert (AmbiguousDecodeError in outcomes) == (name == "doubled")
 
 
-# `contains` calls over the batch below with the first trigger window alone.
-FIRST_WINDOW_CONTAINS = 794 / 168
-
-
-def test_the_second_window_prunes_deep_decodes(code_321, monkeypatch):
+def test_deep_decodes_test_one_codeword_each(code_321, monkeypatch):
+    # The row filter leaves exactly the sent codeword for `contains` to
+    # confirm: one call a decode.
     calls = []
 
     def counting_contains(U, V):
@@ -713,7 +748,7 @@ def test_the_second_window_prunes_deep_decodes(code_321, monkeypatch):
             assert (outcome.status, outcome.flag_index) == (DECODED, idx), vec
     decodes = len(code_321) * len(vectors)
     assert decodes == 168
-    assert len(calls) / decodes < FIRST_WINDOW_CONTAINS
+    assert len(calls) == decodes
 
 
 class _RecordingSequence(ReceivedSequence):

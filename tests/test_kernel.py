@@ -10,7 +10,7 @@ import random
 import pytest
 
 from flagcodes.construction import ConstructionError, flag_from_generator
-from flagcodes.decoder import ReceivedSequence, _covering, accumulate, random_subspace_of
+from flagcodes.decoder import ReceivedSequence, _row_filter, accumulate, random_subspace_of
 from flagcodes.fields import MAX_ORDER, FieldError, field_new
 from flagcodes.linalg import (
     MatrixFq,
@@ -612,24 +612,32 @@ def test_harness_orthogonal_complement_is_orthogonal(harness):
 
 
 def test_harness_covering_masks_match_the_scan(harness):
-    # The decoder's window masks: for the span W of the first or the last w
-    # rows of a subspace, the flags whose level-2 subspace meets W, for every
-    # W with few enough points to list. The point table is folded from the
-    # oracle's points, not from `points`.
+    # The decoder's row filter at every flag level with few enough points to
+    # list: for each subspace S, the flags it keeps include every flag whose
+    # subspace at that level contains S by one scalar elimination, and the
+    # flags holding every row of S are exactly those. The point tables are
+    # folded from the oracle's points, not from `points`.
     field, subspaces, flags = harness
-    table = {}
-    for bit, flag in enumerate(flags):
-        for x in oracle_points(field, [list(r) for r in flag[2].rows]):
-            table[x] = table.get(x, 0) | 1 << bit
-    for S in subspaces:
-        for w in range(1, S.dim + 1):
-            if not _listable(field, w):
-                break
-            first, last = S.basis.first_rows(w), S.basis.last_rows(w)
-            for rows, block in ((slice(w), first), (slice(S.dim - w, None), last)):
-                W = rowspace(block)
-                want = sum(1 << b for b, flag in enumerate(flags) if intersect_dim(flag[2], W) > 0)
-                assert _covering(table, S, rows) == want
+    everyone = (1 << len(flags)) - 1
+    for level in range(1, flags[0].ambient):
+        if not _listable(field, level):
+            break
+        table = {}
+        for bit, flag in enumerate(flags):
+            for x in oracle_points(field, [list(r) for r in flag[level].rows]):
+                table[x] = table.get(x, 0) | 1 << bit
+        for S in subspaces:
+            want = 0
+            for bit, flag in enumerate(flags):
+                stacked = flag[level].basis.row_lists() + S.basis.row_lists()
+                if oracle_rref_rows(field, stacked)[1] == level:
+                    want |= 1 << bit
+            found = _row_filter(table, S, everyone)
+            assert found & want == want, (level, S)
+            assert bin(found).count("1") <= 1 or found == want, (level, S)
+            for row in S.rows:
+                found &= table.get(point_int(row, field.q), 0)
+            assert found == want, (level, S)
 
 
 def test_harness_rows_pass_the_rref_check(harness):

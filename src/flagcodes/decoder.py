@@ -71,6 +71,13 @@ class ReceivedSequence:
         self.ambient = ambient
         self.shots = shots
 
+    @classmethod
+    def _trusted(cls, ambient: int, shots: tuple) -> "ReceivedSequence":
+        """Unchecked, as `Flag._nested`: for `erase`, which checks each shot."""
+        received = cls.__new__(cls)
+        received.ambient, received.shots = ambient, shots
+        return received
+
     def __getitem__(self, i: int) -> Subspace:
         return self.shots[i - 1]
 
@@ -116,8 +123,9 @@ class SimulationReport:
         }
 
 
-def _check_shot_fields(field: FiniteField, received: ReceivedSequence):
-    if any(x.field is not field and x.field != field for x in received.shots):
+def _check_shot_fields(space, received: ReceivedSequence):
+    """A shot of the code's ambient is over its field iff its `space` is `space`."""
+    if any(x.space is not space for x in received.shots):
         raise ChannelError("received shots are not over the code's field")
 
 
@@ -128,7 +136,7 @@ def error_count(sent: Flag, received: ReceivedSequence) -> int:
     """
     if sent.ambient != received.ambient:
         raise ChannelError("ambient mismatch")
-    _check_shot_fields(sent[1].field, received)
+    _check_shot_fields(sent[1].space, received)
     total = 0
     for i in range(1, sent.ambient):
         if not contains(sent[i], received[i]):
@@ -165,10 +173,9 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
         raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")
     if dim == sub.dim:
         return sub
-    field = sub.field
     if dim == 0:
-        return Subspace.zero(field, sub.ambient)
-    draws = field.q ** (dim * sub.dim)
+        return Subspace.zero(sub.field, sub.ambient)
+    draws = sub.field.q ** (dim * sub.dim)
     while True:
         target = subspace_from_draw(sub, dim, rng.randrange(draws))
         if target is not None:
@@ -177,18 +184,23 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
 
 def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequence:
     """Apply per-shot erasures: X_i is a random (i - e_i)-dim subspace of the
-    sent i-th subspace. Reproducible for a fixed seed."""
+    sent i-th subspace. Reproducible for a fixed seed. Only 0 < e_i < i
+    draws; each count is checked here, so the sequence is `_trusted`."""
     erasures = list(erasures)
     n = sent.ambient
     if len(erasures) != n - 1:
         raise ChannelError(f"need {n - 1} erasure counts, got {len(erasures)}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    shots = []
-    for i, e in enumerate(erasures, start=1):
+    shots, zero = [], None
+    for i, (e, sub) in enumerate(zip(erasures, sent.subspaces), start=1):
         if not (0 <= e <= i):
             raise ChannelError(f"erasure count e_{i} = {e} outside [0, {i}]")
-        shots.append(random_subspace_of(sent[i], i - e, rng))
-    return ReceivedSequence(n, shots)
+        if e == i:
+            sub = zero = zero or Subspace.zero(sub.field, n)
+        elif e:
+            sub = random_subspace_of(sub, i - e, rng)
+        shots.append(sub)
+    return ReceivedSequence._trusted(n, tuple(shots))
 
 
 def accumulate(received: ReceivedSequence, k1: int):
@@ -252,7 +264,7 @@ def decode(code: FlagCode, received: ReceivedSequence) -> DecodeOutcome:
     n, k1, r = p.n, p.k1, p.r
     if received.ambient != n:
         raise ChannelError("received sequence has wrong ambient dimension")
-    _check_shot_fields(p.field, received)
+    _check_shot_fields(code.flags[0].subspaces[0].space, received)
     for i in range(1, k1 + 1):
         if received[i].dim > 0:
             return _unique_containing(code, i, received[i], step=1)
@@ -346,12 +358,16 @@ def received_from_json(text: str, field: FiniteField) -> ReceivedSequence:
     """
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError("the top level is not a JSON object")
         ambient = doc["ambient"]
         spec = doc.get("field")
         if spec is not None and str(spec).split() != field.spec().split():
             raise ChannelError(
                 f"received file is over the field {spec!r}, not {field.spec()!r}"
             )
+        if not isinstance(doc["shots"], list):
+            raise TypeError("shots is not a list")
         shots = list(map(rowspace, parse_matrices(doc["shots"], field, "shot")))
     except ChannelError:
         raise

@@ -466,6 +466,49 @@ class _XorSpace(_Space):
         return out
 
 
+class _F2Space(_XorSpace):
+    """F_2: an entry is one bit, so no row is scaled, and v's coefficient at a
+    pivot is its bit at the pivot row's top bit. The rest is `_XorSpace`'s."""
+
+    def insert(self, rows: list, pivots: list, vectors) -> int:
+        """As `_XorSpace.insert`, XORing in each row whose top bit is set in v."""
+        top, start = self.top, len(rows)
+        for v in vectors:
+            for u in rows:
+                if v >> (u.bit_length() - 1) & 1:
+                    v ^= u
+            if not v:
+                continue
+            k = v.bit_length() - 1
+            for i, u in enumerate(rows):
+                if u >> k & 1:
+                    rows[i] = u ^ v
+            at = bisect.bisect(pivots, top - k)
+            rows.insert(at, v)
+            pivots.insert(at, top - k)
+        return len(rows) - start
+
+    def reduce(self, vectors, pivots, multiples) -> list:
+        """As `_XorSpace.reduce`; a row's multiples are (0, row)."""
+        out = []
+        for v in vectors:
+            for _, u in multiples:
+                if v >> (u.bit_length() - 1) & 1:
+                    v ^= u
+            if v:
+                out.append(v)
+        return out
+
+    def rank(self, rows) -> int:
+        """As `_XorSpace.rank`, keyed by bit length: v is XORed with the row
+        filed under its lead until it is zero or is filed there itself."""
+        found = {}
+        for v in rows:
+            while v and (u := found.setdefault(v.bit_length(), v)) != v:
+                v ^= u
+        return len(found)
+
+
 class _SlotSpace(_Space):
     """Odd p: bit_length(p - 1) + 1 bits a digit. Rows add slot by slot as
     x = a + b, then x - p·(((x + K) >> v) & ONES), v = bit_length(p - 1)
@@ -613,8 +656,9 @@ class _SlotSpace(_Space):
 
 @functools.cache
 def _space(field: FiniteField, n: int) -> _Space:
-    """The packed rows of F_q^n: one object per field (by equality) and n."""
-    return (_XorSpace if field.p == 2 else _SlotSpace)(field, n)
+    """The packed rows of F_q^n, one object per field (by equality) and n:
+    `_F2Space` for F_2, `_XorSpace` for F_{2^m}, m > 1, `_SlotSpace` for odd p."""
+    return (_F2Space if field.q == 2 else _XorSpace if field.p == 2 else _SlotSpace)(field, n)
 
 
 def rref(A: MatrixFq):

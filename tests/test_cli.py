@@ -305,6 +305,23 @@ def test_matrices_that_are_not_text_fail_to_load(code_file, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "doc, detail",
+    [
+        ([{"ambient": 5, "shots": []}], "the top level is not a JSON object"),
+        ({"ambient": 5, "shots": "abc"}, "shots is not a list"),
+    ],
+    ids=["top-level-array", "shots-string"],
+)
+def test_a_malformed_received_file_names_its_problem(code_file, tmp_path, capsys, doc, detail):
+    # The error names what is wrong with the document, not a Python
+    # TypeError text or the first character of a string read as a matrix.
+    received = tmp_path / "received.json"
+    received.write_text(json.dumps(doc))
+    assert main(["decode", "--code", str(code_file), "--received", str(received)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: malformed received-sequence file: {detail}\n"
+
+
 def test_a_float_parameter_fails_to_load(code_file, tmp_path, capsys):
     # "k1": 2.0 is refused on load: exit 2 with an error line, and a `load`
     # FAIL from verify, never a traceback from deep inside a command.

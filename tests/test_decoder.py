@@ -546,6 +546,48 @@ def test_error_count_rejects_shots_over_another_modulus():
         error_count(code.flags[3], foreign)
 
 
+def test_shots_over_an_equal_field_object_are_accepted():
+    # A code over one F_2 object and shots over another, equal one, as in a
+    # process that builds the field twice: the shots decode and count.
+    first, second = field_new(2), field_new(2)
+    assert first is not second and first == second
+    for code_field, shot_field in ((first, second), (second, first)):
+        code = build_code(SandwichParams(code_field, 2, 1))
+        received = _over(shot_field, erase(code.flags[3], [1, 0, 1, 2], seed=3))
+        outcome = decode(code, received)
+        assert (outcome.status, outcome.flag_index) == (DECODED, 4)
+        assert error_count(code.flags[3], received) == 4
+
+
+@pytest.mark.parametrize("name", ["code_221", "code_321", "code_f4_21", "F5"])
+def test_the_public_constructor_accepts_every_erased_sequence(name, request):
+    # `erase` builds its sequence without re-running the checks of
+    # `ReceivedSequence(n, shots)`; each level kept whole (e_i = 0) or wiped
+    # (e_i = i), and seeded random counts, give a sequence that the checked
+    # constructor accepts as it is.
+    if name == "F5":
+        code = build_code(SandwichParams(field_new(5), 2, 1))
+    else:
+        code = request.getfixturevalue(name)
+    n = code.ambient
+    rng = random.Random(f"trusted:{name}")
+    vectors = [
+        [i * wiped for i, wiped in enumerate(pattern, start=1)]
+        for pattern in itertools.product((0, 1), repeat=n - 1)
+    ]
+    vectors += [[rng.randint(0, i) for i in range(1, n)] for _ in range(40)]
+    for k, vec in enumerate(vectors):
+        flag = code.flags[rng.randrange(len(code))]
+        received = erase(flag, vec, seed=k)
+        checked = ReceivedSequence(n, received.shots)
+        assert (checked.ambient, checked.shots) == (received.ambient, received.shots)
+        for i, (e, shot) in enumerate(zip(vec, received.shots), start=1):
+            assert shot.space is flag[i].space and shot.dim == i - e
+            if e == 0:
+                assert shot is flag[i]
+            assert contains(flag[i], shot)
+
+
 # -- the decoder against the codeword scan ---------------------------------------
 
 
@@ -792,8 +834,8 @@ def test_decode_reads_no_shot_above_its_trigger(name, request):
 # seed=11)) and of json.dumps(simulate(code, 200, seed=5).to_dict()) for the
 # code over F_{p^m} with (k1, r): (2,3,2), (2,4,2) (the code the sim-gf2
 # benchmark runs), (3,3,1), F_4 (3,0), and F_9 and F_5 (2,1), whose odd-p
-# draws hold several digit slots an entry or wide slots. The (2,3,2),
-# (3,3,1) and F_4 digests come out under CPython 3.10, 3.11 and 3.12.
+# draws hold several digit slots an entry or wide slots. Every digest comes
+# out under CPython 3.10, 3.11, 3.12 and 3.13.
 CHANNEL_SHA256 = {
     (2, 1, 3, 2): (
         "815e1f5ea1251a22044aa2471d4445b53946e80f16ef1544a7b30dbb6f18c7ce",

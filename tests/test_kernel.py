@@ -16,8 +16,11 @@ from flagcodes.linalg import (
     MatrixFq,
     Subspace,
     _digits,
+    _F2Space,
     _rank_rows,
+    _SlotSpace,
     _space,
+    _XorSpace,
     contains,
     dump_matrix,
     gaussian_binomial,
@@ -130,6 +133,50 @@ def test_rows_from_packed_integers_are_the_rref_rows(p, m, modulus):
             S = Subspace._from_packed(U.space, U.packed, U.pivots)
             assert (S, S.rows, S.pivots, S.dim) == (U, U.rows, U.pivots, U.dim)
             assert Subspace._check_rref(S.rows) == S.pivots
+
+
+def test_each_field_gets_its_kernel():
+    # F_2 alone gets the single-bit kernel; F_4 and F_8 by x^3 + x + 1 keep
+    # the characteristic-2 one, and odd p the digit-slot one.
+    assert type(_space(field_new(2), 5)) is _F2Space
+    assert type(_space(field_new(2, 2), 5)) is _XorSpace
+    assert type(_space(field_new(2, 3, (1, 1, 0, 1)), 5)) is _XorSpace
+    assert type(_space(field_new(3), 5)) is _SlotSpace
+
+
+def _f2_batches(n, rng):
+    """Seeded batches of packed rows of F_2^n: random rows, some of them
+    with zero rows and repeats mixed in, rows in the span of two rows, and
+    the RREF rows of the random batch, which are already reduced."""
+    randoms = [rng.getrandbits(n) for _ in range(n + 2)]
+    a, b = rng.getrandbits(n), rng.getrandbits(n)
+    spanned = [a, b, a ^ b, a, 0, b, a ^ b]
+    mixed = randoms[:4] + [0, randoms[1], 0, randoms[0] ^ randoms[2], randoms[-1]]
+    rng.shuffle(mixed)
+    reduced, pivots = [], []
+    _XorSpace(field_new(2), n).insert(reduced, pivots, randoms)
+    return [[], randoms, spanned, mixed, reduced, reduced[::-1]]
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 64, 65, 130])
+def test_f2_kernel_matches_the_characteristic_2_kernel(n):
+    # insert, reduce and rank of `_F2Space` against `_XorSpace` over F_2,
+    # into the empty rows and into the RREF of every other batch: the same
+    # rows and pivots in place, the same count added, residuals and rank.
+    f2, xor = _space(field_new(2), n), _XorSpace(field_new(2), n)
+    assert type(f2) is _F2Space
+    rng = random.Random(f"f2:{n}")
+    batches = _f2_batches(n, rng)
+    for start, batch in itertools.product(batches, repeat=2):
+        rows, pivots = [], []
+        xor.insert(rows, pivots, start)
+        multiples = tuple(map(xor.multiples, rows))
+        assert f2.reduce(batch, pivots, multiples) == xor.reduce(batch, pivots, multiples)
+        assert f2.rank(batch) == xor.rank(batch)
+        want_rows, want_pivots = list(rows), list(pivots)
+        want = xor.insert(want_rows, want_pivots, batch)
+        assert f2.insert(rows, pivots, batch) == want
+        assert (rows, pivots) == (want_rows, want_pivots)
 
 
 def test_multiples_are_the_scalar_multiples_of_each_row(field):

@@ -26,7 +26,6 @@ from .construction import (
 from .decoder import (
     DECODED,
     AmbiguousDecodeError,
-    ChannelError,
     decode,
     erase,
     received_from_json,
@@ -87,6 +86,8 @@ def _load_code_or_flags(path: str):
         return code_from_dict(doc)
     try:
         field = parse_field_spec(doc["field"]) if "field" in doc else None
+        if not isinstance(doc["flags"], list):
+            raise TypeError("flags is not a list")
         flags = [
             Flag(map(rowspace, parse_matrices(levels, field, f"flag {f} level")))
             for f, levels in enumerate(doc["flags"], start=1)
@@ -293,16 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError,
-        ConstructionError,
-        AmbiguousDecodeError,
-        ChannelError,
-        FieldError,
-        LinAlgError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CliError, AmbiguousDecodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

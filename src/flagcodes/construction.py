@@ -451,8 +451,12 @@ def code_from_dict(doc: dict) -> FlagCode:
         raise ConstructionError("the top level is not a JSON object")
     try:
         pd = doc["params"]
+        if not isinstance(pd, dict):
+            raise TypeError("params is not an object")
         fld = field_new(pd["p"], pd["m"], tuple(pd["modulus"]) or None)
         params = SandwichParams(fld, pd["k1"], pd["r"], tuple(pd["prim_poly"]))
+        if not isinstance(doc["generators"], list):
+            raise TypeError("generators is not a list")
         generators = tuple(parse_matrices(doc["generators"], fld, "generator"))
     except (KeyError, TypeError, LinAlgError) as exc:
         raise ConstructionError(f"malformed code document: {exc}") from exc

@@ -125,8 +125,9 @@ class SimulationReport:
 
 def _check_shot_fields(space, received: ReceivedSequence):
     """A shot of the code's ambient is over its field iff its `space` is `space`."""
-    if any(x.space is not space for x in received.shots):
-        raise ChannelError("received shots are not over the code's field")
+    for x in received.shots:
+        if x.space is not space:
+            raise ChannelError("received shots are not over the code's field")
 
 
 def error_count(sent: Flag, received: ReceivedSequence) -> int:

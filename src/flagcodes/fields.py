@@ -211,17 +211,6 @@ class FiniteField:
             e >>= 1
         return result
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
     def elements(self):
         return range(self.q)
 

@@ -26,9 +26,11 @@ class MatrixFq:
 
     A matrix holds its entries, its rows packed as integers of
     `_space(field, cols)` (see `_Space`), or both: one built from entries
-    folds them into `packed` on first read, and one the kernel built from
-    packed rows (`parse_matrix`, `rref`) unfolds `entries` on first read.
-    `row` and `rank` read the slots directly, not through the properties.
+    (`MatrixFq(...)`, `from_rows`, `matmul`) folds them into `packed` on
+    first read, and one the kernel built from packed rows (`parse_matrix`,
+    `rref`, `first_rows`, `last_rows`, `stack`, `Subspace.basis`) unfolds
+    `entries` on first read. The public constructors check the shape and
+    every entry; `_from_packed` checks nothing.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_packed")
@@ -48,17 +50,9 @@ class MatrixFq:
         self._packed = None
 
     @classmethod
-    def _trusted(cls, field: FiniteField, rows: int, cols: int, entries: tuple) -> "MatrixFq":
-        """A matrix the kernel computed, its entries a tuple already in range:
-        neither the shape nor the range is checked."""
-        A = cls.__new__(cls)
-        A.field, A.rows, A.cols, A._entries, A._packed = field, rows, cols, entries, None
-        return A
-
-    @classmethod
     def _from_packed(cls, field: FiniteField, cols: int, packed: tuple) -> "MatrixFq":
         """The matrix of the kernel's packed rows of `_space(field, cols)`,
-        one row each, unchecked as `_trusted`."""
+        one row each: neither the shape nor the range is checked."""
         A = cls.__new__(cls)
         A.field, A.rows, A.cols, A._entries, A._packed = field, len(packed), cols, None, packed
         return A
@@ -103,19 +97,15 @@ class MatrixFq:
 
     # Slices and stacks of checked matrices need no range check: 0 <= t <= rows.
     def first_rows(self, t: int) -> "MatrixFq":
-        return MatrixFq._trusted(self.field, t, self.cols, self.entries[: t * self.cols])
+        return MatrixFq._from_packed(self.field, self.cols, self.packed[:t])
 
     def last_rows(self, t: int) -> "MatrixFq":
-        return MatrixFq._trusted(
-            self.field, t, self.cols, self.entries[(self.rows - t) * self.cols :]
-        )
+        return MatrixFq._from_packed(self.field, self.cols, self.packed[self.rows - t :])
 
     def stack(self, other: "MatrixFq") -> "MatrixFq":
         if other.cols != self.cols or other.field != self.field:
             raise LinAlgError("stack shape/field mismatch")
-        return MatrixFq._trusted(
-            self.field, self.rows + other.rows, self.cols, self.entries + other.entries
-        )
+        return MatrixFq._from_packed(self.field, self.cols, self.packed + other.packed)
 
     def matmul(self, other: "MatrixFq") -> "MatrixFq":
         if self.cols != other.rows or self.field != other.field:
@@ -134,7 +124,7 @@ class MatrixFq:
                     m = mul[neg[a]]
                     acc = [sub[x][m[y]] for x, y in zip(acc, row)]
             out.extend(acc)
-        return MatrixFq._trusted(F, self.rows, other.cols, tuple(out))
+        return MatrixFq(F, self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -157,39 +147,6 @@ class MatrixFq:
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
         return f"MatrixFq({self.rows}x{self.cols} over q={self.field.q}: {body})"
-
-
-def _rank_rows(field: FiniteField, rows) -> int:
-    """Rank of a list of rows by forward elimination, by table lookups.
-
-    Each pivot clears only the rows below it, each scaled by the pivot's
-    inverse on the fly: no row is normalised and nothing above a pivot is
-    cleared, since only the count of pivots is read. Rows are replaced,
-    never mutated, so they may be any sequences of elements.
-    """
-    nrows = len(rows)
-    if nrows < 2:
-        return sum(1 for row in rows if any(row))
-    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
-    r = 0
-    for c in range(len(rows[0])):
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        pivot = rows[r]
-        scale = mul[inv[pivot[c]]]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                m = mul[scale[f]]
-                rows[i] = [sub[x][m[y]] for x, y in zip(rows[i], pivot)]
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 class _Digits:
@@ -674,10 +631,7 @@ def rref(A: MatrixFq):
 
 
 def rank(A: MatrixFq) -> int:
-    """`_Space.rank` of A's packed rows, except that `_rank_rows` ranks an
-    entries-only matrix over odd p, whose rows cost more to fold than save."""
-    if A._packed is None and A.field.p != 2:
-        return _rank_rows(A.field, A.row_lists())
+    """`_Space.rank` of A's packed rows."""
     return _space(A.field, A.cols).rank(A.packed)
 
 
@@ -700,9 +654,8 @@ class Subspace:
     `rows` unless a caller reads them.
 
     `Subspace(basis)` checks that the basis is in RREF and keeps it; the
-    kernel's own results go through `Subspace._reduced`, from rows of
-    elements, or `Subspace._from_packed`, from packed rows, which check
-    nothing.
+    kernel's own results go through `Subspace._from_packed`, from packed
+    rows, which checks nothing.
     """
 
     __slots__ = (
@@ -718,21 +671,10 @@ class Subspace:
         self._rows, self._basis = rows, basis
 
     @classmethod
-    def _reduced(cls, field: FiniteField, ambient: int, rows, pivots) -> "Subspace":
-        """The subspace of `rows` of elements, already in RREF with these
-        pivot columns: for the kernel's own results only, so no entry or
-        RREF check. The rows are kept."""
-        space = _space(field, ambient)
-        rows = tuple(map(tuple, rows))
-        U = cls.__new__(cls)
-        U._set(space, tuple(map(space.fold, rows)), tuple(pivots))
-        U._rows = rows
-        return U
-
-    @classmethod
     def _from_packed(cls, space: _Space, packed: tuple, pivots: tuple) -> "Subspace":
         """The subspace of the packed RREF rows `packed` with these pivot
-        columns: for the kernel's own results only, as `_reduced`."""
+        columns: for the kernel's own results only, so no entry or RREF
+        check."""
         U = cls.__new__(cls)
         U._set(space, packed, pivots)
         return U
@@ -751,8 +693,7 @@ class Subspace:
     @property
     def basis(self) -> MatrixFq:
         if self._basis is None:
-            entries = tuple(itertools.chain.from_iterable(self.rows))
-            self._basis = MatrixFq._trusted(self.field, self.dim, self.ambient, entries)
+            self._basis = MatrixFq._from_packed(self.field, self.ambient, self.packed)
         return self._basis
 
     @property
@@ -807,12 +748,14 @@ class Subspace:
     @functools.cache
     def zero(cls, field: FiniteField, ambient: int) -> "Subspace":
         """{0}, one shared object per field and ambient."""
-        return cls._reduced(field, ambient, (), ())
+        return cls._from_packed(_space(field, ambient), (), ())
 
     @classmethod
     def full(cls, field: FiniteField, ambient: int) -> "Subspace":
-        rows = MatrixFq.identity(field, ambient).row_lists()
-        return cls._reduced(field, ambient, rows, range(ambient))
+        space = _space(field, ambient)
+        # Row c of the identity: 1, its own slot form, at entry c's shift.
+        rows = tuple(1 << shift for shift in space.shifts)
+        return cls._from_packed(space, rows, tuple(range(ambient)))
 
     def __eq__(self, other):
         # One `_Space` per field (by equality) and n: `is` compares both.
@@ -970,22 +913,23 @@ def enumerate_subspaces(field: FiniteField, n: int, k: int, max_count: int = 10*
     if k == 0:
         yield Subspace.zero(field, n)
         return
+    space = _space(field, n)
+    shifts, slot = space.shifts, space.slot
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
         # Free positions: to the right of each row's pivot, excluding later pivots.
         free = [
-            (i, c)
+            (i, shifts[c])
             for i, p in enumerate(pivots)
             for c in range(p + 1, n)
             if c not in pivot_set
         ]
+        leads = [1 << shifts[p] for p in pivots]  # 1 is its own slot form
         for values in itertools.product(range(field.q), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, c), v in zip(free, values):
-                rows[i][c] = v
-            yield Subspace._reduced(field, n, rows, pivots)
+            rows = leads.copy()
+            for (i, shift), v in zip(free, values):
+                rows[i] |= slot[v] << shift
+            yield Subspace._from_packed(space, tuple(rows), pivots)
 
 
 # -- matrix text format ------------------------------------------------------

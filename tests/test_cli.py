@@ -322,6 +322,25 @@ def test_a_malformed_received_file_names_its_problem(code_file, tmp_path, capsys
     assert capsys.readouterr().err == f"error: malformed received-sequence file: {detail}\n"
 
 
+@pytest.mark.parametrize(
+    "fields, detail",
+    [
+        ({"generators": "abc"}, "malformed code document: generators is not a list"),
+        ({"params": [1]}, "malformed code document: params is not an object"),
+        ({"ambient": 3, "flags": "abc"}, "malformed flag fixture {path}: flags is not a list"),
+    ],
+    ids=["generators-string", "params-array", "flags-string"],
+)
+def test_a_malformed_code_file_names_its_problem(code_file, tmp_path, capsys, fields, detail):
+    # As for a received file: a code file with these fields replaced, or a
+    # bare flag fixture of them alone, names the field of the wrong type.
+    doc = fields if "flags" in fields else {**json.loads(code_file.read_text()), **fields}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--code", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {detail.format(path=path)}\n"
+
+
 def test_a_float_parameter_fails_to_load(code_file, tmp_path, capsys):
     # "k1": 2.0 is refused on load: exit 2 with an error line, and a `load`
     # FAIL from verify, never a traceback from deep inside a command.

@@ -17,12 +17,12 @@ from flagcodes.linalg import (
     Subspace,
     _digits,
     _F2Space,
-    _rank_rows,
     _SlotSpace,
     _space,
     _XorSpace,
     contains,
     dump_matrix,
+    enumerate_subspaces,
     gaussian_binomial,
     intersect_dim,
     orthogonal_complement,
@@ -263,9 +263,8 @@ def _deficient_rows(field, rng):
 
 def test_rank_rows_matches_rref_rows(field):
     # Forward elimination counts the pivots the Gauss-Jordan oracle finds,
-    # on random, rank-deficient, zero, 0-row and 1-row inputs: on row lists
-    # by `_rank_rows`, and by `rank` on a matrix of entries and on one of
-    # packed rows only.
+    # on random, rank-deficient, zero, 0-row and 1-row inputs: by `rank` on
+    # a matrix of entries and on one of packed rows only.
     rng = random.Random(field.q + 8)
     cases = [A.row_lists() for A in _shapes(field, rng)]
     cases += list(_deficient_rows(field, rng))
@@ -273,7 +272,6 @@ def test_rank_rows_matches_rref_rows(field):
     cases += [[[rng.randrange(field.q) for _ in range(4)] for _ in range(k)] for k in range(6)]
     for rows in cases:
         want = oracle_rref_rows(field, rows)[1]
-        assert _rank_rows(field, [list(r) for r in rows]) == want
         assert rank(MatrixFq.from_rows(field, rows)) == want
         cols = len(rows[0]) if rows else 0
         packed = tuple(map(_space(field, cols).fold, rows))
@@ -459,9 +457,11 @@ def test_trusted_constructions_are_in_rref(field):
 
 def test_every_construction_of_a_subspace_is_equal_and_hashes_equal(field):
     # One space U = rowspace(C·B) of V = rowspace(B), built by the checked
-    # constructor, `rowspace`, `_reduced`, `subspace_sum` of two row blocks
-    # and the channel's `subspace_from_draw` of C, at every dimension from 0
-    # up.
+    # constructor, `rowspace`, `subspace_sum` of two row blocks and the
+    # channel's `subspace_from_draw` of C, at every dimension from 0 up.
+    # Then `Subspace.full`, `Subspace.zero` and a member of
+    # `enumerate_subspaces`, each against the checked constructor of the
+    # same rows.
     rng = random.Random(field.q + 10)
     n = 6
     for k in range(n):
@@ -471,7 +471,6 @@ def test_every_construction_of_a_subspace_is_equal_and_hashes_equal(field):
         U = rowspace(A)
         built = [
             Subspace(MatrixFq(field, k, n, itertools.chain.from_iterable(U.rows))),
-            Subspace._reduced(field, n, [list(r) for r in U.rows], list(U.pivots)),
             subspace_sum(rowspace(A.first_rows(k // 2)), rowspace(A.last_rows(k - k // 2))),
             subspace_from_draw(V, k, _draw_of(C)),
         ]
@@ -480,6 +479,20 @@ def test_every_construction_of_a_subspace_is_equal_and_hashes_equal(field):
         for S in built:
             assert S == U and hash(S) == hash(U)
             assert (S.dim, S.rows, S.pivots) == (k, U.rows, U.pivots)
+    q = field.q
+    # Member 2q - 1 of the 2-spaces of F_q^3: pivots (0, 1), the free
+    # entries at column 2 the base-q digits 1, q - 1 of 2q - 1.
+    member = next(itertools.islice(enumerate_subspaces(field, 3, 2), 2 * q - 1, None))
+    cases = [
+        (Subspace.full(field, n), MatrixFq.identity(field, n).row_lists()),
+        (Subspace.zero(field, n), []),
+        (member, [[1, 0, 1], [0, 1, q - 1]]),
+    ]
+    for S, rows in cases:
+        cols = len(rows[0]) if rows else n
+        checked = Subspace(MatrixFq(field, len(rows), cols, itertools.chain.from_iterable(rows)))
+        assert S == checked and hash(S) == hash(checked)
+        assert (S.dim, S.rows, S.pivots) == (checked.dim, checked.rows, checked.pivots)
 
 
 def test_basis_is_the_rows_as_a_matrix(field):
@@ -527,13 +540,21 @@ def test_subspaces_differ_by_ambient_and_by_modulus(field):
 
 
 def test_slices_and_stacks_are_the_checked_matrices(field):
-    # Built without the entry-range check, they equal what the checked
-    # constructor makes of the same entries.
+    # Built without the entry-range check, from a matrix of entries only and
+    # from one of packed rows only, they equal what the checked constructor
+    # makes of the same rows, and hold one packed row a row, the fold of
+    # that row.
     rng = random.Random(field.q + 7)
     A, B = _random_matrix(field, 4, 6, rng), _random_matrix(field, 2, 6, rng)
-    for M in (A.first_rows(0), A.first_rows(3), A.last_rows(2), A.stack(B)):
-        assert M == MatrixFq(field, M.rows, M.cols, M.entries)
-    assert A.first_rows(1).stack(A.last_rows(3)) == A
+    a, b = A.row_lists(), B.row_lists()
+    fold = _space(field, 6).fold
+    for A, B in ((A, B), (parse_matrix(dump_matrix(A), field), parse_matrix(dump_matrix(B), field))):
+        parts = [(A.first_rows(0), []), (A.first_rows(3), a[:3]), (A.last_rows(0), [])]
+        for M, rows in parts + [(A.last_rows(2), a[2:]), (A.stack(B), a + b)]:
+            assert M == MatrixFq(field, len(rows), 6, itertools.chain.from_iterable(rows))
+            assert M.rows == len(M.packed)
+            assert M.packed == tuple(map(fold, rows))
+        assert A.first_rows(1).stack(A.last_rows(3)) == A
 
 
 def _full_rank(field, n, rng, rows=None):

@@ -465,6 +465,14 @@ class _F2Space(_XorSpace):
                 v ^= u
         return len(found)
 
+    def span(self, rows) -> list:
+        """Every nonzero vector of the span of packed rows, each a point over
+        F_2: the span is doubled by each row in turn."""
+        span = [0]
+        for row in rows:
+            span += [w ^ row for w in span]
+        return span[1:]
+
 
 class _SlotSpace(_Space):
     """Odd p: bit_length(p - 1) + 1 bits a digit. Rows add slot by slot as
@@ -875,18 +883,6 @@ def points(U: Subspace) -> list:
     return U.space.span(U.packed)
 
 
-def prefix_rowspaces(A: MatrixFq):
-    """rowspace(A.first_rows(j)) for j = 1 .. A.rows, one at a time, from
-    one elimination pass: A's packed row j is inserted by `_Space.insert`
-    into the packed RREF of the rows before it. A row in the span of the
-    rows before it adds nothing, so its prefix has dimension below j."""
-    space = _space(A.field, A.cols)
-    rows, pivots = [], []
-    for v in A.packed:
-        space.insert(rows, pivots, (v,))
-        yield Subspace._from_packed(space, tuple(rows), tuple(pivots))
-
-
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """[n choose k]_q by the product formula."""
     if k < 0 or k > n:
@@ -938,22 +934,65 @@ def enumerate_subspaces(field: FiniteField, n: int, k: int, max_count: int = 10*
 
 
 def dump_matrix(A: MatrixFq) -> str:
+    """The matrix text of A: each packed row unfolded straight into its
+    tokens (a matrix with rows and no columns has empty row lines)."""
     lines = [f"{A.field.q} {A.rows} {A.cols}"]
-    lines.extend(" ".join(str(e) for e in A.row(i)) for i in range(A.rows))
+    if A.cols:
+        unfold = _space(A.field, A.cols).unfold
+        lines.extend(" ".join(map(str, unfold(x))) for x in A.packed)
+    else:
+        lines.extend([""] * A.rows)
     return "\n".join(lines)
 
 
-def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
-    """The packed-row matrix of `dump_matrix` text (over the header's q by
-    default): a token as `dump_matrix` writes it is one dict lookup, any
-    other is read by `int()` and range-checked, so "01" is 1."""
+@functools.cache
+def _text_digits(field: FiniteField) -> tuple:
+    """(tokens, chars, base, to_bits) for reading the field's matrix text:
+    `tokens` maps each element's token as `dump_matrix` writes it to its
+    slot form, and `chars` are the one-character tokens 0 .. min(q, 10) - 1.
+    A row of `chars` alone is read by one `int()`: in base 2^e when every
+    such token's slot form is its own value and 2^e <= 36 (F_2, F_3, F_4,
+    F_5, F_7, F_8, ...), else in base 2 after `to_bits` writes each token
+    as its e-bit slot form (F_9, ...); `base` is 0 in that case."""
+    digits = _digits(field)
+    e, slot = digits.e, digits.slot
+    chars = "0123456789"[: min(field.q, 10)]
+    direct = 2**e <= 36 and all(slot[a] == a for a in range(len(chars)))
+    to_bits = str.maketrans({c: format(slot[a], f"0{e}b") for a, c in enumerate(chars)})
+    return {str(a): x for a, x in enumerate(slot)}, chars, 2**e if direct else 0, to_bits
+
+
+def _token_row(ln: str, i: int, ncols: int, field: FiniteField) -> int:
+    """Row i of matrix text, the line `ln`, read token by token: a token as
+    `dump_matrix` writes it is one dict lookup, any other is read by `int()`
+    and range-checked, so "01" is 1."""
+    row = ln.split()
+    if len(row) != ncols:
+        raise LinAlgError(f"row {ln!r} has wrong length")
+    tokens, e = _text_digits(field)[0], _digits(field).e
+    v = 0
+    for t in row:
+        x = tokens.get(t)
+        if x is None:
+            try:
+                a = int(t)
+            except ValueError:
+                raise LinAlgError(f"row {i} has the non-integer entry {t!r}") from None
+            if not 0 <= a < field.q:
+                raise LinAlgError("entry out of field range")
+            x = tokens[str(a)]
+        v = v << e | x
+    return v
+
+
+def _parse_matrix(text: str, field: FiniteField | None, memo: dict) -> MatrixFq:
     if not isinstance(text, str):
         raise LinAlgError(f"matrix text must be a string, not {type(text).__name__}")
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise LinAlgError("empty matrix text")
     try:
-        q, nrows, ncols = (int(x) for x in lines[0].split())
+        q, nrows, ncols = map(int, lines[0].split())
     except ValueError as exc:
         raise LinAlgError(f"bad matrix header {lines[0]!r}") from exc
     if field is None:
@@ -962,35 +1001,42 @@ def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
         raise FieldError(f"matrix header q={q} does not match field q={field.q}")
     if len(lines) - 1 != nrows:
         raise LinAlgError(f"expected {nrows} rows, got {len(lines) - 1}")
-    digits = _digits(field)
-    e, tokens = digits.e, {str(a): x for a, x in enumerate(digits.slot)}
+    # One call's texts share a field, or each has field_from_order(q): q names it.
+    entry = memo.get((q, ncols))
+    if entry is None:
+        entry = memo[q, ncols] = (*_text_digits(field)[1:], {})
+    chars, base, to_bits, known = entry
     packed = []
     for i, ln in enumerate(lines[1:], start=1):
-        row = ln.split()
-        if len(row) != ncols:
-            raise LinAlgError(f"row {ln!r} has wrong length")
-        v = 0
-        for t in row:
-            x = tokens.get(t)
-            if x is None:
-                try:
-                    a = int(t)
-                except ValueError:
-                    raise LinAlgError(f"row {i} has the non-integer entry {t!r}") from None
-                if not 0 <= a < field.q:
-                    raise LinAlgError("entry out of field range")
-                x = tokens[str(a)]
-            v = v << e | x
+        v = known.get(ln)
+        if v is None:
+            row = ln.split()
+            s = "".join(row)
+            if len(row) == ncols == len(s) and not s.strip(chars):
+                v = int(s, base) if base else int(s.translate(to_bits), 2)
+            else:
+                v = _token_row(ln, i, ncols, field)
+            known[ln] = v
         packed.append(v)
     return MatrixFq._from_packed(field, ncols, tuple(packed))
 
 
+def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
+    """The packed-row matrix of `dump_matrix` text (over the header's q by
+    default). A row of exactly ncols one-character tokens 0 .. min(q, 10) - 1,
+    what `dump_matrix` writes for q <= 10, is read by one `int()` (see
+    `_text_digits`); any other row goes through `_token_row`, so "01" is 1
+    and a bad token is named. Each distinct row line is read once."""
+    return _parse_matrix(text, field, {})
+
+
 def parse_matrices(texts, field: FiniteField | None, name: str):
-    """`parse_matrix` of each text in turn, an error naming the matrix by
-    `name` and its index from 1: "generator 4: row 2 has the non-integer
-    entry 'x'"."""
+    """`parse_matrix` of each text in turn, every distinct row line of the
+    texts read once, an error naming the matrix by `name` and its index from
+    1: "generator 4: row 2 has the non-integer entry 'x'"."""
+    memo = {}  # (q, ncols) -> (`_text_digits` but tokens, row line -> packed row)
     for i, text in enumerate(texts, start=1):
         try:
-            yield parse_matrix(text, field)
+            yield _parse_matrix(text, field, memo)
         except (LinAlgError, FieldError) as exc:
             raise type(exc)(f"{name} {i}: {exc}") from exc

@@ -128,7 +128,7 @@ def projected_code(code, i: int) -> ProjectedCode:
     if not (1 <= i <= n - 1):
         raise MetricsError(f"projected index {i} out of range for n={n}")
     position = {}
-    of_flag = tuple(position.setdefault(f[i], len(position)) for f in flags)
+    of_flag = tuple(position.setdefault(f.subspaces[i - 1], len(position)) for f in flags)
     subs = tuple(position)
     for U in subs:
         check_same_ambient(subs[0], U)
@@ -157,6 +157,8 @@ def _below_by_incidence(point_sets, q: int, m: int) -> dict:
     points they share, no more than the pair loop's set work on them.
     """
     holding = Counter(itertools.chain.from_iterable(point_sets))
+    if len(holding) == sum(map(len, point_sets)):
+        return {}  # no point is held twice
     shared = {x for x, count in holding.items() if count > 1}
     holders = {x: [] for x in shared}
     for a, P in enumerate(point_sets):
@@ -198,20 +200,21 @@ def pairwise_sweep(code) -> PairwiseSweep:
     maximum. Once a level is apart, so is every level further out on its
     side, and those levels are built without a point set or a complement.
     The rule is exact because every `Flag` is nested (`Flag(...)` checks
-    it, and `Flag._nested` is fed only `prefix_rowspaces`). Below the
-    middle, a pair at the maximum meets in {0}, and U_i ⊂ U_{i+1} gives
-    U_i ∩ V_i ⊂ U_{i+1} ∩ V_{i+1}: the pair meets in {0}, and so differs,
-    at every lower level too. Above it, the complements meet in {0}, and
-    U_{i+1}⊥ ⊂ U_i⊥: going up, the complements only shrink. This is the
-    lemma behind `classify`'s ODFC criterion (Alonso-González, Navarro-Pérez
-    and Soler-Escrivà, "Optimum distance flag codes from spreads via perfect
-    matchings in graphs").
+    it, and `Flag._nested` is fed only the prefix row spaces that
+    `flag_from_generator` builds). Below the middle, a pair at the maximum
+    meets in {0}, and U_i ⊂ U_{i+1} gives U_i ∩ V_i ⊂ U_{i+1} ∩ V_{i+1}:
+    the pair meets in {0}, and so differs, at every lower level too. Above
+    it, the complements meet in {0}, and U_{i+1}⊥ ⊂ U_i⊥: going up, the
+    complements only shrink. This is the lemma behind `classify`'s ODFC
+    criterion (Alonso-González, Navarro-Pérez and Soler-Escrivà, "Optimum
+    distance flag codes from spreads via perfect matchings in graphs").
 
     d_f is max_distance(n) less the largest total deficit of a pair of
     flags. At each level, two flags that share their subspace owe the whole
     level maximum, and a pair of members below it owes maximum - d to every
     pair of flags mapped onto those two members; pairs at the maximum owe
-    nothing, so only the kept pairs are visited.
+    nothing, so only the kept pairs are visited, and an apart level owes
+    nothing at all and is skipped.
     """
     cache = code._cache if isinstance(code, FlagCode) else {}
     if "pairwise" in cache:
@@ -228,7 +231,7 @@ def pairwise_sweep(code) -> PairwiseSweep:
         apart = False
         for i in side:
             if apart:
-                subs = tuple(f[i] for f in flags)
+                subs = tuple(f.subspaces[i - 1] for f in flags)
                 projected[i] = ProjectedCode(i, subs, _NONE_BELOW, identity, 2 * min(i, n - i))
             elif i not in projected:
                 projected[i] = projected_code(flags, i)
@@ -236,6 +239,8 @@ def pairwise_sweep(code) -> PairwiseSweep:
     projected = tuple(projected[i] for i in range(1, n))
     deficit = {}  # (f, g) with f < g -> total deficit of flags f and g
     for pc in projected:
+        if len(pc) == len(flags) and not pc.below:
+            continue  # apart: no two flags share a member or meet below the maximum
         holders = [[] for _ in pc.subspaces]  # flags in increasing order
         for f, a in enumerate(pc.of_flag):
             holders[a].append(f)

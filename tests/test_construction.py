@@ -260,6 +260,41 @@ def test_serialization_round_trip(code_221):
     assert rebuilt.flags == code_221.flags
 
 
+# (p, m, modulus, k1, r): the benchmark grid, F_5, F_8 by x^3 + x + 1, F_9
+# (two 3-bit slots an entry, read through base 2) and F_16, whose entries
+# 10 .. 15 are two-character tokens.
+ROUND_TRIP_CODES = [
+    (2, 1, None, 3, 2),
+    (2, 1, None, 4, 2),
+    (3, 1, None, 3, 1),
+    (2, 2, None, 3, 0),
+    (5, 1, None, 2, 1),
+    (2, 3, (1, 1, 0, 1), 2, 1),
+    (3, 2, None, 2, 1),
+    (2, 4, None, 2, 0),
+]
+
+
+@pytest.mark.parametrize("p,m,modulus,k1,r", ROUND_TRIP_CODES)
+def test_a_code_file_loads_back_to_the_same_code(p, m, modulus, k1, r):
+    code = build_code(SandwichParams(field_new(p, m, modulus), k1, r))
+    rebuilt = code_from_json(code_to_json(code))
+    assert rebuilt == code
+    assert rebuilt.flags == code.flags
+    assert [S.packed for S in rebuilt.generators] == [S.packed for S in code.generators]
+    for flag, again in zip(code.flags, rebuilt.flags):
+        assert [U.pivots for U in flag.subspaces] == [U.pivots for U in again.subspaces]
+
+
+def test_a_code_file_with_a_rank_deficient_prefix_fails_to_load(code_221):
+    # Row 3 of generator 2 repeated as row 4: the flag stops at level 4.
+    texts = [dump_matrix(S) for S in code_221.generators]
+    lines = texts[1].split("\n")
+    texts[1] = "\n".join(lines[:4] + [lines[3]] + lines[5:])
+    with pytest.raises(ConstructionError, match="^generator rows 1..4 have rank 3, want 4$"):
+        code_from_json(_with_generators(code_221, texts))
+
+
 def test_serialization_detects_wrong_generator_count(code_221):
     import json
 

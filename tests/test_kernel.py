@@ -13,12 +13,14 @@ from flagcodes.construction import ConstructionError, flag_from_generator
 from flagcodes.decoder import ReceivedSequence, _row_filter, accumulate, random_subspace_of
 from flagcodes.fields import MAX_ORDER, FieldError, field_new
 from flagcodes.linalg import (
+    LinAlgError,
     MatrixFq,
     Subspace,
     _digits,
     _F2Space,
     _SlotSpace,
     _space,
+    _token_row,
     _XorSpace,
     contains,
     dump_matrix,
@@ -26,6 +28,7 @@ from flagcodes.linalg import (
     gaussian_binomial,
     intersect_dim,
     orthogonal_complement,
+    parse_matrices,
     parse_matrix,
     points,
     rank,
@@ -292,6 +295,89 @@ def test_parse_matrix_folds_each_row_into_its_packed_integer(spec):
         assert M.packed == tuple(map(_space(field, A.cols).fold, A.row_lists()))
         assert (M.rows, M.cols, M.entries) == (A.rows, A.cols, A.entries)
         assert dump_matrix(parse_matrix(text, field)) == text
+
+
+def _token_loop(text, field):
+    """The packed rows of matrix text with every row read by `_token_row`,
+    the token loop `parse_matrix` falls back to; its header is trusted."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    ncols = int(lines[0].split()[2])
+    return tuple(_token_row(ln, i, ncols, field) for i, ln in enumerate(lines[1:], start=1))
+
+
+def _parsed_or_error(parse, text, field):
+    try:
+        return parse(text, field)
+    except LinAlgError as exc:
+        return f"error: {exc}"
+
+
+# Every field of ORDERS, F_9 among them, and F_16 by x^4 + x^3 + 1, whose
+# tokens 10 .. 15 take two characters and so always the token loop.
+TEXT_FIELDS = [(p, m, None) for p, m in ORDERS] + [(2, 4, (1, 0, 0, 1, 1))]
+
+
+@pytest.mark.parametrize("spec", TEXT_FIELDS, ids=_field_id)
+def test_parse_fast_path_matches_the_token_loop(spec):
+    # Seeded matrices round-trip through `dump_matrix`, their rows the folds
+    # of the tokens read by `int()`. Then one token of row 2, or the text's
+    # layout, is rewritten: `parse_matrix` gives the token loop's rows or its
+    # exact error text, and a rewritten row that repeats gives the same rows.
+    field = field_new(*spec)
+    rng = random.Random(f"text:{field.spec()}")
+    A = _random_matrix(field, 4, 5, rng)
+    for M in list(_shapes(field, rng)) + [A]:
+        text = dump_matrix(M)
+        assert parse_matrix(text, field).packed == M.packed
+        if M.rows and M.cols:
+            space = _space(field, M.cols)
+            want = tuple(space.fold(map(int, ln.split())) for ln in text.split("\n")[1:])
+            assert _token_loop(text, field) == want == M.packed
+    lines = dump_matrix(A).split("\n")
+    tokens = ["01", "+1", "-0", "1_0", "_", "3", "2", "\u0661", "x", str(field.q - 1)]
+    texts = []
+    for token in tokens:
+        row = lines[2].split()
+        row[0] = token
+        texts.append("\n".join(lines[:2] + [" ".join(row)] + lines[3:]))
+        texts.append("\n".join(lines[:2] + [" ".join(row)] * 2 + lines[4:]))
+    texts.append("\n".join(lines[:2] + [lines[2].rsplit(" ", 1)[0]] + lines[3:]))  # short row
+    merged = lines[2].replace(" ", "", 1)  # ncols characters in ncols - 1 tokens
+    texts.append("\n".join(lines[:2] + [merged] + lines[3:]))
+    texts.append("\n".join(lines[:2] + ["", "  ", lines[2], "\t"] + lines[3:]))  # blank lines
+    texts.append("\r\n".join(lines) + "\r\n")  # CRLF
+    texts.append("\n".join(lines[:2] + ["\t".join(lines[2].split())] + lines[3:]))  # tabs
+    texts.append("\n".join(lines[:2] + [lines[2].replace(" ", "  ")] + lines[3:]))  # wide gaps
+    for text in texts:
+        want = _parsed_or_error(_token_loop, text, field)
+        assert _parsed_or_error(lambda t, f: parse_matrix(t, f).packed, text, field) == want, text
+
+
+def test_a_row_line_read_once_is_still_checked_per_width(F2):
+    # One call's texts share the read rows of each width only: "1 0 1" read
+    # in a 3-column matrix is a row of wrong length in a 2-column one.
+    texts = ["2 2 3\n1 0 1\n0 1 1", "2 1 3\n1 0 1", "2 1 2\n1 0 1"]
+    found = parse_matrices(texts, F2, "matrix")
+    assert [M.packed for M in itertools.islice(found, 2)] == [(0b101, 0b011), (0b101,)]
+    with pytest.raises(LinAlgError, match="^matrix 3: row '1 0 1' has wrong length$"):
+        next(found)
+
+
+@pytest.mark.parametrize("n", list(range(1, 10)) + [64, 65, 130])
+def test_f2_span_by_doubling_is_the_points(n):
+    # `_F2Space.span`, by doubling, against the generic characteristic-2
+    # span on the same RREF rows: the same 2^d - 1 points, d = 0 included.
+    F2 = field_new(2)
+    rng = random.Random(f"span:{n}")
+    fast, generic = _space(F2, n), _XorSpace(F2, n)
+    assert type(fast) is _F2Space
+    for d in sorted({0, 1, min(2, n), min(5, n), min(9, n)}):
+        U = Subspace.zero(F2, n)
+        while U.dim != d:
+            U = rowspace(_random_matrix(F2, d, n, rng))
+        found = fast.span(U.packed)
+        assert len(found) == len(set(found)) == 2**d - 1
+        assert set(found) == set(generic.span(U.packed))
 
 
 def _oracle_draw_digits(x, q, size):

@@ -202,6 +202,14 @@ def test_matrix_text_zero_rows(F2):
     assert parse_matrix(dump_matrix(A)) == A
 
 
+def test_matrix_text_zero_columns(F2):
+    # Rows with no entries are empty lines, which parse as no rows at all.
+    A = MatrixFq(F2, 3, 0, ())
+    assert dump_matrix(A) == dump_matrix(MatrixFq._from_packed(F2, 0, (0, 0, 0))) == "2 3 0\n\n\n"
+    with pytest.raises(LinAlgError, match="^expected 3 rows, got 0$"):
+        parse_matrix(dump_matrix(A))
+
+
 def test_parse_matrix_rejects_garbage():
     with pytest.raises(LinAlgError):
         parse_matrix("not a matrix")

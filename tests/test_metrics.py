@@ -16,6 +16,7 @@ from flagcodes.linalg import (
 )
 from flagcodes.metrics import (
     MetricsError,
+    _below_by_incidence,
     aq_exact,
     cardinality_bound_check,
     classify,
@@ -424,6 +425,21 @@ def test_pairwise_sweep_matches_the_oracles(case, monkeypatch):
             None,
         )
         assert swept.meeting_pair() == meeting
+
+
+def test_the_incidence_index_keeps_every_sharing_pair():
+    # Every two and three of the 35 lines of PG(3, 2): skew lines share no
+    # point and meeting lines exactly one, so some families share nothing
+    # and some share a single point. The pairs kept are those below the
+    # maximum 4 by subspace_distance.
+    lines = list(enumerate_subspaces(field_new(2), 4, 2))
+    for size in (2, 3):
+        for family in itertools.combinations(lines, size):
+            want = {}
+            for (a, U), (b, V) in itertools.combinations(enumerate(family), 2):
+                if (d := subspace_distance(U, V)) < 4:
+                    want[a, b] = d
+            assert _below_by_incidence([U.distance_points for U in family], 2, 2) == want
 
 
 @pytest.mark.parametrize("name", GENERATED)

@@ -19,11 +19,11 @@ from .linalg import (
     LinAlgError,
     MatrixFq,
     Subspace,
-    _space,
     contains,
     dump_matrix,
     parse_matrices,
     points,
+    prefix_rowspaces,
     rank,
 )
 
@@ -356,16 +356,13 @@ class Flag:
 
 def flag_from_generator(S: MatrixFq) -> Flag:
     """Flag of the row spaces of the leading j-row slices of a square
-    generator, from one elimination pass over its packed rows: row j is
-    inserted by `_Space.insert` into the packed RREF of the rows before it.
-    A row that adds no pivot raises; row n is never inserted, so only
-    `verify`'s rank check sees it."""
-    space = _space(S.field, S.cols)
-    rows, pivots, levels = [], [], []
-    for j, v in enumerate(S.packed[: S.cols - 1], start=1):
-        if not space.insert(rows, pivots, (v,)):
-            raise ConstructionError(f"generator rows 1..{j} have rank {j - 1}, want {j}")
-        levels.append(Subspace._from_packed(space, tuple(rows), tuple(pivots)))
+    generator, from one elimination pass (`linalg.prefix_rowspaces`) over its
+    packed rows. A row that adds no pivot raises; row n is never inserted, so
+    only `verify`'s rank check sees it."""
+    levels = prefix_rowspaces(S, S.cols - 1)
+    if len(levels) < S.cols - 1:
+        j = len(levels) + 1
+        raise ConstructionError(f"generator rows 1..{j} have rank {j - 1}, want {j}")
     return Flag._nested(tuple(levels))
 
 

@@ -883,6 +883,21 @@ def points(U: Subspace) -> list:
     return U.space.span(U.packed)
 
 
+def prefix_rowspaces(A: MatrixFq, count: int) -> list:
+    """rowspace(A.first_rows(j)) for j = 1 .. count, from one elimination
+    pass: A's packed row j is inserted by `_Space.insert` into the packed
+    RREF of the rows before it. The list stops before the first row that
+    adds no pivot, so it is shorter than `count` exactly when some prefix
+    of j <= count rows has dimension below j."""
+    space = _space(A.field, A.cols)
+    rows, pivots, levels = [], [], []
+    for v in A.packed[:count]:
+        if not space.insert(rows, pivots, (v,)):
+            break
+        levels.append(Subspace._from_packed(space, tuple(rows), tuple(pivots)))
+    return levels
+
+
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """[n choose k]_q by the product formula."""
     if k < 0 or k > n:
@@ -947,29 +962,24 @@ def dump_matrix(A: MatrixFq) -> str:
 
 @functools.cache
 def _text_digits(field: FiniteField) -> tuple:
-    """(tokens, chars, base, to_bits) for reading the field's matrix text:
-    `tokens` maps each element's token as `dump_matrix` writes it to its
-    slot form, and `chars` are the one-character tokens 0 .. min(q, 10) - 1.
-    A row of `chars` alone is read by one `int()`: in base 2^e when every
+    """(tokens, chars, base) for reading the field's matrix text: `tokens`
+    maps each element's token as `dump_matrix` writes it to its slot form.
+    A row of the one-character tokens `chars` alone is read by one
+    `int(row, base)`, base = 2^e: `chars` are 0 .. min(q, 10) - 1 when each
     such token's slot form is its own value and 2^e <= 36 (F_2, F_3, F_4,
-    F_5, F_7, F_8, ...), else in base 2 after `to_bits` writes each token
-    as its e-bit slot form (F_9, ...); `base` is 0 in that case."""
+    F_5, F_7, F_8), and empty otherwise (F_9, F_16, ...)."""
     digits = _digits(field)
     e, slot = digits.e, digits.slot
     chars = "0123456789"[: min(field.q, 10)]
-    direct = 2**e <= 36 and all(slot[a] == a for a in range(len(chars)))
-    to_bits = str.maketrans({c: format(slot[a], f"0{e}b") for a, c in enumerate(chars)})
-    return {str(a): x for a, x in enumerate(slot)}, chars, 2**e if direct else 0, to_bits
+    if 2**e > 36 or any(slot[a] != a for a in range(len(chars))):
+        chars = ""
+    return {str(a): x for a, x in enumerate(slot)}, chars, 2**e
 
 
-def _token_row(ln: str, i: int, ncols: int, field: FiniteField) -> int:
-    """Row i of matrix text, the line `ln`, read token by token: a token as
-    `dump_matrix` writes it is one dict lookup, any other is read by `int()`
-    and range-checked, so "01" is 1."""
-    row = ln.split()
-    if len(row) != ncols:
-        raise LinAlgError(f"row {ln!r} has wrong length")
-    tokens, e = _text_digits(field)[0], _digits(field).e
+def _token_row(row: list, i: int, tokens: dict, e: int, q: int) -> int:
+    """Row i of matrix text, split into its tokens `row`, read token by
+    token: a token as `dump_matrix` writes it is one lookup in `tokens`,
+    any other is read by `int()` and range-checked, so "01" is 1."""
     v = 0
     for t in row:
         x = tokens.get(t)
@@ -978,7 +988,7 @@ def _token_row(ln: str, i: int, ncols: int, field: FiniteField) -> int:
                 a = int(t)
             except ValueError:
                 raise LinAlgError(f"row {i} has the non-integer entry {t!r}") from None
-            if not 0 <= a < field.q:
+            if not 0 <= a < q:
                 raise LinAlgError("entry out of field range")
             x = tokens[str(a)]
         v = v << e | x
@@ -1001,21 +1011,21 @@ def _parse_matrix(text: str, field: FiniteField | None, memo: dict) -> MatrixFq:
         raise FieldError(f"matrix header q={q} does not match field q={field.q}")
     if len(lines) - 1 != nrows:
         raise LinAlgError(f"expected {nrows} rows, got {len(lines) - 1}")
+    tokens, chars, base = _text_digits(field)
+    e = base.bit_length() - 1
     # One call's texts share a field, or each has field_from_order(q): q names it.
-    entry = memo.get((q, ncols))
-    if entry is None:
-        entry = memo[q, ncols] = (*_text_digits(field)[1:], {})
-    chars, base, to_bits, known = entry
+    known = memo.setdefault((q, ncols), {})
     packed = []
     for i, ln in enumerate(lines[1:], start=1):
         v = known.get(ln)
         if v is None:
             row = ln.split()
-            s = "".join(row)
-            if len(row) == ncols == len(s) and not s.strip(chars):
-                v = int(s, base) if base else int(s.translate(to_bits), 2)
+            if len(row) != ncols:
+                raise LinAlgError(f"row {ln!r} has wrong length")
+            if chars and len(s := "".join(row)) == ncols and not s.strip(chars):
+                v = int(s, base)
             else:
-                v = _token_row(ln, i, ncols, field)
+                v = _token_row(row, i, tokens, e, q)
             known[ln] = v
         packed.append(v)
     return MatrixFq._from_packed(field, ncols, tuple(packed))
@@ -1023,10 +1033,10 @@ def _parse_matrix(text: str, field: FiniteField | None, memo: dict) -> MatrixFq:
 
 def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
     """The packed-row matrix of `dump_matrix` text (over the header's q by
-    default). A row of exactly ncols one-character tokens 0 .. min(q, 10) - 1,
-    what `dump_matrix` writes for q <= 10, is read by one `int()` (see
-    `_text_digits`); any other row goes through `_token_row`, so "01" is 1
-    and a bad token is named. Each distinct row line is read once."""
+    default). A row of exactly ncols one-character tokens, what `dump_matrix`
+    writes over F_2 .. F_8, is read by one `int()` (see `_text_digits`); any
+    other row goes through `_token_row`, so "01" is 1 and a bad token is
+    named. Each distinct row line is read once."""
     return _parse_matrix(text, field, {})
 
 
@@ -1034,7 +1044,7 @@ def parse_matrices(texts, field: FiniteField | None, name: str):
     """`parse_matrix` of each text in turn, every distinct row line of the
     texts read once, an error naming the matrix by `name` and its index from
     1: "generator 4: row 2 has the non-integer entry 'x'"."""
-    memo = {}  # (q, ncols) -> (`_text_digits` but tokens, row line -> packed row)
+    memo = {}  # (q, ncols) -> {row line: packed row}
     for i, text in enumerate(texts, start=1):
         try:
             yield _parse_matrix(text, field, memo)

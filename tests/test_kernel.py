@@ -31,6 +31,7 @@ from flagcodes.linalg import (
     parse_matrices,
     parse_matrix,
     points,
+    prefix_rowspaces,
     rank,
     rowspace,
     rref,
@@ -302,7 +303,14 @@ def _token_loop(text, field):
     the token loop `parse_matrix` falls back to; its header is trusted."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     ncols = int(lines[0].split()[2])
-    return tuple(_token_row(ln, i, ncols, field) for i, ln in enumerate(lines[1:], start=1))
+    tokens = {str(a): x for a, x in enumerate(_digits(field).slot)}
+    packed = []
+    for i, ln in enumerate(lines[1:], start=1):
+        row = ln.split()
+        if len(row) != ncols:
+            raise LinAlgError(f"row {ln!r} has wrong length")
+        packed.append(_token_row(row, i, tokens, _digits(field).e, field.q))
+    return tuple(packed)
 
 
 def _parsed_or_error(parse, text, field):
@@ -690,6 +698,19 @@ def test_flag_from_a_rank_deficient_generator_raises(field):
     for j in range(n - 1):
         with pytest.raises(ConstructionError, match=f"rows 1..{j + 1} have rank {j}"):
             flag_from_generator(_deficient_at(field, n, j, rng))
+
+
+def test_prefix_rowspaces_stop_before_the_first_row_adding_no_pivot(field):
+    # The levels are the rowspaces of the leading rows, up to `count` of
+    # them, and the list ends before the first row in the span of the rows
+    # before it, even where a later row would add a pivot again.
+    rng = random.Random(field.q + 7)
+    n = 5
+    for j in range(n):
+        S = _deficient_at(field, n, j, rng)
+        for count in range(n + 1):
+            levels = prefix_rowspaces(S, count)
+            assert levels == [rowspace(S.first_rows(i)) for i in range(1, min(j, count) + 1)]
 
 
 def test_matmul_matches_oracle(field):

@@ -19,8 +19,8 @@ from .linalg import (
     LinAlgError,
     MatrixFq,
     Subspace,
-    contains,
     dump_matrix,
+    nests,
     parse_matrices,
     points,
     prefix_rowspaces,
@@ -327,7 +327,7 @@ class Flag:
             if sub.ambient != ambient or sub.dim != j:
                 raise ConstructionError(f"subspace {j} has dim {sub.dim}, want {j}")
         for lower, upper in zip(subspaces, subspaces[1:]):
-            if not contains(upper, lower):
+            if not nests(lower, upper):
                 raise ConstructionError("flag subspaces are not nested")
         self.ambient = ambient
         self.subspaces = subspaces

@@ -846,6 +846,16 @@ def contains(U: Subspace, V: Subspace) -> bool:
     return sum_dim(U, V) == U.dim
 
 
+def nests(lower: Subspace, upper: Subspace) -> bool:
+    """True iff lower ⊂ upper and dim upper = dim lower + 1: the dimensions,
+    then one `_Space.rank` of both packed RREFs stacked, no `multiples` built.
+    A pair from two spaces raises `check_same_ambient`'s LinAlgError."""
+    if upper.dim != lower.dim + 1:
+        return False
+    check_same_ambient(upper, lower)
+    return upper.space.rank(upper.packed + lower.packed) == upper.dim
+
+
 def orthogonal_complement(U: Subspace) -> Subspace:
     """U⊥ = {v : u·v = 0 for all u in U}, of dimension n - dim U.
 
@@ -881,6 +891,22 @@ def points(U: Subspace) -> list:
     row's scalar multiples; U's `rows` are neither read nor built.
     """
     return U.space.span(U.packed)
+
+
+def line_points(field: FiniteField, n: int, pts):
+    """For each pair a, b of the distinct points `pts` of PG(n - 1, q), as
+    `points` lists them, in `itertools.combinations` order: the q - 1 other
+    points of their line, a + c·b for c = 1 .. q - 1 by `_Space.sums` of a and
+    b's `multiples`, each scaled to a leading 1 (over F_2 a ^ b, which has one)."""
+    space = _space(field, n)
+    e, emask, element, inv = space.e, space.emask, space.element, space.inv
+    q1 = field.q - 1
+    multiples = [x for b in pts for x in space.multiples(b)[1:]]
+    for i, a in enumerate(pts):
+        line = space.sums((a,), multiples[(i + 1) * q1 :])  # each b after a
+        leads = [element[(v >> (v.bit_length() - 1) // e * e) & emask] for v in line]
+        line = [v if c == 1 else space.digits.scale(v, inv[c]) for v, c in zip(line, leads)]
+        yield from zip(*[iter(line)] * q1)  # q - 1 points a pair
 
 
 def prefix_rowspaces(A: MatrixFq, count: int) -> list:
@@ -1001,8 +1027,9 @@ def _parse_matrix(text: str, field: FiniteField | None, memo: dict) -> MatrixFq:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise LinAlgError("empty matrix text")
-    try:
-        q, nrows, ncols = map(int, lines[0].split())
+    try:  # each distinct header line is read once a call, and unpacked per matrix
+        head = memo.get(lines[0]) or memo.setdefault(lines[0], tuple(map(int, lines[0].split())))
+        q, nrows, ncols = head
     except ValueError as exc:
         raise LinAlgError(f"bad matrix header {lines[0]!r}") from exc
     if field is None:
@@ -1041,10 +1068,10 @@ def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
 
 
 def parse_matrices(texts, field: FiniteField | None, name: str):
-    """`parse_matrix` of each text in turn, every distinct row line of the
-    texts read once, an error naming the matrix by `name` and its index from
-    1: "generator 4: row 2 has the non-integer entry 'x'"."""
-    memo = {}  # (q, ncols) -> {row line: packed row}
+    """`parse_matrix` of each text in turn, every distinct header and row
+    line of the texts read once, an error naming the matrix by `name` and its
+    index from 1: "generator 4: row 2 has the non-integer entry 'x'"."""
+    memo = {}  # header line -> its ints; (q, ncols) -> {row line: packed row}
     for i, text in enumerate(texts, start=1):
         try:
             yield _parse_matrix(text, field, memo)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .construction import FlagCode, level_points
 from .fields import FiniteField
-from .linalg import EnumerationCapExceeded, contains, enumerate_subspaces, rank
+from .linalg import EnumerationCapExceeded, enumerate_subspaces, line_points, nests, rank
 from .metrics import pairwise_sweep
 
 PASS = "PASS"
@@ -55,8 +55,7 @@ def check_generator_ranks(code: FlagCode) -> CheckResult:
 def check_flag_nesting(code: FlagCode) -> CheckResult:
     for idx, flag in enumerate(code.flags, start=1):
         for j in range(1, len(flag)):
-            lower, upper = flag[j], flag[j + 1]
-            if upper.dim != lower.dim + 1 or not contains(upper, lower):
+            if not nests(flag[j], flag[j + 1]):
                 return CheckResult(
                     "flag_nesting", FAIL, f"flag {idx} breaks nesting at level {j}"
                 )
@@ -72,7 +71,7 @@ def check_spread_disjoint(code: FlagCode) -> CheckResult:
 
 def spread_holes(code: FlagCode, max_enumeration: int = 10**6) -> list:
     """The holes of the k1-level partial spread: the points of PG(n-1, q)
-    that no member covers, as their RREF rows in enumeration order.
+    that no member covers, as their packed integers in enumeration order.
 
     A point P is covered iff its integer `P.packed[0]` is a key of
     `construction.level_points` at level k1, the table the decoder looks
@@ -82,11 +81,11 @@ def spread_holes(code: FlagCode, max_enumeration: int = 10**6) -> list:
     p = code.params
     covered = level_points(code, p.k1)
     points = enumerate_subspaces(p.field, p.n, 1, max_enumeration)
-    return [P.rows[0] for P in points if P.packed[0] not in covered]
+    return [x for P in points if (x := P.packed[0]) not in covered]
 
 
-def _find_hole_subspace(field: FiniteField, holes: list, k: int):
-    """A basis of some k-subspace whose points are all holes, or None.
+def _find_hole_subspace(field: FiniteField, n: int, holes: list, k: int):
+    """Packed rows of some k-subspace of F_q^n whose points are all holes, or None.
 
     A span grows one hole at a time, and only by a hole h with a larger
     index than the last one chosen whose new points are all holes with an
@@ -96,26 +95,14 @@ def _find_hole_subspace(field: FiniteField, holes: list, k: int):
     complete a k-subspace.
     """
     q = field.q
-    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
     index = {v: i for i, v in enumerate(holes)}
     # others[i][j]: the q - 1 points on the line through holes i and j other
     # than those two, as hole indices (-1 for a point that is no hole). The
     # diagonal reads as no hole, so a hole already in a span cannot extend it.
     others = [[(-1,)] * len(holes) for _ in holes]
-    for i, j in itertools.combinations(range(len(holes)), 2):
-        hi, hj = holes[i], holes[j]
-        on_line = []
-        for c in range(1, q):
-            # h_i - c*h_j, scaled to a leading 1; nonzero, as two distinct
-            # points are linearly independent.
-            m = mul[c]
-            v = [sub[a][m[b]] for a, b in zip(hi, hj)]
-            lead = next(x for x in v if x)
-            if lead != 1:
-                m = mul[inv[lead]]
-                v = [m[x] for x in v]
-            on_line.append(index.get(tuple(v), -1))
-        others[i][j] = others[j][i] = tuple(on_line)
+    pairs = itertools.combinations(range(len(holes)), 2)
+    for (i, j), line in zip(pairs, line_points(field, n, holes)):
+        others[i][j] = others[j][i] = tuple(map(index.get, line, itertools.repeat(-1)))
 
     def grow(points, chosen):
         # The points of span(chosen) + <h> outside span(chosen) are h and
@@ -150,7 +137,7 @@ def check_spread_maximal(code: FlagCode, max_enumeration: int = 10**6) -> CheckR
         holes = spread_holes(code, max_enumeration)
     except EnumerationCapExceeded as exc:
         return CheckResult("spread_maximal", SKIPPED, str(exc))
-    if _find_hole_subspace(code.params.field, holes, code.params.k1):
+    if _find_hole_subspace(code.params.field, code.params.n, holes, code.params.k1):
         return CheckResult("spread_maximal", FAIL, "found an extendable k1-subspace")
     return CheckResult("spread_maximal", PASS)
 

@@ -371,6 +371,15 @@ def test_a_row_line_read_once_is_still_checked_per_width(F2):
         next(found)
 
 
+def test_a_header_line_read_once_is_still_checked_per_matrix(F2):
+    # The second "2 1 2" comes from the call's memo, and its row count is
+    # checked against the second matrix's own rows.
+    found = parse_matrices(["2 1 2\n1 0", "2 1 2\n1 0\n0 1"], F2, "matrix")
+    assert next(found).packed == (0b10,)
+    with pytest.raises(LinAlgError, match="^matrix 2: expected 1 rows, got 2$"):
+        next(found)
+
+
 @pytest.mark.parametrize("n", list(range(1, 10)) + [64, 65, 130])
 def test_f2_span_by_doubling_is_the_points(n):
     # `_F2Space.span`, by doubling, against the generic characteristic-2

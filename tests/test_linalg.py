@@ -13,6 +13,7 @@ from flagcodes.linalg import (
     enumerate_subspaces,
     gaussian_binomial,
     intersect_dim,
+    nests,
     orthogonal_complement,
     parse_matrix,
     points,
@@ -22,7 +23,7 @@ from flagcodes.linalg import (
     subspace_sum,
     sum_dim,
 )
-from conftest import SMALL_ORDERS, point_int
+from conftest import ORDERS, SMALL_ORDERS, point_int
 
 
 def _random_matrix(field, rows, cols, rng):
@@ -106,6 +107,45 @@ def test_contains(F2):
     assert contains(U, Subspace.zero(F2, 3))
     assert contains(U, rowspace(MatrixFq.from_rows(F2, [[1, 0, 0]])))
     assert not contains(U, rowspace(MatrixFq.from_rows(F2, [[0, 0, 1]])))
+
+
+@pytest.mark.parametrize("p,m", ORDERS)
+def test_nests_is_contains_with_a_one_dimension_step(p, m):
+    # The rank rule of a flag step against `contains`: random subspaces of
+    # an upper space (nested at one step down, wrong steps at the others)
+    # and random subspaces of F_q^5 (mostly not inside it).
+    field, n = field_new(p, m), 5
+    rng = random.Random(p * 1000 + m)
+    seen = set()
+    for _ in range(12):
+        upper = rowspace(_random_matrix(field, rng.randrange(1, n + 1), n, rng))
+        d = upper.dim
+        inside = [_random_matrix(field, k, d, rng).matmul(upper.basis) for k in range(d + 1)]
+        outside = [_random_matrix(field, k, n, rng) for k in range(n + 1)]
+        for lower in map(rowspace, inside + outside):
+            step, inner = lower.dim + 1 == upper.dim, contains(upper, lower)
+            assert nests(lower, upper) == (step and inner)
+            seen.add((step, inner))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_nests_refuses_two_spaces_as_contains_does(F2, F3):
+    # Another field, another n, and F_8 under another modulus.
+    def span(field, *rows):
+        return rowspace(MatrixFq.from_rows(field, rows))
+
+    F8, F8_other = field_new(2, 3), field_new(2, 3, (1, 1, 0, 1))
+    for point, line in (
+        (span(F3, [1, 0, 0]), span(F2, [1, 0, 0], [0, 1, 0])),
+        (span(F2, [1, 0, 0, 0]), span(F2, [1, 0, 0], [0, 1, 0])),
+        (span(F8_other, [1, 0, 0]), span(F8, [1, 0, 0], [0, 1, 0])),
+    ):
+        with pytest.raises(LinAlgError) as by_contains:
+            contains(line, point)
+        with pytest.raises(LinAlgError) as by_nests:
+            nests(point, line)
+        assert str(by_nests.value) == str(by_contains.value)
+        assert type(by_nests.value) is type(by_contains.value)
 
 
 def test_modularity_all_pairs_f2_4_2(F2):

@@ -1,13 +1,24 @@
+import itertools
+
 import pytest
 
 from flagcodes import MatrixFq, SandwichParams, build_code, field_new, rowspace
-from flagcodes.construction import Flag, FlagCode
-from flagcodes.linalg import enumerate_subspaces, intersect_dim
+from flagcodes.construction import ConstructionError, Flag, FlagCode
+from flagcodes.linalg import (
+    Subspace,
+    contains,
+    enumerate_subspaces,
+    intersect_dim,
+    line_points,
+    points,
+    subspace_sum,
+)
 from flagcodes.verify import (
     FAIL,
     PASS,
     SKIPPED,
     _find_hole_subspace,
+    check_flag_nesting,
     check_spread_maximal,
     expected_projected_distances,
     spread_holes,
@@ -68,10 +79,28 @@ def test_hole_set_maximality_matches_the_oracle(p, m, k1, r):
         assert result.status == oracle_spread_maximal(broken) == FAIL
         assert result.detail == "found an extendable k1-subspace"
         # The subspace found lies in the holes: it meets no member.
-        basis = _find_hole_subspace(code.params.field, spread_holes(broken), k1)
-        found = rowspace(MatrixFq.from_rows(code.params.field, basis))
+        field, n = code.params.field, code.params.n
+        basis = _find_hole_subspace(field, n, spread_holes(broken), k1)
+        found = rowspace(MatrixFq._from_packed(field, n, tuple(basis)))
         assert found.dim == k1
         assert all(intersect_dim(found, flag[k1]) == 0 for flag in broken.flags)
+
+
+@pytest.mark.parametrize(
+    "p, m, k1, r", HOLE_SET_CODES, ids=[f"{p**m}-{k1}-{r}" for p, m, k1, r in HOLE_SET_CODES]
+)
+def test_hole_lines_are_the_points_of_each_pair_span(p, m, k1, r):
+    # The holes of a spread short of one member: those of the code and the
+    # points of the member taken out, so a code with r = 0 has holes too.
+    code = _without_last_flag(build_code(SandwichParams(field_new(p, m), k1, r)))
+    field, n = code.params.field, code.params.n
+    holes = spread_holes(code)
+    point = {P.packed[0]: P for P in enumerate_subspaces(field, n, 1)}
+    lines = list(line_points(field, n, holes))
+    assert len(lines) == len(holes) * (len(holes) - 1) // 2
+    for (a, b), line in zip(itertools.combinations(holes, 2), lines):
+        assert len(line) == field.q - 1
+        assert set(line) == set(points(subspace_sum(point[a], point[b]))) - {a, b}
 
 
 def test_verify_221_all_pass(code_221):
@@ -121,3 +150,22 @@ def test_verify_fails_a_flag_with_a_level_from_another_flag(code_221):
     assert results["flag_nesting"].status == FAIL
     assert results["flag_nesting"].detail == "flag 1 breaks nesting at level 1"
     assert _statuses(verify_code(code_221))["flag_nesting"] == PASS
+
+
+@pytest.mark.parametrize("code_name", ["code_321", "code_f4_21"])
+def test_verify_fails_a_flag_broken_at_each_level(code_name, request):
+    # Level j of flag 1 becomes level j - 1 plus a point outside level
+    # j + 1: the pair (j - 1, j) stays nested, so the first break is at j.
+    code = request.getfixturevalue(code_name)
+    field, n = code.params.field, code.params.n
+    flag = code.flags[0]
+    assert check_flag_nesting(code).status == PASS
+    for j in range(1, n - 1):
+        outside = next(P for P in enumerate_subspaces(field, n, 1) if not contains(flag[j + 1], P))
+        below = flag[j - 1] if j > 1 else Subspace.zero(field, n)
+        levels = flag.subspaces[: j - 1] + (subspace_sum(below, outside),) + flag.subspaces[j:]
+        doctored = FlagCode(code.params, code.generators, (Flag._nested(levels),) + code.flags[1:])
+        result = check_flag_nesting(doctored)
+        assert (result.status, result.detail) == (FAIL, f"flag 1 breaks nesting at level {j}")
+        with pytest.raises(ConstructionError, match="flag subspaces are not nested"):
+            Flag(levels)

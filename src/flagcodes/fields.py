@@ -123,6 +123,8 @@ class FiniteField:
                 raise FieldError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self.mul_table, self.sub_table, self.inv_table = self._kernel_tables()
+        # Hashed once: the field is a key of every `functools.cache` of linalg.
+        self._hash = hash((self.p, self.m, self.modulus))
 
     def _kernel_tables(self):
         """The lookup tables that row operations in linalg index, derived
@@ -227,7 +229,7 @@ class FiniteField:
         )
 
     def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.m == 1:

@@ -318,12 +318,14 @@ class _XorSpace(_Space):
     def add(a: int, b: int) -> int:
         return a ^ b
 
-    def insert(self, rows: list, pivots: list, vectors) -> int:
+    def insert(self, rows: list, pivots: list, vectors, levels=None) -> int:
         """Add packed `vectors` one at a time to the packed RREF `rows` with
         pivot columns `pivots`, lists kept in RREF in place; returns how
         many were added. Each vector is reduced against the rows and skipped
         if nothing is left, else scaled to a leading 1, cleared from the
-        earlier rows and inserted at its pivot's place."""
+        earlier rows and inserted at its pivot's place. Given a list
+        `levels`, each insertion appends the `Subspace` of the rows so far,
+        and the first vector that adds nothing ends the pass."""
         top, e, emask, inv, scale = self.top, self.e, self.emask, self.inv, self.digits.scale
         start = len(rows)
         for v in vectors:
@@ -332,7 +334,9 @@ class _XorSpace(_Space):
                 if c:
                     v ^= u if c == 1 else scale(u, c)
             if not v:
-                continue
+                if levels is None:
+                    continue
+                break
             k = (v.bit_length() - 1) // e  # the lead's shift is k·e
             a = (v >> (k * e)) & emask
             if a != 1:
@@ -345,6 +349,8 @@ class _XorSpace(_Space):
             at = bisect.bisect(pivots, lead)
             rows.insert(at, v)
             pivots.insert(at, lead)
+            if levels is not None:
+                levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
         return len(rows) - start
 
     def reduce(self, vectors, pivots, multiples) -> list:
@@ -427,7 +433,7 @@ class _F2Space(_XorSpace):
     """F_2: an entry is one bit, so no row is scaled, and v's coefficient at a
     pivot is its bit at the pivot row's top bit. The rest is `_XorSpace`'s."""
 
-    def insert(self, rows: list, pivots: list, vectors) -> int:
+    def insert(self, rows: list, pivots: list, vectors, levels=None) -> int:
         """As `_XorSpace.insert`, XORing in each row whose top bit is set in v."""
         top, start = self.top, len(rows)
         for v in vectors:
@@ -435,7 +441,9 @@ class _F2Space(_XorSpace):
                 if v >> (u.bit_length() - 1) & 1:
                     v ^= u
             if not v:
-                continue
+                if levels is None:
+                    continue
+                break
             k = v.bit_length() - 1
             for i, u in enumerate(rows):
                 if u >> k & 1:
@@ -443,6 +451,8 @@ class _F2Space(_XorSpace):
             at = bisect.bisect(pivots, top - k)
             rows.insert(at, v)
             pivots.insert(at, top - k)
+            if levels is not None:
+                levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
         return len(rows) - start
 
     def reduce(self, vectors, pivots, multiples) -> list:
@@ -505,7 +515,7 @@ class _SlotSpace(_Space):
             return self.sub(0, x)
         return self.digits.scale(x, a)
 
-    def insert(self, rows: list, pivots: list, vectors) -> int:
+    def insert(self, rows: list, pivots: list, vectors, levels=None) -> int:
         """As `_XorSpace.insert`, subtracting slot by slot: c·u is u itself
         for c = 1, and for c = p - 1 = -1 it is added instead."""
         top, e, emask, element, inv = self.top, self.e, self.emask, self.element, self.inv
@@ -522,7 +532,9 @@ class _SlotSpace(_Space):
                         x = v + pones - (u if c == 1 else scale(u, c))
                     v = x - p * (((x + carry) >> guard) & ones)
             if not v:
-                continue
+                if levels is None:
+                    continue
+                break
             k = (v.bit_length() - 1) // e  # the lead's shift is k·e
             a = element[(v >> (k * e)) & emask]
             if a != 1:
@@ -539,6 +551,8 @@ class _SlotSpace(_Space):
             at = bisect.bisect(pivots, lead)
             rows.insert(at, v)
             pivots.insert(at, lead)
+            if levels is not None:
+                levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
         return len(rows) - start
 
     def reduce(self, vectors, pivots, multiples) -> list:
@@ -674,9 +688,11 @@ class Subspace:
     def __init__(self, basis: MatrixFq):
         rows = tuple(basis.row(i) for i in range(basis.rows))
         pivots = self._check_rref(rows)
-        space = _space(basis.field, basis.cols)
-        self._set(space, tuple(map(space.fold, rows)), pivots)
+        self.space = space = _space(basis.field, basis.cols)
+        self.field, self.ambient, self.dim = space.field, space.n, len(rows)
+        self.packed, self.pivots = tuple(map(space.fold, rows)), pivots
         self._rows, self._basis = rows, basis
+        self._multiples = self._points = None
 
     @classmethod
     def _from_packed(cls, space: _Space, packed: tuple, pivots: tuple) -> "Subspace":
@@ -684,13 +700,10 @@ class Subspace:
         columns: for the kernel's own results only, so no entry or RREF
         check."""
         U = cls.__new__(cls)
-        U._set(space, packed, pivots)
+        U.space, U.field, U.ambient = space, space.field, space.n
+        U.packed, U.pivots, U.dim = packed, pivots, len(packed)
+        U._rows = U._basis = U._multiples = U._points = None
         return U
-
-    def _set(self, space: _Space, packed: tuple, pivots: tuple):
-        self.space, self.field, self.ambient = space, space.field, space.n
-        self.packed, self.pivots, self.dim = packed, pivots, len(packed)
-        self._rows = self._basis = self._multiples = self._points = None
 
     @property
     def rows(self) -> tuple:
@@ -716,7 +729,7 @@ class Subspace:
     @property
     def chunks(self) -> tuple:
         """`_Space.chunk_tables` of the rows, what the channel draws from:
-        built on first read and kept. `_set` leaves the slot unset, so a
+        built on first read and kept. No constructor sets the slot, so a
         subspace that is never drawn from pays nothing for it."""
         try:
             return self._chunks
@@ -910,17 +923,12 @@ def line_points(field: FiniteField, n: int, pts):
 
 
 def prefix_rowspaces(A: MatrixFq, count: int) -> list:
-    """rowspace(A.first_rows(j)) for j = 1 .. count, from one elimination
-    pass: A's packed row j is inserted by `_Space.insert` into the packed
-    RREF of the rows before it. The list stops before the first row that
-    adds no pivot, so it is shorter than `count` exactly when some prefix
-    of j <= count rows has dimension below j."""
-    space = _space(A.field, A.cols)
-    rows, pivots, levels = [], [], []
-    for v in A.packed[:count]:
-        if not space.insert(rows, pivots, (v,)):
-            break
-        levels.append(Subspace._from_packed(space, tuple(rows), tuple(pivots)))
+    """rowspace(A.first_rows(j)) for j = 1 .. count, from one `_Space.insert`
+    of A's first `count` packed rows that records every level. The list
+    stops before the first row that adds no pivot, so it is shorter than
+    `count` exactly when some prefix of j <= count rows has dimension below j."""
+    levels = []
+    _space(A.field, A.cols).insert([], [], A.packed[:count], levels)
     return levels
 
 

@@ -100,8 +100,12 @@ class ProjectedCode:
 
     def meeting_pair(self):
         """The first pair of flags (1-based, in order) whose i-th subspaces
-        meet beyond {0}, i.e. d_S = 2i - 2 dim(U ∩ V) < 2i; None if none do."""
+        meet beyond {0}, i.e. d_S = 2i - 2 dim(U ∩ V) < 2i; None if none do.
+        Up to the middle level the maximum is 2i, so a level with no pair
+        below it and every flag its own member has none."""
         of = self.of_flag
+        if self.maximum == 2 * self.index and not self.below and len(self.subspaces) == len(of):
+            return None
         for a, b in itertools.combinations(range(len(of)), 2):
             if self.distance(of[a], of[b]) < 2 * self.index:
                 return a + 1, b + 1

@@ -97,12 +97,13 @@ def _find_hole_subspace(field: FiniteField, n: int, holes: list, k: int):
     q = field.q
     index = {v: i for i, v in enumerate(holes)}
     # others[i][j]: the q - 1 points on the line through holes i and j other
-    # than those two, as hole indices (-1 for a point that is no hole). The
-    # diagonal reads as no hole, so a hole already in a span cannot extend it.
+    # than those two, as hole indices in increasing order (-1, first, for a
+    # point that is no hole), so its lowest index is its first. The diagonal
+    # reads as no hole, so a hole already in a span cannot extend it.
     others = [[(-1,)] * len(holes) for _ in holes]
-    pairs = itertools.combinations(range(len(holes)), 2)
+    pairs, no_hole = itertools.combinations(range(len(holes)), 2), itertools.repeat(-1)
     for (i, j), line in zip(pairs, line_points(field, n, holes)):
-        others[i][j] = others[j][i] = tuple(map(index.get, line, itertools.repeat(-1)))
+        others[i][j] = others[j][i] = tuple(sorted(map(index.get, line, no_hole)))
 
     def grow(points, chosen):
         # The points of span(chosen) + <h> outside span(chosen) are h and
@@ -111,7 +112,7 @@ def _find_hole_subspace(field: FiniteField, n: int, holes: list, k: int):
         for h in range(chosen[-1] + 1 if chosen else 0, len(holes) - needed + 1):
             row, new = others[h], [h]
             for s in points:
-                if min(row[s]) < h:
+                if row[s][0] < h:
                     break
                 new.extend(row[s])
             else:
@@ -123,6 +124,7 @@ def _find_hole_subspace(field: FiniteField, n: int, holes: list, k: int):
         return None
 
     found = grow([], [])
+    del grow  # its closure holds grow itself, a cycle that would keep `others` alive
     return [holes[i] for i in found] if found else None
 
 

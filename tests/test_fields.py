@@ -9,6 +9,7 @@ from flagcodes.fields import (
     field_new,
     parse_field_spec,
 )
+from flagcodes.linalg import _digits, _space
 from conftest import SMALL_ORDERS
 
 
@@ -89,6 +90,20 @@ def test_spec_round_trip():
     for p, m in SMALL_ORDERS:
         F = field_new(p, m)
         assert parse_field_spec(F.spec()) == F
+
+
+def test_equal_fields_hash_equal_and_share_one_space():
+    # A field built with its default modulus given equals the field built
+    # without it, hashes equal to it, and keys the same cached kernel.
+    for p, m in SMALL_ORDERS:
+        F = field_new(p, m)
+        G = field_new(p, m, list(F.modulus) or None)
+        assert F is not G and F == G
+        assert hash(F) == hash(G) == hash((p, m, F.modulus))
+        assert _space(F, 4) is _space(G, 4) and _digits(F) is _digits(G)
+    F8, other = field_new(2, 3), field_new(2, 3, (1, 1, 0, 1))
+    assert F8.modulus != other.modulus and F8 != other
+    assert _space(F8, 4) is not _space(other, 4)
 
 
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)

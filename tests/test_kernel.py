@@ -722,6 +722,28 @@ def test_prefix_rowspaces_stop_before_the_first_row_adding_no_pivot(field):
             assert levels == [rowspace(S.first_rows(i)) for i in range(1, min(j, count) + 1)]
 
 
+def test_insert_with_levels_records_each_level_and_stops(field):
+    # Into the RREF of the first s rows, an insertion that records levels
+    # appends the rowspace of every longer prefix, returns how many rows it
+    # added and ends at the first row in the span of those before it, with
+    # the rows and pivots of an insertion of only the rows before that one.
+    rng = random.Random(field.q + 8)
+    n = 5
+    space = _space(field, n)
+    for j in range(n):
+        S = _deficient_at(field, n, j, rng)
+        want_rows, want_pivots = [], []
+        space.insert(want_rows, want_pivots, S.packed[:j])
+        for s in range(j + 1):
+            rows, pivots, levels = [], [], []
+            space.insert(rows, pivots, S.packed[:s])
+            assert space.insert(rows, pivots, S.packed[s:], levels) == j - s
+            prefixes = [S.first_rows(i) for i in range(s + 1, j + 1)]
+            assert levels == list(map(rowspace, prefixes))
+            assert [U.pivots for U in levels] == [rref(A)[2] for A in prefixes]
+            assert (rows, pivots) == (want_rows, want_pivots)
+
+
 def test_matmul_matches_oracle(field):
     rng = random.Random(field.q + 2)
     for rows, inner, cols in [(0, 3, 4), (3, 0, 2), (4, 4, 4), (2, 5, 3), (5, 1, 6)]:

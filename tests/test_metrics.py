@@ -459,6 +459,27 @@ def test_generated_flags_owe_every_kind_of_deficit(name):
     )
 
 
+def test_an_apart_level_up_to_the_middle_compares_no_pair(code_232, monkeypatch):
+    # (2,3,2), n = 8: levels 1 .. 3 and 5 .. 7 have every flag its own
+    # member and no pair below the maximum. Up to the middle that maximum is
+    # 2i, so no pair meets and none is compared; above it every pair is at
+    # 2(n - i) < 2i, and the first pair meets.
+    projected = pairwise_sweep(code_232).projected
+    calls = []
+    distance = flagcodes.metrics.ProjectedCode.distance
+    monkeypatch.setattr(
+        flagcodes.metrics.ProjectedCode,
+        "distance",
+        lambda pc, a, b: calls.append((a, b)) or distance(pc, a, b),
+    )
+    for i in (1, 2, 3):
+        assert projected[i - 1].meeting_pair() is None
+    assert calls == []
+    for i in (5, 6, 7):
+        assert projected[i - 1].meeting_pair() == (1, 2)
+    assert len(calls) == 3
+
+
 def test_shared_level_flags_have_short_projections():
     cards = [len(projected_code(_shared_level_flags(), i)) for i in range(1, 4)]
     assert cards == [4, 3, 4]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -101,6 +102,22 @@ def test_hole_lines_are_the_points_of_each_pair_span(p, m, k1, r):
     for (a, b), line in zip(itertools.combinations(holes, 2), lines):
         assert len(line) == field.q - 1
         assert set(line) == set(points(subspace_sum(point[a], point[b]))) - {a, b}
+
+
+def test_a_hole_search_leaves_no_reference_cycle():
+    # With the collector off, one maximality check of (2,4,2), which finds
+    # no hole subspace among its 48 holes, and one of the code short of a
+    # member, which finds one, leave nothing for a collection to free.
+    code = build_code(SandwichParams(field_new(2), 4, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_spread_maximal(code).status == PASS
+        assert gc.collect() == 0
+        assert check_spread_maximal(_without_last_flag(code)).status == FAIL
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_221_all_pass(code_221):

@@ -103,7 +103,7 @@ def _x_power(poly, field: FiniteField, e: int) -> tuple:
     k, mul, sub = len(poly) - 1, field.mul_table, field.sub_table
     tail, r = poly[:k], [1] + [0] * (k - 1)
     for bit in map(int, bin(e)[2:]):
-        acc = [0] * (2 * k - 1 + bit)  # r^2·x^bit, as acc - (-a)·r in `matmul`
+        acc = [0] * (2 * k - 1 + bit)  # r^2·x^bit, accumulated as acc - (-a)·r
         for i, a in enumerate(r, start=bit):
             if a:
                 m = mul[sub[0][a]]
@@ -227,12 +227,14 @@ class SandwichParams:
     def powers(self) -> tuple:
         """The field F_q[M] of the companion matrix M in walk order:
         powers[e] == field_power(M, e) for e = 0 .. q^k2 - 1, so the zero
-        matrix, M, M^2, ..., and the identity last. One matmul a step,
-        computed once per params."""
+        matrix, M, M^2, ..., and the identity last. One matmul a step, M on
+        the left: M's rows are unit rows but the last, so a step copies
+        k2 - 1 rows of the previous power and forms one combination of
+        them. Computed once per params."""
         M = self.companion()
         powers = [MatrixFq.zero(self.field, self.k2, self.k2), M]
         while len(powers) < self.q**self.k2:
-            powers.append(powers[-1].matmul(M))
+            powers.append(M.matmul(powers[-1]))
         return tuple(powers)
 
 
@@ -243,29 +245,26 @@ def _check_index(params: SandwichParams, i: int):
         )
 
 
-def _unit(size: int, a: int) -> list:
-    """Row a of the identity of order size; all zeros when a >= size."""
-    return [1 if j == a else 0 for j in range(size)]
-
-
 def _upper_block(params: SandwichParams, i: int) -> MatrixFq:
-    """[A[i]; B[i]], the k2 x n top of S[i].
+    """[A[i]; B[i]], the k2 x n top of S[i], on packed rows.
 
     [O | I_k2] at i = 1, else [I_k1 over O | R] with R = M^(i-2) for i >= 3.
     At i = 2, R is zero in its first k1 rows (field_power's zero at e = 0),
     over the fixed rank-r middle block: first row (1 0 ... 0), then
-    [O_{(r-1) x (k1+1)} | I_{r-1}].
+    [O_{(r-1) x (k1+1)} | I_{r-1}]. A packed row of R is already its low k2
+    entries in F_q^n, so row a is R's row a OR-ed with row a of I_n for a < k1.
     """
     _check_index(params, i)
     k1, k2 = params.k1, params.k2
+    unit = MatrixFq.identity(params.field, params.n).packed
     if i == 1:
-        rows = [[0] * k1 + _unit(k2, a) for a in range(k2)]
+        rows = unit[k1:]
     else:
-        right = params.powers[i - 2].row_lists()
+        right = params.powers[i - 2].packed
         if i == 2:
-            right[k1:] = [_unit(k2, t if t > k1 else 0) for t in range(k1, k2)]
-        rows = [_unit(k1, a) + right[a] for a in range(k2)]
-    return MatrixFq.from_rows(params.field, rows)
+            right = right[:k1] + tuple(unit[k1 + (t if t > k1 else 0)] for t in range(k1, k2))
+        rows = tuple(u | x for u, x in zip(unit[:k1] + (0,) * params.r, right))
+    return MatrixFq._from_packed(params.field, params.n, rows)
 
 
 def layer_A(params: SandwichParams, i: int) -> MatrixFq:

@@ -22,18 +22,15 @@ class EnumerationCapExceeded(LinAlgError):
 
 
 class MatrixFq:
-    """Dense rows x cols matrix over a FiniteField, entries row-major ints.
-
-    A matrix holds its entries, its rows packed as integers of
-    `_space(field, cols)` (see `_Space`), or both: one built from entries
-    (`MatrixFq(...)`, `from_rows`, `matmul`) folds them into `packed` on
-    first read, and one the kernel built from packed rows (`parse_matrix`,
-    `rref`, `first_rows`, `last_rows`, `stack`, `Subspace.basis`) unfolds
-    `entries` on first read. The public constructors check the shape and
-    every entry; `_from_packed` checks nothing.
+    """Dense rows x cols matrix over a FiniteField, kept as `packed`: each
+    row one integer of `_space(field, cols)` (see `_Space`). The row-major
+    `entries` are unfolded from it on first read. `MatrixFq(...)` checks the
+    shape and every entry and folds them once; the kernel's own results
+    (`parse_matrix`, `rref`, `matmul`, slices, stacks, `Subspace.basis`) go
+    through `_from_packed`, which checks nothing.
     """
 
-    __slots__ = ("field", "rows", "cols", "_entries", "_packed")
+    __slots__ = ("field", "rows", "cols", "packed", "_entries")
 
     def __init__(self, field: FiniteField, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -43,18 +40,16 @@ class MatrixFq:
             )
         if entries and not (0 <= min(entries) and max(entries) < field.q):
             raise LinAlgError("entry out of field range")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self._entries = entries
-        self._packed = None
+        fold = _space(field, cols).fold
+        self.field, self.rows, self.cols, self._entries = field, rows, cols, None
+        self.packed = tuple(fold(entries[i * cols : (i + 1) * cols]) for i in range(rows))
 
     @classmethod
     def _from_packed(cls, field: FiniteField, cols: int, packed: tuple) -> "MatrixFq":
         """The matrix of the kernel's packed rows of `_space(field, cols)`,
         one row each: neither the shape nor the range is checked."""
         A = cls.__new__(cls)
-        A.field, A.rows, A.cols, A._entries, A._packed = field, len(packed), cols, None, packed
+        A.field, A.rows, A.cols, A.packed, A._entries = field, len(packed), cols, packed, None
         return A
 
     @classmethod
@@ -65,32 +60,23 @@ class MatrixFq:
 
     @classmethod
     def zero(cls, field: FiniteField, rows: int, cols: int) -> "MatrixFq":
-        return cls(field, rows, cols, [0] * (rows * cols))
+        return cls._from_packed(field, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> "MatrixFq":
-        return cls(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        # Row c: 1, its own slot form, at entry c's shift.
+        return cls._from_packed(field, n, tuple(1 << s for s in _space(field, n).shifts))
 
     @property
     def entries(self) -> tuple:
+        """The row-major entries, unfolded from `packed` on first read."""
         if self._entries is None:
-            rows = map(_space(self.field, self.cols).unfold, self._packed) if self.cols else ()
+            rows = map(_space(self.field, self.cols).unfold, self.packed) if self.cols else ()
             self._entries = tuple(itertools.chain.from_iterable(rows))
         return self._entries
 
-    @property
-    def packed(self) -> tuple:
-        """Each row as one packed integer of `_space(field, cols)`."""
-        if self._packed is None:
-            fold = _space(self.field, self.cols).fold
-            self._packed = tuple(map(fold, map(self.row, range(self.rows))))
-        return self._packed
-
     def row(self, i: int):
-        entries = self._entries
-        if entries is None:
-            entries = self.entries
-        return entries[i * self.cols : (i + 1) * self.cols]
+        return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def row_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -108,26 +94,24 @@ class MatrixFq:
         return MatrixFq._from_packed(self.field, self.cols, self.packed + other.packed)
 
     def matmul(self, other: "MatrixFq") -> "MatrixFq":
+        """self·other on packed rows: row i of the product is the sum over
+        k of a_ik times row k of other, one `_Space.add` a nonzero a_ik,
+        the row scaled through the digit tables only when a_ik is not 1."""
         if self.cols != other.rows or self.field != other.field:
             raise LinAlgError("matmul shape/field mismatch")
-        F = self.field
-        mul, sub = F.mul_table, F.sub_table
-        neg = sub[0]
-        other_rows = [other.row(k) for k in range(other.rows)]
+        space = _space(self.field, other.cols)
+        add, scale, right = space.add, space.digits.scale, other.packed
         out = []
         for i in range(self.rows):
-            # Row i of the product is sum_k a_k * other_row_k, accumulated
-            # as acc - (-a_k) * other_row_k: the elimination step of RREF.
-            acc = [0] * other.cols
-            for a, row in zip(self.row(i), other_rows):
+            acc = 0
+            for a, u in zip(self.row(i), right):
                 if a:
-                    m = mul[neg[a]]
-                    acc = [sub[x][m[y]] for x, y in zip(acc, row)]
-            out.extend(acc)
-        return MatrixFq(F, self.rows, other.cols, out)
+                    acc = add(acc, u if a == 1 else scale(u, a))
+            out.append(acc)
+        return MatrixFq._from_packed(self.field, other.cols, tuple(out))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.packed)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == MatrixFq.identity(self.field, self.rows)
@@ -135,14 +119,13 @@ class MatrixFq:
     def __eq__(self, other):
         return (
             isinstance(other, MatrixFq)
-            and self.field == other.field
-            and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.packed == other.packed
+            and self.field == other.field
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.cols, self.packed))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -983,31 +966,41 @@ def enumerate_subspaces(field: FiniteField, n: int, k: int, max_count: int = 10*
 
 
 def dump_matrix(A: MatrixFq) -> str:
-    """The matrix text of A: each packed row unfolded straight into its
-    tokens (a matrix with rows and no columns has empty row lines)."""
+    """The matrix text of A (a matrix with rows and no columns has empty row
+    lines). Where each element's token is its own digit of base 2, 8 or 16
+    (see `_text_digits`), a packed row is written by one `format()`, its
+    digits spaced; otherwise it is unfolded straight into its tokens."""
     lines = [f"{A.field.q} {A.rows} {A.cols}"]
-    if A.cols:
+    spec = _text_digits(A.field)[3]
+    if not A.cols:
+        lines.extend([""] * A.rows)
+    elif spec:
+        fmt = f"0{A.cols}{spec}"
+        lines.extend(" ".join(format(x, fmt)) for x in A.packed)
+    else:
         unfold = _space(A.field, A.cols).unfold
         lines.extend(" ".join(map(str, unfold(x))) for x in A.packed)
-    else:
-        lines.extend([""] * A.rows)
     return "\n".join(lines)
 
 
 @functools.cache
 def _text_digits(field: FiniteField) -> tuple:
-    """(tokens, chars, base) for reading the field's matrix text: `tokens`
+    """(tokens, chars, base, spec) for the field's matrix text: `tokens`
     maps each element's token as `dump_matrix` writes it to its slot form.
     A row of the one-character tokens `chars` alone is read by one
     `int(row, base)`, base = 2^e: `chars` are 0 .. min(q, 10) - 1 when each
     such token's slot form is its own value and 2^e <= 36 (F_2, F_3, F_4,
-    F_5, F_7, F_8), and empty otherwise (F_9, F_16, ...)."""
+    F_5, F_7, F_8), and empty otherwise (F_9, F_16, ...). When `chars`
+    name every element and the base is 2, 8 or 16 (F_2, F_3, F_5, F_7,
+    F_8), `spec` is the `format()` type that writes a packed row's digits
+    ("b", "o" or "x"), else empty."""
     digits = _digits(field)
     e, slot = digits.e, digits.slot
     chars = "0123456789"[: min(field.q, 10)]
     if 2**e > 36 or any(slot[a] != a for a in range(len(chars))):
         chars = ""
-    return {str(a): x for a, x in enumerate(slot)}, chars, 2**e
+    spec = {2: "b", 8: "o", 16: "x"}.get(2**e, "") if len(chars) == field.q else ""
+    return {str(a): x for a, x in enumerate(slot)}, chars, 2**e, spec
 
 
 def _token_row(row: list, i: int, tokens: dict, e: int, q: int) -> int:
@@ -1046,7 +1039,7 @@ def _parse_matrix(text: str, field: FiniteField | None, memo: dict) -> MatrixFq:
         raise FieldError(f"matrix header q={q} does not match field q={field.q}")
     if len(lines) - 1 != nrows:
         raise LinAlgError(f"expected {nrows} rows, got {len(lines) - 1}")
-    tokens, chars, base = _text_digits(field)
+    tokens, chars, base, _ = _text_digits(field)
     e = base.bit_length() - 1
     # One call's texts share a field, or each has field_from_order(q): q names it.
     known = memo.setdefault((q, ncols), {})

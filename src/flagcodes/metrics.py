@@ -160,14 +160,12 @@ def _below_by_incidence(point_sets, q: int, m: int) -> dict:
     steps with m_p members holding point p: the sum over pairs of the
     points they share, no more than the pair loop's set work on them.
     """
-    holding = Counter(itertools.chain.from_iterable(point_sets))
-    if len(holding) == sum(map(len, point_sets)):
+    if len(frozenset().union(*point_sets)) == sum(map(len, point_sets)):
         return {}  # no point is held twice
-    shared = {x for x, count in holding.items() if count > 1}
-    holders = {x: [] for x in shared}
+    holders = {}
     for a, P in enumerate(point_sets):
-        for x in P & shared:
-            holders[x].append(a)
+        for x in P:
+            holders.setdefault(x, []).append(a)
     common = Counter(
         pair for group in holders.values() for pair in itertools.combinations(group, 2)
     )

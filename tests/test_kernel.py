@@ -9,7 +9,12 @@ import random
 
 import pytest
 
-from flagcodes.construction import ConstructionError, flag_from_generator
+from flagcodes.construction import (
+    ConstructionError,
+    companion_matrix,
+    find_primitive_poly,
+    flag_from_generator,
+)
 from flagcodes.decoder import ReceivedSequence, _row_filter, accumulate, random_subspace_of
 from flagcodes.fields import MAX_ORDER, FieldError, field_new
 from flagcodes.linalg import (
@@ -20,6 +25,7 @@ from flagcodes.linalg import (
     _F2Space,
     _SlotSpace,
     _space,
+    _text_digits,
     _token_row,
     _XorSpace,
     contains,
@@ -753,6 +759,80 @@ def test_matmul_matches_oracle(field):
     Z = MatrixFq.zero(field, 3, 3)
     A = _random_matrix(field, 3, 3, rng)
     assert A.matmul(Z) == Z and Z.matmul(A) == Z
+
+
+def _row_list_matmul(A, B):
+    """The product on entry lists, row by row: row i is sum_k a_ik times
+    row k of B, accumulated as acc - (-a_ik)·(row k of B) by the field's
+    tables. This is how `MatrixFq.matmul` formed it before it ran on packed
+    rows."""
+    F = A.field
+    mul, sub = F.mul_table, F.sub_table
+    neg = sub[0]
+    right = [B.row(k) for k in range(B.rows)]
+    out = []
+    for i in range(A.rows):
+        acc = [0] * B.cols
+        for a, row in zip(A.row(i), right):
+            if a:
+                m = mul[neg[a]]
+                acc = [sub[x][m[y]] for x, y in zip(acc, row)]
+        out.extend(acc)
+    return MatrixFq(F, A.rows, B.cols, out)
+
+
+MATMUL_SHAPES = [(4, 4, 4), (1, 1, 1), (2, 5, 3), (5, 2, 6), (6, 6, 1), (0, 3, 4), (3, 0, 2), (3, 4, 0), (0, 0, 0)]
+
+
+@pytest.mark.parametrize("spec", TEXT_FIELDS, ids=_field_id)
+def test_packed_matmul_matches_the_row_list_product(spec):
+    # Square and non-square operands, 0-row and 0-column ones and a 0 inner
+    # dimension: the product on packed rows is the row-list product on every
+    # reader, and holds packed rows only. Powers of a companion matrix
+    # commute, so M·P is P·M, the step `SandwichParams.powers` takes.
+    field = field_new(*spec)
+    rng = random.Random(f"matmul:{field.spec()}")
+    for rows, inner, cols in MATMUL_SHAPES:
+        A = _random_matrix(field, rows, inner, rng)
+        B = _random_matrix(field, inner, cols, rng)
+        C, want = A.matmul(B), _row_list_matmul(A, B)
+        assert C._entries is None
+        assert (C.rows, C.cols, C.packed, C.entries) == (rows, cols, want.packed, want.entries)
+        assert C == want and hash(C) == hash(want)
+    M = companion_matrix(find_primitive_poly(field, 3), field)
+    P = M
+    for _ in range(12):
+        assert M.matmul(P) == P.matmul(M) == _row_list_matmul(M, P)
+        P = M.matmul(P)
+
+
+def _unfolded_text(A):
+    """The matrix text of A with each packed row unfolded into its tokens,
+    what `dump_matrix` writes where its digit path does not apply."""
+    rows = map(_space(A.field, A.cols).unfold, A.packed) if A.cols else [()] * A.rows
+    return "\n".join([f"{A.field.q} {A.rows} {A.cols}"] + [" ".join(map(str, r)) for r in rows])
+
+
+@pytest.mark.parametrize("spec", TEXT_FIELDS, ids=_field_id)
+def test_dump_by_digits_is_the_unfolded_text(spec):
+    # F_2, F_3, F_5, F_7 and F_8 write a row by one `format()` of its packed
+    # integer; every field's text, 0-column matrices and a row holding every
+    # element included, is the unfolded text byte for byte, and parses back
+    # to the same matrix. The empty row lines of a matrix with rows and no
+    # columns are blank lines, which the parser skips, so that text is
+    # compared only.
+    field = field_new(*spec)
+    rng = random.Random(f"dump:{field.spec()}")
+    assert bool(_text_digits(field)[3]) == (field.q in (2, 3, 5, 7, 8))
+    shapes = list(_shapes(field, rng)) + [_random_matrix(field, 4, 9, rng)]
+    shapes += [MatrixFq(field, 3, 0, ()), MatrixFq(field, 0, 0, ())]
+    shapes.append(MatrixFq(field, 1, field.q, range(field.q)))
+    for A in shapes:
+        text = dump_matrix(A)
+        assert text == _unfolded_text(A)
+        if A.cols or not A.rows:
+            assert parse_matrix(text, field) == A
+            assert dump_matrix(parse_matrix(text, field)) == text
 
 
 # -- the differential harness ---------------------------------------------------

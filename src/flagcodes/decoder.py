@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .construction import Flag, FlagCode, level_points
 from .fields import FiniteField
@@ -93,12 +93,7 @@ class DecodeOutcome:
     shot_index: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "flag_index": self.flag_index,
-            "step": self.step,
-            "shot_index": self.shot_index,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

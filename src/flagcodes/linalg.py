@@ -224,9 +224,10 @@ class _Space:
 
     This is the one kernel of row operations on packed rows; its two
     subclasses differ in how rows add, and each writes out the hot loops,
-    `insert`, `reduce`, `rank`, `span`, `draw` and `sums`, with its
-    addition inline; `multiples` and `chunk_tables` are built on `sums`. A
-    one-off scalar multiple comes from the `_Digits` chunk tables, except
+    `insert`, `rank`, `span`, `draw` and `sums`, with its addition inline;
+    `multiples` and `chunk_tables` are built on `sums`. `sum_dim` and
+    `nests` each take one `rank` of two subspaces' packed RREF rows stacked.
+    A one-off scalar multiple comes from the `_Digits` chunk tables, except
     that 1 and p - 1 = -1 need none, and a row's q multiples are sums of its
     multiples by the powers of x.
     """
@@ -277,19 +278,20 @@ class _Space:
             out = self.sums(out, self._copies(self.digits.scale(x, self.p**j)))
         return tuple(out)
 
-    def chunk_tables(self, multiples) -> tuple:
-        """For each group of t = `draw_digits` consecutive rows, given by
-        their `multiples`, the table of the group's combinations: entry r is
-        sum_i r_i·(row i of the group), r_i the base-q digits of r, low digit
-        first. A last group of fewer than t rows has a smaller table. This is
-        the method of four Russians (Albrecht, Bard and Hart, ACM TOMS 2010)
-        over F_q: one lookup adds t rows."""
+    def chunk_tables(self, rows) -> tuple:
+        """For each group of t = `draw_digits` consecutive packed rows, the
+        table of the group's combinations, summed from each row's
+        `multiples`: entry r is sum_i r_i·(row i of the group), r_i the
+        base-q digits of r, low digit first. A last group of fewer than t
+        rows has a smaller table. This is the method of four Russians
+        (Albrecht, Bard and Hart, ACM TOMS 2010) over F_q: one lookup adds t
+        rows."""
         t = self.digits.draw_digits
         tables = []
-        for j in range(0, len(multiples), t):
+        for j in range(0, len(rows), t):
             table = [0]
-            for mult in multiples[j : j + t]:
-                table = self.sums(table, mult)
+            for row in rows[j : j + t]:
+                table = self.sums(table, self.multiples(row))
             tables.append(table)
         return tuple(tables)
 
@@ -335,22 +337,6 @@ class _XorSpace(_Space):
             if levels is not None:
                 levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
         return len(rows) - start
-
-    def reduce(self, vectors, pivots, multiples) -> list:
-        """The nonzero residuals v - sum_j v[p_j] u_j of packed `vectors`
-        against RREF rows u_j with pivot columns p_j and `multiples`: each
-        u_j is zero at every other pivot, so one pass clears them all, and a
-        residual is zero iff v lies in the rows' span."""
-        top, e, emask = self.top, self.e, self.emask
-        out = []
-        for v in vectors:
-            for mult, p in zip(multiples, pivots):
-                c = (v >> (top - p * e)) & emask
-                if c:
-                    v ^= mult[c]
-            if v:
-                out.append(v)
-        return out
 
     def rank(self, rows) -> int:
         """Rank of packed rows by forward elimination on their leading
@@ -437,17 +423,6 @@ class _F2Space(_XorSpace):
             if levels is not None:
                 levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
         return len(rows) - start
-
-    def reduce(self, vectors, pivots, multiples) -> list:
-        """As `_XorSpace.reduce`; a row's multiples are (0, row)."""
-        out = []
-        for v in vectors:
-            for _, u in multiples:
-                if v >> (u.bit_length() - 1) & 1:
-                    v ^= u
-            if v:
-                out.append(v)
-        return out
 
     def rank(self, rows) -> int:
         """As `_XorSpace.rank`, keyed by bit length: v is XORed with the row
@@ -537,21 +512,6 @@ class _SlotSpace(_Space):
             if levels is not None:
                 levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
         return len(rows) - start
-
-    def reduce(self, vectors, pivots, multiples) -> list:
-        """As `_XorSpace.reduce`, subtracting slot by slot."""
-        top, e, emask, element = self.top, self.e, self.emask, self.element
-        p, guard, ones, carry, pones = self.p, self.guard, self.ones, self.carry, self.pones
-        out = []
-        for v in vectors:
-            for mult, piv in zip(multiples, pivots):
-                c = (v >> (top - piv * e)) & emask
-                if c:
-                    x = v + pones - mult[element[c]]
-                    v = x - p * (((x + carry) >> guard) & ones)
-            if v:
-                out.append(v)
-        return out
 
     def rank(self, rows) -> int:
         """As `_XorSpace.rank`, subtracting slot by slot."""
@@ -652,11 +612,10 @@ class Subspace:
     hashing are on `packed` and the space.
 
     `rows`, the RREF rows as tuples of field elements (none for {0}),
-    `basis`, the dim x n matrix of `rows`, `multiples`, each row's q scalar
-    multiples, `chunks`, the channel's tables of combinations of the rows,
-    and `distance_points` are built on first read and kept; the kernel reads
-    none but `multiples` and `chunks`, so a subspace it builds never forms
-    `rows` unless a caller reads them.
+    `basis`, the dim x n matrix of `rows`, `chunks`, the channel's tables of
+    combinations of the rows, and `distance_points` are built on first read
+    and kept; the kernel reads none but `chunks`, so a subspace it builds
+    never forms `rows` unless a caller reads them.
 
     `Subspace(basis)` checks that the basis is in RREF and keeps it; the
     kernel's own results go through `Subspace._from_packed`, from packed
@@ -665,7 +624,7 @@ class Subspace:
 
     __slots__ = (
         "space", "field", "ambient", "dim", "packed", "pivots",
-        "_rows", "_basis", "_multiples", "_points", "_chunks",
+        "_rows", "_basis", "_points", "_chunks",
     )
 
     def __init__(self, basis: MatrixFq):
@@ -675,7 +634,7 @@ class Subspace:
         self.field, self.ambient, self.dim = space.field, space.n, len(rows)
         self.packed, self.pivots = tuple(map(space.fold, rows)), pivots
         self._rows, self._basis = rows, basis
-        self._multiples = self._points = None
+        self._points = None
 
     @classmethod
     def _from_packed(cls, space: _Space, packed: tuple, pivots: tuple) -> "Subspace":
@@ -685,7 +644,7 @@ class Subspace:
         U = cls.__new__(cls)
         U.space, U.field, U.ambient = space, space.field, space.n
         U.packed, U.pivots, U.dim = packed, pivots, len(packed)
-        U._rows = U._basis = U._multiples = U._points = None
+        U._rows = U._basis = U._points = None
         return U
 
     @property
@@ -701,15 +660,6 @@ class Subspace:
         return self._basis
 
     @property
-    def multiples(self) -> tuple:
-        """For each row, its q scalar multiples c·row, c = 0 .. q - 1, as
-        packed integers: what `sum_dim` reduces by and the channel's
-        `chunks` are built from."""
-        if self._multiples is None:
-            self._multiples = tuple(map(self.space.multiples, self.packed))
-        return self._multiples
-
-    @property
     def chunks(self) -> tuple:
         """`_Space.chunk_tables` of the rows, what the channel draws from:
         built on first read and kept. No constructor sets the slot, so a
@@ -717,7 +667,7 @@ class Subspace:
         try:
             return self._chunks
         except AttributeError:
-            self._chunks = self.space.chunk_tables(self.multiples)
+            self._chunks = self.space.chunk_tables(self.packed)
             return self._chunks
 
     @property
@@ -789,13 +739,11 @@ def check_same_ambient(U: Subspace, V: Subspace):
 
 
 def sum_dim(U: Subspace, V: Subspace) -> int:
-    """dim(U + V): dim U plus the rank of V's packed rows reduced against
-    U's pivots by `U.multiples`. U is already in RREF, so it is not reduced
-    again, and V ⊆ U leaves no residual to rank. Every step is an integer
-    operation on digit-slot rows (see `_Space`); neither `rows` is built."""
+    """dim(U + V): one `_Space.rank` of U's and V's packed RREF rows
+    stacked, the rule `nests` uses. Every step is an integer operation on
+    digit-slot rows (see `_Space`); neither `rows` is built."""
     check_same_ambient(U, V)
-    space = U.space
-    return U.dim + space.rank(space.reduce(V.packed, U.pivots, U.multiples))
+    return U.space.rank(U.packed + V.packed)
 
 
 def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
@@ -844,8 +792,8 @@ def contains(U: Subspace, V: Subspace) -> bool:
 
 def nests(lower: Subspace, upper: Subspace) -> bool:
     """True iff lower ⊂ upper and dim upper = dim lower + 1: the dimensions,
-    then one `_Space.rank` of both packed RREFs stacked, no `multiples` built.
-    A pair from two spaces raises `check_same_ambient`'s LinAlgError."""
+    then one `_Space.rank` of both packed RREFs stacked, as `sum_dim` ranks
+    them. A pair from two spaces raises `check_same_ambient`'s LinAlgError."""
     if upper.dim != lower.dim + 1:
         return False
     check_same_ambient(upper, lower)
@@ -1038,6 +986,8 @@ def _parse_matrix(text: str, field: FiniteField | None, memo: dict) -> MatrixFq:
     elif field.q != q:
         raise FieldError(f"matrix header q={q} does not match field q={field.q}")
     if len(lines) - 1 != nrows:
+        if ncols == 0 and nrows > 0 and len(lines) == 1:  # r blank row lines, as dumped
+            return MatrixFq._from_packed(field, 0, (0,) * nrows)
         raise LinAlgError(f"expected {nrows} rows, got {len(lines) - 1}")
     tokens, chars, base, _ = _text_digits(field)
     e = base.bit_length() - 1
@@ -1061,7 +1011,8 @@ def _parse_matrix(text: str, field: FiniteField | None, memo: dict) -> MatrixFq:
 
 def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
     """The packed-row matrix of `dump_matrix` text (over the header's q by
-    default). A row of exactly ncols one-character tokens, what `dump_matrix`
+    default); under ncols = 0, blank row lines alone are r rows of no entries.
+    A row of exactly ncols one-character tokens, what `dump_matrix`
     writes over F_2 .. F_8, is read by one `int()` (see `_text_digits`); any
     other row goes through `_token_row`, so "01" is 1 and a bad token is
     named. Each distinct row line is read once."""

@@ -4,7 +4,7 @@ checked by brute force at desk scale."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .construction import FlagCode, level_points
 from .fields import FiniteField
@@ -23,7 +23,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
+        return asdict(self)
 
 
 def _result(name, ok, detail=""):

@@ -243,11 +243,15 @@ def test_matrix_text_zero_rows(F2):
 
 
 def test_matrix_text_zero_columns(F2):
-    # Rows with no entries are empty lines, which parse as no rows at all.
+    # Rows with no entries are empty lines, which parse back as those rows.
+    # A row line that is not blank, or a negative row count, is still an error.
     A = MatrixFq(F2, 3, 0, ())
     assert dump_matrix(A) == dump_matrix(MatrixFq._from_packed(F2, 0, (0, 0, 0))) == "2 3 0\n\n\n"
-    with pytest.raises(LinAlgError, match="^expected 3 rows, got 0$"):
-        parse_matrix(dump_matrix(A))
+    assert parse_matrix(dump_matrix(A)) == A
+    with pytest.raises(LinAlgError, match="^expected 3 rows, got 1$"):
+        parse_matrix("2 3 0\n0\n\n")
+    with pytest.raises(LinAlgError, match="^expected -3 rows, got 0$"):
+        parse_matrix("2 -3 0")
 
 
 def test_parse_matrix_rejects_garbage():

@@ -97,10 +97,13 @@ def _load_code_or_flags(path: str):
     return flags
 
 
-def _emit(args, doc: dict, text_lines):
+def _emit(args, doc: dict, text_lines=None):
+    """`doc` as JSON, or `text_lines`, by default one "key: value" line a key."""
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
+        if text_lines is None:
+            text_lines = [f"{k}: {v}" for k, v in doc.items()]
         for line in text_lines:
             print(line)
 
@@ -127,9 +130,7 @@ def cmd_construct(args) -> int:
 def cmd_report(args) -> int:
     code = _load_code_or_flags(args.code)
     report = classify(code)
-    doc = report.to_dict()
-    lines = [f"{k}: {v}" for k, v in doc.items()]
-    _emit(args, doc, lines)
+    _emit(args, report.to_dict())
     return EXIT_OK
 
 
@@ -182,7 +183,7 @@ def cmd_bounds(args) -> int:
         doc["cardinality"] = len(code)
         doc["satisfied"] = verdict["satisfied"]
         doc["equality"] = verdict["equality"]
-    _emit(args, doc, [f"{k_}: {v}" for k_, v in doc.items()])
+    _emit(args, doc)
     return EXIT_OK
 
 
@@ -208,17 +209,14 @@ def cmd_decode(args) -> int:
     with open(args.received) as fh:
         received = received_from_json(fh.read(), code.params.field)
     outcome = decode(code, received)
-    doc = outcome.to_dict()
-    lines = [f"{k}: {v}" for k, v in doc.items()]
-    _emit(args, doc, lines)
+    _emit(args, outcome.to_dict())
     return EXIT_OK if outcome.status == DECODED else EXIT_DECODE_FAIL
 
 
 def cmd_simulate(args) -> int:
     code = _load_code(args.code)
     report = simulate(code, args.trials, args.seed, args.budget)
-    doc = report.to_dict()
-    _emit(args, doc, [f"{k}: {v}" for k, v in doc.items()])
+    _emit(args, report.to_dict())
     return EXIT_OK
 
 

@@ -195,7 +195,10 @@ class SandwichParams:
                 self, "prim_poly", find_primitive_poly(self.field, self.k2)
             )
         else:
-            poly = tuple(int(c) for c in self.prim_poly)
+            poly = tuple(self.prim_poly)
+            for c in poly:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise ConstructionError(f"prim_poly coefficient {c!r} is not an integer")
             if len(poly) != self.k2 + 1:
                 raise ConstructionError(
                     f"prim_poly must have degree k2 = {self.k2}"

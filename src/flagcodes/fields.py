@@ -113,7 +113,10 @@ class FiniteField:
         else:
             if modulus is None:
                 modulus = _smallest_irreducible(p, m)
-            modulus = tuple(int(c) % p for c in modulus)
+            for c in modulus:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise FieldError(f"modulus coefficient {c!r} is not an integer")
+            modulus = tuple(c % p for c in modulus)
             if len(modulus) != m + 1 or modulus[m] != 1:
                 raise FieldError(
                     f"modulus must be monic of degree {m} "

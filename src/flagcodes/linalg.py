@@ -222,14 +222,19 @@ class _Space:
     (n - 1 - c)·e. Over characteristic 2 this is the vector's base-q
     integer. One object per field and n, from `_space`.
 
-    This is the one kernel of row operations on packed rows; its two
-    subclasses differ in how rows add, and each writes out the hot loops,
-    `insert`, `rank`, `span`, `draw` and `sums`, with its addition inline;
-    `multiples` and `chunk_tables` are built on `sums`. `sum_dim` and
-    `nests` each take one `rank` of two subspaces' packed RREF rows stacked.
-    A one-off scalar multiple comes from the `_Digits` chunk tables, except
-    that 1 and p - 1 = -1 need none, and a row's q multiples are sums of its
-    multiples by the powers of x.
+    This is the one kernel of row operations on packed rows. `insert`,
+    `rank`, `add` and `scale` are written once, here, on `axpy(v, u, c)` =
+    v - c·u, which `_XorSpace` and `_SlotSpace` each build in `__init__` as
+    a closure over their constants. c is in slot form, read raw off a packed
+    row: 0, 1 and p - 1 are their own slot forms in every field, so only a
+    scale by another c looks up `element`. `_F2Space` keeps its own
+    `insert`, `rank` and `span`, which never scale; `span`, `draw` and
+    `sums` are written out in each subclass with its addition inline, and
+    `multiples` and `chunk_tables` are built on `sums`. `sum_dim`
+    and `nests` each take one `rank` of two subspaces' packed RREF rows
+    stacked. A one-off scalar multiple comes from the `_Digits` chunk
+    tables, except that 1 and p - 1 = -1 need none, and a row's q multiples
+    are sums of its multiples by the powers of x.
     """
 
     def __init__(self, field: FiniteField, n: int):
@@ -262,6 +267,71 @@ class _Space:
         for s in range(shift - width, -1, -width):
             row += high[(x >> s) & mask]
         return row[chunks * t - self.n :]
+
+    def add(self, a: int, b: int) -> int:
+        """a + b, as a - (p - 1)·b."""
+        return self.axpy(a, b, self.p - 1)
+
+    def scale(self, x: int, a: int) -> int:
+        """x times the field element a."""
+        if a == 1:
+            return x
+        if a == self.p - 1:
+            return self.axpy(0, x, 1)
+        return self.digits.scale(x, a)
+
+    def insert(self, rows: list, pivots: list, vectors, levels=None) -> int:
+        """Add packed `vectors` one at a time to the packed RREF `rows` with
+        pivot columns `pivots`, lists kept in RREF in place; returns how
+        many were added. Each vector is reduced against the rows and skipped
+        if nothing is left, else scaled to a leading 1, cleared from the
+        earlier rows and inserted at its pivot's place. Given a list
+        `levels`, each insertion appends the `Subspace` of the rows so far,
+        and the first vector that adds nothing ends the pass."""
+        top, e, emask, element, inv = self.top, self.e, self.emask, self.element, self.inv
+        axpy, start = self.axpy, len(rows)
+        for v in vectors:
+            for u, p in zip(rows, pivots):
+                c = (v >> (top - p * e)) & emask
+                if c:
+                    v = axpy(v, u, c)
+            if not v:
+                if levels is None:
+                    continue
+                break
+            k = (v.bit_length() - 1) // e  # the lead's shift is k·e
+            a = (v >> (k * e)) & emask
+            if a != 1:
+                v = self.scale(v, inv[element[a]])
+            for i, u in enumerate(rows):
+                c = (u >> (k * e)) & emask
+                if c:
+                    rows[i] = axpy(u, v, c)
+            lead = self.n - 1 - k
+            at = bisect.bisect(pivots, lead)
+            rows.insert(at, v)
+            pivots.insert(at, lead)
+            if levels is not None:
+                levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
+        return len(rows) - start
+
+    def rank(self, rows) -> int:
+        """Rank of packed rows by forward elimination on their leading
+        entry, as M4RI eliminates packed words: a row is reduced by the
+        pivot row of its leading entry until it is zero or leads a new one,
+        kept scaled to a leading 1."""
+        e, emask, element, inv, axpy = self.e, self.emask, self.element, self.inv, self.axpy
+        found = {}
+        for v in rows:
+            while v:
+                k = (v.bit_length() - 1) // e
+                a = (v >> (k * e)) & emask
+                u = found.get(k)
+                if u is None:
+                    found[k] = v if a == 1 else self.scale(v, inv[element[a]])
+                    break
+                v = axpy(v, u, a)
+        return len(found)
 
     def _copies(self, b: int) -> list:
         """c·b for c = 0 .. p - 1, each a sum of c copies of b."""
@@ -299,62 +369,14 @@ class _Space:
 class _XorSpace(_Space):
     """Characteristic 2: one bit a digit, so rows add by XOR."""
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
+    def __init__(self, field: FiniteField, n: int):
+        super().__init__(field, n)
+        scale = self.digits.scale
 
-    def insert(self, rows: list, pivots: list, vectors, levels=None) -> int:
-        """Add packed `vectors` one at a time to the packed RREF `rows` with
-        pivot columns `pivots`, lists kept in RREF in place; returns how
-        many were added. Each vector is reduced against the rows and skipped
-        if nothing is left, else scaled to a leading 1, cleared from the
-        earlier rows and inserted at its pivot's place. Given a list
-        `levels`, each insertion appends the `Subspace` of the rows so far,
-        and the first vector that adds nothing ends the pass."""
-        top, e, emask, inv, scale = self.top, self.e, self.emask, self.inv, self.digits.scale
-        start = len(rows)
-        for v in vectors:
-            for u, p in zip(rows, pivots):
-                c = (v >> (top - p * e)) & emask
-                if c:
-                    v ^= u if c == 1 else scale(u, c)
-            if not v:
-                if levels is None:
-                    continue
-                break
-            k = (v.bit_length() - 1) // e  # the lead's shift is k·e
-            a = (v >> (k * e)) & emask
-            if a != 1:
-                v = scale(v, inv[a])
-            for i, u in enumerate(rows):
-                c = (u >> (k * e)) & emask
-                if c:
-                    rows[i] = u ^ (v if c == 1 else scale(v, c))
-            lead = self.n - 1 - k
-            at = bisect.bisect(pivots, lead)
-            rows.insert(at, v)
-            pivots.insert(at, lead)
-            if levels is not None:
-                levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
-        return len(rows) - start
+        def axpy(v: int, u: int, c: int) -> int:
+            return v ^ (u if c == 1 else scale(u, c))
 
-    def rank(self, rows) -> int:
-        """Rank of packed rows by forward elimination on their leading
-        entry, as M4RI eliminates packed words: a row is XORed with the
-        pivot row of its leading entry until it is zero or leads a new one,
-        kept scaled to a leading 1 (over F_2 every entry is 1)."""
-        e, emask, inv, scale = self.e, self.emask, self.inv, self.digits.scale
-        found = {}
-        for v in rows:
-            while v:
-                k = (v.bit_length() - 1) // e
-                a = (v >> (k * e)) & emask
-                u = found.get(k)
-                if u is None:
-                    found[k] = v if a == 1 else scale(v, inv[a])
-                    break
-                v ^= u if a == 1 else scale(u, a)
-        return len(found)
+        self.axpy = axpy
 
     def draw(self, tables, x: int, dim: int, k: int) -> list:
         """The dim packed rows of C·B for the channel's draw x, read as the
@@ -403,7 +425,7 @@ class _F2Space(_XorSpace):
     pivot is its bit at the pivot row's top bit. The rest is `_XorSpace`'s."""
 
     def insert(self, rows: list, pivots: list, vectors, levels=None) -> int:
-        """As `_XorSpace.insert`, XORing in each row whose top bit is set in v."""
+        """As `_Space.insert`, XORing in each row whose top bit is set in v."""
         top, start = self.top, len(rows)
         for v in vectors:
             for u in rows:
@@ -425,7 +447,7 @@ class _F2Space(_XorSpace):
         return len(rows) - start
 
     def rank(self, rows) -> int:
-        """As `_XorSpace.rank`, keyed by bit length: v is XORed with the row
+        """As `_Space.rank`, keyed by bit length: v is XORed with the row
         filed under its lead until it is zero or is filed there itself."""
         found = {}
         for v in rows:
@@ -452,83 +474,20 @@ class _SlotSpace(_Space):
 
     def __init__(self, field: FiniteField, n: int):
         super().__init__(field, n)
-        s = self.digits.s
-        self.guard = s - 1
-        self.ones = sum(1 << (i * s) for i in range(n * self.m))
-        self.carry = ((1 << self.guard) - self.p) * self.ones
-        self.pones = self.p * self.ones
+        s, p, element, scale = self.digits.s, self.p, self.element, self.digits.scale
+        self.guard = guard = s - 1
+        self.ones = ones = sum(1 << (i * s) for i in range(n * self.m))
+        self.carry = carry = ((1 << guard) - p) * ones
+        pones, minus = p * ones, p - 1
 
-    def add(self, a: int, b: int) -> int:
-        x = a + b
-        return x - self.p * (((x + self.carry) >> self.guard) & self.ones)
+        def axpy(v: int, u: int, c: int) -> int:
+            if c == minus:
+                x = v + u
+            else:
+                x = v + pones - (u if c == 1 else scale(u, element[c]))
+            return x - p * (((x + carry) >> guard) & ones)
 
-    def sub(self, a: int, b: int) -> int:
-        x = a + self.pones - b
-        return x - self.p * (((x + self.carry) >> self.guard) & self.ones)
-
-    def scale(self, x: int, a: int) -> int:
-        if a == 1:
-            return x
-        if a == self.p - 1:
-            return self.sub(0, x)
-        return self.digits.scale(x, a)
-
-    def insert(self, rows: list, pivots: list, vectors, levels=None) -> int:
-        """As `_XorSpace.insert`, subtracting slot by slot: c·u is u itself
-        for c = 1, and for c = p - 1 = -1 it is added instead."""
-        top, e, emask, element, inv = self.top, self.e, self.emask, self.element, self.inv
-        p, guard, ones, carry, pones = self.p, self.guard, self.ones, self.carry, self.pones
-        scale, minus = self.digits.scale, p - 1
-        start = len(rows)
-        for v in vectors:
-            for u, piv in zip(rows, pivots):
-                c = element[(v >> (top - piv * e)) & emask]
-                if c:
-                    if c == minus:
-                        x = v + u
-                    else:
-                        x = v + pones - (u if c == 1 else scale(u, c))
-                    v = x - p * (((x + carry) >> guard) & ones)
-            if not v:
-                if levels is None:
-                    continue
-                break
-            k = (v.bit_length() - 1) // e  # the lead's shift is k·e
-            a = element[(v >> (k * e)) & emask]
-            if a != 1:
-                v = self.scale(v, inv[a])
-            for i, u in enumerate(rows):
-                c = element[(u >> (k * e)) & emask]
-                if c:
-                    if c == minus:
-                        x = u + v
-                    else:
-                        x = u + pones - (v if c == 1 else scale(v, c))
-                    rows[i] = x - p * (((x + carry) >> guard) & ones)
-            lead = self.n - 1 - k
-            at = bisect.bisect(pivots, lead)
-            rows.insert(at, v)
-            pivots.insert(at, lead)
-            if levels is not None:
-                levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
-        return len(rows) - start
-
-    def rank(self, rows) -> int:
-        """As `_XorSpace.rank`, subtracting slot by slot."""
-        e, emask, element, inv = self.e, self.emask, self.element, self.inv
-        p, guard, ones, carry, pones = self.p, self.guard, self.ones, self.carry, self.pones
-        found = {}
-        for v in rows:
-            while v:
-                k = (v.bit_length() - 1) // e
-                a = element[(v >> (k * e)) & emask]
-                u = found.get(k)
-                if u is None:
-                    found[k] = self.scale(v, inv[a])
-                    break
-                x = v + pones - self.scale(u, a)
-                v = x - p * (((x + carry) >> guard) & ones)
-        return len(found)
+        self.axpy = axpy
 
     def draw(self, tables, x: int, dim: int, k: int) -> list:
         """As `_XorSpace.draw`, a row of C one `divmod` by q^k and t of its

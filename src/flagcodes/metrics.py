@@ -56,20 +56,12 @@ def _flags_of(code) -> tuple:
     return tuple(code)
 
 
-def max_distance(n: int, type_vector=None) -> int:
-    """Largest achievable flag distance for the given type on F_q^n.
-
-    Defaults to the full type (1, ..., n-1), where it is (n^2 - 1)/2 for odd
-    n and n^2/2 for even n, i.e. floor(n^2 / 2), read off that closed form.
+def max_distance(n: int) -> int:
+    """Largest achievable flag distance of the full type (1, ..., n-1) on
+    F_q^n: (n^2 - 1)/2 for odd n and n^2/2 for even n, i.e. floor(n^2 / 2),
+    read off that closed form.
     """
-    if type_vector is None:
-        return max(n, 0) ** 2 // 2
-    total = 0
-    for t in type_vector:
-        if not (0 < t < n):
-            raise MetricsError(f"type entry {t} out of range for n={n}")
-        total += min(t, n - t)
-    return 2 * total
+    return max(n, 0) ** 2 // 2
 
 
 @dataclass(frozen=True)

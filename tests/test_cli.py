@@ -357,6 +357,36 @@ def test_a_float_parameter_fails_to_load(code_file, tmp_path, capsys):
     assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
 
 
+@pytest.mark.parametrize(
+    "construct, key, value, detail",
+    [
+        (["--p", "2", "--k1", "2", "--r", "1"], "prim_poly", [1.5, 1, 0, 1],
+         "prim_poly coefficient 1.5 is not an integer"),
+        (["--p", "2", "--k1", "2", "--r", "1"], "prim_poly", [True, 1, 0, 1],
+         "prim_poly coefficient True is not an integer"),
+        (["--p", "2", "--m", "2", "--k1", "2"], "modulus", [1.5, 1, 1],
+         "modulus coefficient 1.5 is not an integer"),
+        (["--p", "2", "--m", "2", "--k1", "2"], "modulus", [1, True, 1],
+         "modulus coefficient True is not an integer"),
+    ],
+    ids=["poly-float", "poly-bool", "modulus-float", "modulus-bool"],
+)
+def test_a_non_integer_coefficient_fails_to_load(tmp_path, capsys, construct, key, value, detail):
+    # Each value would truncate to the coefficients the file was written
+    # with, so it is refused as "k1": 2.0 is: exit 2 from report, a `load`
+    # FAIL from verify.
+    path = tmp_path / "code.json"
+    assert run(capsys, "construct", *construct, "--out", str(path))[0] == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["params"][key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--code", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {detail}\n"
+    exit_code, out = run(capsys, "verify", "--code", str(path))
+    assert exit_code == EXIT_VERIFY_FAIL
+    assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
+
+
 def test_a_bool_ambient_fails_to_load(code_file, tmp_path, capsys):
     # "ambient": true would otherwise load as ambient 1 with no shots and
     # fail later on the wrong ambient dimension: exit 2 naming the value.

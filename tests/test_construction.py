@@ -167,6 +167,13 @@ def test_params_must_be_integers(F2, k1, r):
         SandwichParams(F2, k1, r)
 
 
+@pytest.mark.parametrize("poly", [(1.5, 1, 0, 1), (1, 1, 0, 1.0), (True, 1, 0, 1)])
+def test_prim_poly_coefficients_must_be_integers(F2, poly):
+    # Each would truncate to the primitive x^3 + x + 1.
+    with pytest.raises(ConstructionError, match="prim_poly coefficient .* is not an integer"):
+        SandwichParams(F2, 2, 1, poly)
+
+
 def test_layer_A_examples(p221):
     assert layer_A(p221, 1).row_lists() == [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
     # exponent 0 hits the zero-matrix convention: right block is zero

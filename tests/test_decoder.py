@@ -861,6 +861,14 @@ CHANNEL_SHA256 = {
         "a04682d681681ff80ccb29a727b8cb6a3a40e31004ffccce401134414406f58f",
         "404980e33e69fc0fe90de31a4162e3712a54eda020345add2ced80c76875eac8",
     ),
+    (5, 2, 2, 0): (
+        "632d79b2d88c42036901ee2539fea4f5528681575c1b5786c8a6490aec8cd370",
+        "64038a91f2bd533527465439a1693874600e7a1e0203c452664f26f5616fced7",
+    ),
+    (2, 3, 2, 1): (
+        "c95addf8fce890f8e28ce71e6d372fb799e39d65c2027b33e74413693674e60b",
+        "97b6d2dc512cf9a089d208c096eeea36242d3b91949d6115c247ed210d2bfb2f",
+    ),
 }
 
 

@@ -52,6 +52,14 @@ def test_degree_mismatch_rejected():
         field_new(2, 3, (1, 1, 1))
 
 
+@pytest.mark.parametrize("modulus", [(1.5, 1, 1), (1, 1.0, 1), (True, 1, 1), (1, 1, "1")])
+def test_modulus_coefficients_must_be_integers(modulus):
+    # Truncating 1.5 or reading True as 1 would load x^2 + x + 1 from a
+    # modulus nobody wrote.
+    with pytest.raises(FieldError, match="modulus coefficient .* is not an integer"):
+        field_new(2, 2, modulus)
+
+
 def test_inversion_of_zero():
     with pytest.raises(FieldError):
         field_new(5).inv(0)

@@ -189,6 +189,29 @@ def test_f2_kernel_matches_the_characteristic_2_kernel(n):
         assert (rows, pivots) == (want_rows, want_pivots)
 
 
+def test_axpy_add_and_scale_match_the_field_tables(field):
+    # Entry by entry against sub_table and mul_table, for every c in F_q
+    # (0, 1 and p - 1 included): axpy(v, u, c) = v - c·u with c in slot
+    # form, add(v, u) = v + u and scale(u, c) = c·u. The rows mix random
+    # entries with all-zero, all-one and all-(q - 1) rows, over one chunk
+    # and several.
+    sub, mul, neg1 = field.sub_table, field.mul_table, field.p - 1
+    rng = random.Random(field.q + 35)
+    for n in (1, 5, 17):
+        space = _space(field, n)
+        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(4)]
+        rows += [[0] * n, [1] * n, [neg1] * n, [field.q - 1] * n]
+        for v, u in itertools.product(rows, repeat=2):
+            pv, pu = space.fold(v), space.fold(u)
+            assert space.unfold(space.add(pv, pu)) == tuple(
+                sub[x][mul[neg1][y]] for x, y in zip(v, u)
+            )
+            for c in range(field.q):
+                axpy = space.axpy(pv, pu, space.slot[c])
+                assert space.unfold(axpy) == tuple(sub[x][mul[c][y]] for x, y in zip(v, u))
+                assert space.unfold(space.scale(pu, c)) == tuple(mul[c][y] for y in u)
+
+
 def test_multiples_are_the_scalar_multiples_of_each_row(field):
     # Row i's multiple by c, folded to base q with the scalar `mul`.
     rng = random.Random(field.q + 12)

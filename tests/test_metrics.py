@@ -92,11 +92,6 @@ def test_max_distance_full_type_is_the_closed_form():
     assert max_distance(10**100) == 10**200 // 2
 
 
-def test_max_distance_general_type():
-    # type (1, 3) on n = 4: 2 * (1 + 1)
-    assert max_distance(4, (1, 3)) == 4
-
-
 def test_example_projected_cardinalities(example_flags):
     cards = [len(projected_code(example_flags, i)) for i in range(1, 7)]
     assert cards == [2, 3, 3, 3, 3, 2]

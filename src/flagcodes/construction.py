@@ -259,7 +259,8 @@ def _upper_block(params: SandwichParams, i: int) -> MatrixFq:
     """
     _check_index(params, i)
     k1, k2 = params.k1, params.k2
-    unit = MatrixFq.identity(params.field, params.n).packed
+    identity = MatrixFq.identity(params.field, params.n)
+    unit = identity.packed
     if i == 1:
         rows = unit[k1:]
     else:
@@ -267,7 +268,7 @@ def _upper_block(params: SandwichParams, i: int) -> MatrixFq:
         if i == 2:
             right = right[:k1] + tuple(unit[k1 + (t if t > k1 else 0)] for t in range(k1, k2))
         rows = tuple(u | x for u, x in zip(unit[:k1] + (0,) * params.r, right))
-    return MatrixFq._from_packed(params.field, params.n, rows)
+    return MatrixFq._from_packed(identity.space, rows)
 
 
 def layer_A(params: SandwichParams, i: int) -> MatrixFq:

@@ -161,9 +161,10 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     `linalg.subspace_from_draw` owns that digit format: the coefficients
     are the coordinates of the target's basis in sub's RREF rows B, so it
     forms the rows of C·B from sub's cached chunk tables (`sub.chunks`),
-    one lookup per group of digits, runs the rank test on them, and puts
-    an accepted draw in RREF with one insertion pass, so the shot carries
-    packed rows and builds no `rows`.
+    one lookup per group of digits, and runs the rank test on them. That
+    test is the draw's one elimination: an accepted draw's RREF is the
+    back-substitution of the echelon rows it leaves (`_Space.reduce`), so
+    the shot carries packed rows and builds no `rows`.
     """
     if not (0 <= dim <= sub.dim):
         raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")

@@ -93,6 +93,9 @@ class FiniteField:
     """
 
     def __init__(self, p: int, m: int = 1, modulus=None):
+        for name, value in (("p", p), ("m", m)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise FieldError(f"{name} = {value!r} is not an integer")
         # Before the trial division of p, unbounded for a huge p. For p >= 2,
         # m > 8 means q > 256, so p**m is never formed for a huge m.
         if p >= 2 and (m > 8 or p**m > MAX_ORDER):

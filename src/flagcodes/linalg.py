@@ -1,7 +1,69 @@
-"""Dense linear algebra over F_q: RREF, rank, row spaces, subspace lattice ops.
+"""Dense linear algebra over F_q on packed rows: matrices, RREF, rank, row
+spaces, the subspace lattice, subspace enumeration and matrix text.
 
-Matrices are immutable; subspaces are kept in canonical reduced row echelon
-form so that equality and hashing are structural.
+Public entry points: `MatrixFq`, `rref`, `rank`, `rowspace`, `Subspace`,
+`sum_dim`, `intersect_dim`, `contains`, `subspace_sum`, `nests`,
+`orthogonal_complement`, `points`, `line_points`, `prefix_rowspaces`,
+`enumerate_subspaces`, `gaussian_binomial`, `subspace_from_draw`,
+`dump_matrix`, `parse_matrix` and `parse_matrices`. Matrices are immutable;
+subspaces are kept in canonical reduced row echelon form, so equality and
+hashing are structural.
+
+Packed rows. A vector of F_q^n is one integer. Each F_p digit of an entry
+(an element of F_{p^m} is m digits in the polynomial basis of `fields`) has
+a slot of 1 bit for p = 2 and bit_length(p - 1) + 1 bits for odd p, digit j
+of an entry in its slot j and the first entry most significant, so over
+characteristic 2 the integer is the vector's base-q integer (`_Digits`).
+`_space(field, n)` gives one `_Space` per field (by equality) and n, and
+every row operation goes through it. A `MatrixFq` keeps its rows in that
+form (`packed`) next to its `space`, and unfolds `entries` on first read. A
+`Subspace` keeps its RREF rows (`packed`) and `pivots`; `rows`, `basis`,
+`chunks` and `distance_points` are built on first read, so a subspace the
+kernel builds never forms `rows` unless a caller reads them. The kernel's
+own results come through the unchecked `_from_packed` constructors; the
+public constructors and `parse_matrix` check every entry.
+
+The kernel. `_F2Space` serves F_2, where an entry is one bit and no row is
+ever scaled; `_XorSpace` serves F_{2^m}, m > 1, whose rows add by XOR; and
+`_SlotSpace` serves odd p, whose rows add slot by slot in one integer
+addition (see its docstring). `_Space` writes the row operations once on
+each kernel's `axpy(v, u, c)` = v - c·u; `_F2Space` keeps XOR versions of
+its own. There are three:
+- `echelon(rows)` is forward elimination on the leading entry, as M4RI
+  eliminates packed words. It returns one row per lead, scaled to a leading
+  1, and the rank is their number. `rank(A)` keeps A's echelon rows on A
+  (`MatrixFq.echelon`). `sum_dim` and `nests` each take one echelon of two
+  subspaces' RREF rows stacked.
+- `reduce(echelon)` back-substitutes echelon rows into packed RREF rows and
+  their pivots.
+- `insert(rows, pivots, vectors, levels)` adds vectors one at a time to RREF
+  rows kept in place. `rref`, `rowspace` and `subspace_sum` use it, and
+  `prefix_rowspaces` records every level of a flag in one call.
+A one-off scalar multiple comes from per-field chunk tables, and a row's q
+multiples are sums of its multiples by the powers of x.
+
+Points. A point of PG(n - 1, q) is the packed integer of its vector with
+leading entry 1, so a 1-dim subspace P is the point `P.packed[0]`.
+`points(U)` is the span of U's packed rows (`_Space.span`). Over F_2 that
+span is doubled by each row in turn, so its points come in another order;
+callers use points only as sets or keys. `line_points` lists the other
+points of the line through each pair of points.
+
+The channel's draw. `subspace_from_draw(U, dim, x)` reads x as the base-q
+digits of a dim x dim U coefficient matrix C and forms the rows of C·B, B
+U's RREF rows, by the method of four Russians (Albrecht, Bard and Hart,
+ACM TOMS 2010): `U.chunks` holds one table per group of `draw_digits` rows
+of B, so one lookup adds a group. `rank` of those rows accepts the draw,
+since rank(C·B) = rank(C), and `reduce` of the echelon rows that `rank`
+kept is the RREF of an accepted draw: one elimination serves both.
+
+Matrix text. `dump_matrix` writes "q rows cols" and then one line of
+entries a row: one `format()` of the packed integer where every element's
+token is its own digit in base 2, 8 or 16, else the unfolded entries.
+`parse_matrix` reads a row of one-character tokens with one `int()` and any
+other row token by token (`_token_row`), naming a bad row and token;
+`parse_matrices` reads each distinct header and row line of a list of texts
+once.
 """
 
 from __future__ import annotations
@@ -23,14 +85,15 @@ class EnumerationCapExceeded(LinAlgError):
 
 class MatrixFq:
     """Dense rows x cols matrix over a FiniteField, kept as `packed`: each
-    row one integer of `_space(field, cols)` (see `_Space`). The row-major
-    `entries` are unfolded from it on first read. `MatrixFq(...)` checks the
+    row one integer of `space`, the `_Space` of the field and cols. The
+    row-major `entries` are unfolded from it on first read, and the rows'
+    `echelon` form is eliminated on first read. `MatrixFq(...)` checks the
     shape and every entry and folds them once; the kernel's own results
     (`parse_matrix`, `rref`, `matmul`, slices, stacks, `Subspace.basis`) go
     through `_from_packed`, which checks nothing.
     """
 
-    __slots__ = ("field", "rows", "cols", "packed", "_entries")
+    __slots__ = ("space", "field", "rows", "cols", "packed", "_entries", "_echelon")
 
     def __init__(self, field: FiniteField, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -40,16 +103,18 @@ class MatrixFq:
             )
         if entries and not (0 <= min(entries) and max(entries) < field.q):
             raise LinAlgError("entry out of field range")
-        fold = _space(field, cols).fold
-        self.field, self.rows, self.cols, self._entries = field, rows, cols, None
-        self.packed = tuple(fold(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+        self.space = space = _space(field, cols)
+        self.field, self.rows, self.cols = field, rows, cols
+        self._entries = self._echelon = None
+        self.packed = tuple(space.fold(entries[i * cols : (i + 1) * cols]) for i in range(rows))
 
     @classmethod
-    def _from_packed(cls, field: FiniteField, cols: int, packed: tuple) -> "MatrixFq":
-        """The matrix of the kernel's packed rows of `_space(field, cols)`,
-        one row each: neither the shape nor the range is checked."""
+    def _from_packed(cls, space: "_Space", packed: tuple) -> "MatrixFq":
+        """The matrix of the packed rows of `space`, one row each: neither
+        the shape nor the range is checked."""
         A = cls.__new__(cls)
-        A.field, A.rows, A.cols, A.packed, A._entries = field, len(packed), cols, packed, None
+        A.space, A.field, A.cols, A.rows, A.packed = space, space.field, space.n, len(packed), packed
+        A._entries = A._echelon = None
         return A
 
     @classmethod
@@ -60,20 +125,31 @@ class MatrixFq:
 
     @classmethod
     def zero(cls, field: FiniteField, rows: int, cols: int) -> "MatrixFq":
-        return cls._from_packed(field, cols, (0,) * rows)
+        return cls._from_packed(_space(field, cols), (0,) * rows)
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> "MatrixFq":
         # Row c: 1, its own slot form, at entry c's shift.
-        return cls._from_packed(field, n, tuple(1 << s for s in _space(field, n).shifts))
+        space = _space(field, n)
+        return cls._from_packed(space, tuple(1 << s for s in space.shifts))
 
     @property
     def entries(self) -> tuple:
         """The row-major entries, unfolded from `packed` on first read."""
         if self._entries is None:
-            rows = map(_space(self.field, self.cols).unfold, self.packed) if self.cols else ()
+            rows = map(self.space.unfold, self.packed) if self.cols else ()
             self._entries = tuple(itertools.chain.from_iterable(rows))
         return self._entries
+
+    @property
+    def echelon(self) -> dict:
+        """`_Space.echelon` of the packed rows: one row per leading entry,
+        scaled to a leading 1 and keyed by its lead. Eliminated on first
+        read and kept, so the `rank` of a matrix and the RREF that
+        `_Space.reduce` makes of it share one elimination."""
+        if self._echelon is None:
+            self._echelon = self.space.echelon(self.packed)
+        return self._echelon
 
     def row(self, i: int):
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -83,15 +159,16 @@ class MatrixFq:
 
     # Slices and stacks of checked matrices need no range check: 0 <= t <= rows.
     def first_rows(self, t: int) -> "MatrixFq":
-        return MatrixFq._from_packed(self.field, self.cols, self.packed[:t])
+        return MatrixFq._from_packed(self.space, self.packed[:t])
 
     def last_rows(self, t: int) -> "MatrixFq":
-        return MatrixFq._from_packed(self.field, self.cols, self.packed[self.rows - t :])
+        return MatrixFq._from_packed(self.space, self.packed[self.rows - t :])
 
     def stack(self, other: "MatrixFq") -> "MatrixFq":
-        if other.cols != self.cols or other.field != self.field:
+        # One `_Space` per field (by equality) and n: `is` compares both.
+        if other.space is not self.space:
             raise LinAlgError("stack shape/field mismatch")
-        return MatrixFq._from_packed(self.field, self.cols, self.packed + other.packed)
+        return MatrixFq._from_packed(self.space, self.packed + other.packed)
 
     def matmul(self, other: "MatrixFq") -> "MatrixFq":
         """self·other on packed rows: row i of the product is the sum over
@@ -99,7 +176,7 @@ class MatrixFq:
         the row scaled through the digit tables only when a_ik is not 1."""
         if self.cols != other.rows or self.field != other.field:
             raise LinAlgError("matmul shape/field mismatch")
-        space = _space(self.field, other.cols)
+        space = other.space
         add, scale, right = space.add, space.digits.scale, other.packed
         out = []
         for i in range(self.rows):
@@ -108,7 +185,7 @@ class MatrixFq:
                 if a:
                     acc = add(acc, u if a == 1 else scale(u, a))
             out.append(acc)
-        return MatrixFq._from_packed(self.field, other.cols, tuple(out))
+        return MatrixFq._from_packed(space, tuple(out))
 
     def is_zero(self) -> bool:
         return not any(self.packed)
@@ -117,11 +194,11 @@ class MatrixFq:
         return self.rows == self.cols and self == MatrixFq.identity(self.field, self.rows)
 
     def __eq__(self, other):
+        # One `_Space` per field (by equality) and n: `is` compares both.
         return (
             isinstance(other, MatrixFq)
-            and self.cols == other.cols
             and self.packed == other.packed
-            and self.field == other.field
+            and self.space is other.space
         )
 
     def __hash__(self):
@@ -222,19 +299,18 @@ class _Space:
     (n - 1 - c)·e. Over characteristic 2 this is the vector's base-q
     integer. One object per field and n, from `_space`.
 
-    This is the one kernel of row operations on packed rows. `insert`,
-    `rank`, `add` and `scale` are written once, here, on `axpy(v, u, c)` =
-    v - c·u, which `_XorSpace` and `_SlotSpace` each build in `__init__` as
-    a closure over their constants. c is in slot form, read raw off a packed
-    row: 0, 1 and p - 1 are their own slot forms in every field, so only a
-    scale by another c looks up `element`. `_F2Space` keeps its own
-    `insert`, `rank` and `span`, which never scale; `span`, `draw` and
-    `sums` are written out in each subclass with its addition inline, and
-    `multiples` and `chunk_tables` are built on `sums`. `sum_dim`
-    and `nests` each take one `rank` of two subspaces' packed RREF rows
-    stacked. A one-off scalar multiple comes from the `_Digits` chunk
-    tables, except that 1 and p - 1 = -1 need none, and a row's q multiples
-    are sums of its multiples by the powers of x.
+    This is the one kernel of row operations on packed rows. `echelon`,
+    `reduce`, `insert`, `add` and `scale` are written once, here, on
+    `axpy(v, u, c)` = v - c·u, which `_XorSpace` and `_SlotSpace` each build
+    in `__init__` as a closure over their constants. c is in slot form, read
+    raw off a packed row: 0, 1 and p - 1 are their own slot forms in every
+    field, so only a scale by another c looks up `element`. `_F2Space` keeps
+    its own `echelon`, `reduce`, `insert` and `span`, which never scale;
+    `span`, `draw` and `sums` are written out in each subclass with its
+    addition inline, and `multiples` and `chunk_tables` are built on `sums`.
+    A one-off scalar multiple comes from the `_Digits` chunk tables, except
+    that 1 and p - 1 = -1 need none, and a row's q multiples are sums of its
+    multiples by the powers of x.
     """
 
     def __init__(self, field: FiniteField, n: int):
@@ -315,11 +391,12 @@ class _Space:
                 levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
         return len(rows) - start
 
-    def rank(self, rows) -> int:
-        """Rank of packed rows by forward elimination on their leading
-        entry, as M4RI eliminates packed words: a row is reduced by the
-        pivot row of its leading entry until it is zero or leads a new one,
-        kept scaled to a leading 1."""
+    def echelon(self, rows) -> dict:
+        """An echelon form of packed rows by forward elimination on their
+        leading entry, as M4RI eliminates packed words: a row is reduced by
+        the echelon row of its leading entry until it is zero or leads a
+        new one, kept scaled to a leading 1. Returns those rows keyed by
+        their lead k, the lead's shift being k·e; the rank is their number."""
         e, emask, element, inv, axpy = self.e, self.emask, self.element, self.inv, self.axpy
         found = {}
         for v in rows:
@@ -331,7 +408,26 @@ class _Space:
                     found[k] = v if a == 1 else self.scale(v, inv[element[a]])
                     break
                 v = axpy(v, u, a)
-        return len(found)
+        return found
+
+    def reduce(self, echelon: dict) -> tuple:
+        """(packed RREF rows, pivots) of the rows of `echelon`, by
+        back-substitution: from the lowest lead up, each row is cleared at
+        the leads of the rows below it, which are already reduced."""
+        e, emask, axpy = self.e, self.emask, self.axpy
+        leads = sorted(echelon)  # the lowest lead, the last pivot, first
+        rows, shifts = [], []
+        for k in leads:
+            v = echelon[k]
+            for u, s in zip(rows, shifts):
+                c = (v >> s) & emask
+                if c:
+                    v = axpy(v, u, c)
+            rows.append(v)
+            shifts.append(k * e)
+        rows.reverse()
+        n = self.n
+        return tuple(rows), tuple([n - 1 - k for k in reversed(leads)])
 
     def _copies(self, b: int) -> list:
         """c·b for c = 0 .. p - 1, each a sum of c copies of b."""
@@ -446,14 +542,28 @@ class _F2Space(_XorSpace):
                 levels.append(Subspace._from_packed(self, tuple(rows), tuple(pivots)))
         return len(rows) - start
 
-    def rank(self, rows) -> int:
-        """As `_Space.rank`, keyed by bit length: v is XORed with the row
+    def echelon(self, rows) -> dict:
+        """As `_Space.echelon`, keyed by bit length: v is XORed with the row
         filed under its lead until it is zero or is filed there itself."""
         found = {}
         for v in rows:
             while v and (u := found.setdefault(v.bit_length(), v)) != v:
                 v ^= u
-        return len(found)
+        return found
+
+    def reduce(self, echelon: dict) -> tuple:
+        """As `_Space.reduce`, XORing in each row below whose top bit is set."""
+        leads = sorted(echelon)
+        rows = []
+        for b in leads:
+            v = echelon[b]
+            for u in rows:
+                if v >> (u.bit_length() - 1) & 1:
+                    v ^= u
+            rows.append(v)
+        rows.reverse()
+        n = self.n
+        return tuple(rows), tuple([n - b for b in reversed(leads)])
 
     def span(self, rows) -> list:
         """Every nonzero vector of the span of packed rows, each a point over
@@ -549,14 +659,14 @@ def rref(A: MatrixFq):
     result keeps its packed rows, the nonzero ones first, and unfolds its
     entries only if they are read."""
     rows, pivots = [], []
-    _space(A.field, A.cols).insert(rows, pivots, A.packed)
-    R = MatrixFq._from_packed(A.field, A.cols, (*rows, *(0,) * (A.rows - len(rows))))
+    A.space.insert(rows, pivots, A.packed)
+    R = MatrixFq._from_packed(A.space, (*rows, *(0,) * (A.rows - len(rows))))
     return R, len(rows), tuple(pivots)
 
 
 def rank(A: MatrixFq) -> int:
-    """`_Space.rank` of A's packed rows."""
-    return _space(A.field, A.cols).rank(A.packed)
+    """The number of rows of A's `echelon` form, which A keeps."""
+    return len(A.echelon)
 
 
 class Subspace:
@@ -589,7 +699,7 @@ class Subspace:
     def __init__(self, basis: MatrixFq):
         rows = tuple(basis.row(i) for i in range(basis.rows))
         pivots = self._check_rref(rows)
-        self.space = space = _space(basis.field, basis.cols)
+        self.space = space = basis.space
         self.field, self.ambient, self.dim = space.field, space.n, len(rows)
         self.packed, self.pivots = tuple(map(space.fold, rows)), pivots
         self._rows, self._basis = rows, basis
@@ -615,7 +725,7 @@ class Subspace:
     @property
     def basis(self) -> MatrixFq:
         if self._basis is None:
-            self._basis = MatrixFq._from_packed(self.field, self.ambient, self.packed)
+            self._basis = MatrixFq._from_packed(self.space, self.packed)
         return self._basis
 
     @property
@@ -689,7 +799,7 @@ def rowspace(A: MatrixFq) -> Subspace:
     """Canonical Subspace spanned by the rows of A: the packed rows of its
     `rref`, never unfolded."""
     R, r, pivots = rref(A)
-    return Subspace._from_packed(_space(A.field, A.cols), R.packed[:r], pivots)
+    return Subspace._from_packed(A.space, R.packed[:r], pivots)
 
 
 def check_same_ambient(U: Subspace, V: Subspace):
@@ -698,11 +808,11 @@ def check_same_ambient(U: Subspace, V: Subspace):
 
 
 def sum_dim(U: Subspace, V: Subspace) -> int:
-    """dim(U + V): one `_Space.rank` of U's and V's packed RREF rows
-    stacked, the rule `nests` uses. Every step is an integer operation on
-    digit-slot rows (see `_Space`); neither `rows` is built."""
+    """dim(U + V): the size of one `_Space.echelon` of U's and V's packed
+    RREF rows stacked, the rule `nests` uses. Every step is an integer
+    operation on digit-slot rows (see `_Space`); neither `rows` is built."""
     check_same_ambient(U, V)
-    return U.space.rank(U.packed + V.packed)
+    return len(U.space.echelon(U.packed + V.packed))
 
 
 def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
@@ -714,17 +824,17 @@ def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
     of the target's basis in U's RREF rows B. `_Space.draw` forms the rows
     of C·B on packed rows from the chunk tables `U.chunks`, and `rank` of
     those rows decides whether the draw is accepted: B's rows are
-    independent, so rank(C·B) = rank(C). One `_Space.insert` puts an
-    accepted draw in RREF, which is R·B for R the RREF of C, so the result
-    carries `packed` and `pivots` and no `rows`.
+    independent, so rank(C·B) = rank(C). That `rank` is the draw's one
+    elimination: `_Space.reduce` back-substitutes the echelon rows it
+    leaves on the matrix into the RREF of an accepted draw, which is R·B
+    for R the RREF of C, so the result carries `packed` and `pivots` and
+    no `rows`.
     """
     space = U.space
-    rows = tuple(space.draw(U.chunks, x, dim, U.dim))
-    if rank(MatrixFq._from_packed(U.field, U.ambient, rows)) != dim:
+    drawn = MatrixFq._from_packed(space, tuple(space.draw(U.chunks, x, dim, U.dim)))
+    if rank(drawn) != dim:
         return None
-    packed, pivots = [], []
-    space.insert(packed, pivots, rows)
-    return Subspace._from_packed(space, tuple(packed), tuple(pivots))
+    return Subspace._from_packed(space, *space.reduce(drawn.echelon))
 
 
 def intersect_dim(U: Subspace, V: Subspace) -> int:
@@ -751,12 +861,13 @@ def contains(U: Subspace, V: Subspace) -> bool:
 
 def nests(lower: Subspace, upper: Subspace) -> bool:
     """True iff lower ⊂ upper and dim upper = dim lower + 1: the dimensions,
-    then one `_Space.rank` of both packed RREFs stacked, as `sum_dim` ranks
-    them. A pair from two spaces raises `check_same_ambient`'s LinAlgError."""
+    then one `_Space.echelon` of both packed RREFs stacked, as `sum_dim`
+    ranks them. A pair from two spaces raises `check_same_ambient`'s
+    LinAlgError."""
     if upper.dim != lower.dim + 1:
         return False
     check_same_ambient(upper, lower)
-    return upper.space.rank(upper.packed + lower.packed) == upper.dim
+    return len(upper.space.echelon(upper.packed + lower.packed)) == upper.dim
 
 
 def orthogonal_complement(U: Subspace) -> Subspace:
@@ -781,7 +892,7 @@ def orthogonal_complement(U: Subspace) -> Subspace:
             vectors.append(v)
     if not vectors:
         return Subspace.zero(U.field, U.ambient)
-    return rowspace(MatrixFq._from_packed(U.field, U.ambient, tuple(vectors)))
+    return rowspace(MatrixFq._from_packed(space, tuple(vectors)))
 
 
 def points(U: Subspace) -> list:
@@ -818,7 +929,7 @@ def prefix_rowspaces(A: MatrixFq, count: int) -> list:
     stops before the first row that adds no pivot, so it is shorter than
     `count` exactly when some prefix of j <= count rows has dimension below j."""
     levels = []
-    _space(A.field, A.cols).insert([], [], A.packed[:count], levels)
+    A.space.insert([], [], A.packed[:count], levels)
     return levels
 
 
@@ -885,7 +996,7 @@ def dump_matrix(A: MatrixFq) -> str:
         fmt = f"0{A.cols}{spec}"
         lines.extend(" ".join(format(x, fmt)) for x in A.packed)
     else:
-        unfold = _space(A.field, A.cols).unfold
+        unfold = A.space.unfold
         lines.extend(" ".join(map(str, unfold(x))) for x in A.packed)
     return "\n".join(lines)
 
@@ -946,12 +1057,13 @@ def _parse_matrix(text: str, field: FiniteField | None, memo: dict) -> MatrixFq:
         raise FieldError(f"matrix header q={q} does not match field q={field.q}")
     if len(lines) - 1 != nrows:
         if ncols == 0 and nrows > 0 and len(lines) == 1:  # r blank row lines, as dumped
-            return MatrixFq._from_packed(field, 0, (0,) * nrows)
+            return MatrixFq._from_packed(_space(field, 0), (0,) * nrows)
         raise LinAlgError(f"expected {nrows} rows, got {len(lines) - 1}")
     tokens, chars, base, _ = _text_digits(field)
     e = base.bit_length() - 1
-    # One call's texts share a field, or each has field_from_order(q): q names it.
-    known = memo.setdefault((q, ncols), {})
+    # One call's texts share a field, or each has field_from_order(q): q names
+    # it, so (q, ncols) names the space and the rows read so far.
+    space, known = memo.get((q, ncols)) or memo.setdefault((q, ncols), (_space(field, ncols), {}))
     packed = []
     for i, ln in enumerate(lines[1:], start=1):
         v = known.get(ln)
@@ -965,7 +1077,7 @@ def _parse_matrix(text: str, field: FiniteField | None, memo: dict) -> MatrixFq:
                 v = _token_row(row, i, tokens, e, q)
             known[ln] = v
         packed.append(v)
-    return MatrixFq._from_packed(field, ncols, tuple(packed))
+    return MatrixFq._from_packed(space, tuple(packed))
 
 
 def parse_matrix(text: str, field: FiniteField | None = None) -> MatrixFq:
@@ -982,7 +1094,7 @@ def parse_matrices(texts, field: FiniteField | None, name: str):
     """`parse_matrix` of each text in turn, every distinct header and row
     line of the texts read once, an error naming the matrix by `name` and its
     index from 1: "generator 4: row 2 has the non-integer entry 'x'"."""
-    memo = {}  # header line -> its ints; (q, ncols) -> {row line: packed row}
+    memo = {}  # header line -> its ints; (q, ncols) -> (space, {row line: packed row})
     for i, text in enumerate(texts, start=1):
         try:
             yield _parse_matrix(text, field, memo)

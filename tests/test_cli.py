@@ -387,6 +387,32 @@ def test_a_non_integer_coefficient_fails_to_load(tmp_path, capsys, construct, ke
     assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
 
 
+@pytest.mark.parametrize(
+    "key, value, detail",
+    [
+        ("m", 2.0, "m = 2.0 is not an integer"),
+        ("p", 2.0, "p = 2.0 is not an integer"),
+        ("m", True, "m = True is not an integer"),
+        ("p", "2", "p = '2' is not an integer"),
+    ],
+    ids=["m-float", "p-float", "m-bool", "p-string"],
+)
+def test_a_non_integer_p_or_m_fails_to_load(tmp_path, capsys, key, value, detail):
+    # An F_4 (2,0) code file with p or m of the wrong type names it, as
+    # "k1": 2.0 is named: exit 2 from report, a `load` FAIL from verify.
+    path = tmp_path / "code.json"
+    construct = ["--p", "2", "--m", "2", "--k1", "2", "--r", "0"]
+    assert run(capsys, "construct", *construct, "--out", str(path))[0] == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["params"][key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--code", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {detail}\n"
+    exit_code, out = run(capsys, "verify", "--code", str(path))
+    assert exit_code == EXIT_VERIFY_FAIL
+    assert json.loads(out) == {"checks": [{"name": "load", "status": "FAIL", "detail": detail}]}
+
+
 def test_a_bool_ambient_fails_to_load(code_file, tmp_path, capsys):
     # "ambient": true would otherwise load as ambient 1 with no shots and
     # fail later on the wrong ambient dimension: exit 2 naming the value.

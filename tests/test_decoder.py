@@ -341,6 +341,48 @@ def test_decoder_safety_at_every_erasure_weight(name, request):
     assert seen == {DECODED, FAILURE}
 
 
+# (p, m, k1, r): the number of sequences X_1, ..., X_{n-1} with X_i ⊆ V_i
+# over every codeword, and the least total erasure weight that fails.
+EXHAUSTIVE = {
+    (2, 1, 2, 0): (800, 4),
+    (3, 1, 2, 0): (3360, 4),
+    (2, 2, 2, 0): (10472, 4),
+    (2, 1, 2, 1): (96480, 6),
+}
+
+
+@pytest.mark.parametrize(
+    "p, m, k1, r", list(EXHAUSTIVE), ids=[f"F{p ** m}-{k1}{r}" for p, m, k1, r in EXHAUSTIVE]
+)
+def test_decode_on_every_sequence_of_subspaces(p, m, k1, r):
+    # Every codeword and every sequence of subspaces of its levels, each
+    # level's subspaces found by `enumerate_subspaces` + `contains`: the
+    # sent codeword or FAILURE, never another codeword and never an error;
+    # DECODED at every total weight up to the budget; and the first FAILURE
+    # at budget + 1, so the paper's radius is exactly the decoder's.
+    field = field_new(p, m)
+    code = build_code(SandwichParams(field, k1, r))
+    n, budget = code.ambient, correctable_budget(code)
+    spaces = [list(enumerate_subspaces(field, n, d)) for d in range(n)]
+    count, least_failing = 0, None
+    for index, flag in enumerate(code.flags, start=1):
+        choices = [
+            [(i - X.dim, X) for d in range(i + 1) for X in spaces[d] if contains(flag[i], X)]
+            for i in range(1, n)
+        ]
+        for sequence in itertools.product(*choices):
+            weight = sum(w for w, _ in sequence)
+            outcome = decode(code, ReceivedSequence(n, [X for _, X in sequence]))
+            count += 1
+            if outcome.status == DECODED:
+                assert outcome.flag_index == index
+                continue
+            assert outcome == DecodeOutcome(FAILURE) and weight > budget
+            least_failing = weight if least_failing is None else min(least_failing, weight)
+    assert (count, least_failing) == EXHAUSTIVE[p, m, k1, r]
+    assert least_failing == budget + 1
+
+
 def test_step2_threshold_soundness(code_232):
     # distinct codewords share at most dimension j - k1 in the middle band
     p = code_232.params

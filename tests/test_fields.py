@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from flagcodes import fields
@@ -58,6 +60,24 @@ def test_modulus_coefficients_must_be_integers(modulus):
     # modulus nobody wrote.
     with pytest.raises(FieldError, match="modulus coefficient .* is not an integer"):
         field_new(2, 2, modulus)
+
+
+@pytest.mark.parametrize(
+    "p, m, detail",
+    [
+        (2.0, 2, "p = 2.0 is not an integer"),
+        (2, 2.0, "m = 2.0 is not an integer"),
+        (True, 1, "p = True is not an integer"),
+        (2, True, "m = True is not an integer"),
+        ("3", 1, "p = '3' is not an integer"),
+        (3, "1", "m = '1' is not an integer"),
+    ],
+)
+def test_p_and_m_must_be_integers(p, m, detail):
+    # 2.0 would fail deep in the table build and True would read as 1: each
+    # is refused up front, by name.
+    with pytest.raises(FieldError, match=f"^{re.escape(detail)}$"):
+        field_new(p, m)
 
 
 def test_inversion_of_zero():

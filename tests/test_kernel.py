@@ -170,10 +170,11 @@ def _f2_batches(n, rng):
 
 @pytest.mark.parametrize("n", [*range(1, 10), 64, 65, 130])
 def test_f2_kernel_matches_the_characteristic_2_kernel(n):
-    # insert and rank of `_F2Space` against `_XorSpace` over F_2, into the
-    # empty rows and into the RREF of every other batch: the same rows and
-    # pivots in place, the same count added, and the same rank of the batch
-    # alone and stacked under the RREF, as `sum_dim` ranks it.
+    # insert, echelon and reduce of `_F2Space` against `_XorSpace` over
+    # F_2, into the empty rows and into the RREF of every other batch: the
+    # same rows and pivots in place, the same count added, and the same
+    # echelon rows and their RREF, of the batch alone and stacked under the
+    # RREF, as `sum_dim` ranks it.
     f2, xor = _space(field_new(2), n), _XorSpace(field_new(2), n)
     assert type(f2) is _F2Space
     rng = random.Random(f"f2:{n}")
@@ -181,8 +182,10 @@ def test_f2_kernel_matches_the_characteristic_2_kernel(n):
     for start, batch in itertools.product(batches, repeat=2):
         rows, pivots = [], []
         xor.insert(rows, pivots, start)
-        assert f2.rank(rows + batch) == xor.rank(rows + batch)
-        assert f2.rank(batch) == xor.rank(batch)
+        for stacked in (rows + batch, batch):
+            echelon = f2.echelon(stacked)
+            assert sorted(echelon.values()) == sorted(xor.echelon(stacked).values())
+            assert f2.reduce(echelon) == xor.reduce(xor.echelon(stacked))
         want_rows, want_pivots = list(rows), list(pivots)
         want = xor.insert(want_rows, want_pivots, batch)
         assert f2.insert(rows, pivots, batch) == want
@@ -238,7 +241,7 @@ def _both_ways(A):
     """A built afresh from its entries and from its packed rows, each
     matrix holding that one form until a reader unfolds or folds it."""
     return MatrixFq(A.field, A.rows, A.cols, A.entries), MatrixFq._from_packed(
-        A.field, A.cols, A.packed
+        A.space, A.packed
     )
 
 
@@ -305,8 +308,50 @@ def test_rank_rows_matches_rref_rows(field):
         want = oracle_rref_rows(field, rows)[1]
         assert rank(MatrixFq.from_rows(field, rows)) == want
         cols = len(rows[0]) if rows else 0
-        packed = tuple(map(_space(field, cols).fold, rows))
-        assert rank(MatrixFq._from_packed(field, cols, packed)) == want
+        space = _space(field, cols)
+        assert rank(MatrixFq._from_packed(space, tuple(map(space.fold, rows)))) == want
+
+
+@pytest.mark.parametrize("spec", HARNESS_FIELDS, ids=_field_id)
+def test_reduce_of_the_echelon_rows_is_the_oracle_rref(spec):
+    # `_Space.echelon` leaves one row per lead, each led by a 1, as many as
+    # the oracle's rank; `_Space.reduce` back-substitutes them into the
+    # oracle's RREF rows and pivots. Inputs: 0-row, zero, rank-deficient
+    # and full-rank (square, wide and tall) matrices.
+    field = field_new(*spec)
+    rng = random.Random(field.q + 36)
+    matrices = list(_shapes(field, rng))
+    matrices += [MatrixFq.from_rows(field, rows) for rows in _deficient_rows(field, rng)]
+    matrices += [_full_rank(field, n, rng, rows) for n, rows in [(1, 1), (4, 4), (7, 3)]]
+    matrices.append(_full_rank(field, 3, rng).stack(_full_rank(field, 3, rng)))
+    for M in matrices:
+        space = M.space
+        want_rows, r, want_pivots = oracle_rref_rows(field, M.row_lists())
+        echelon = space.echelon(M.packed)
+        assert len(echelon) == r
+        for row in echelon.values():
+            assert next(x for x in space.unfold(row) if x) == 1
+        packed, pivots = space.reduce(echelon)
+        assert [list(space.unfold(x)) for x in packed] == want_rows[:r]
+        assert pivots == want_pivots
+
+
+@pytest.mark.parametrize("spec", HARNESS_FIELDS, ids=_field_id)
+def test_rank_keeps_the_echelon_rows_and_changes_nothing_else(spec):
+    # `rank` eliminates once and keeps A's echelon rows: a second call gives
+    # the same rank from the same rows, and A's `==`, `hash`, `entries` and
+    # `dump_matrix` are those of a twin of A that was never ranked.
+    field = field_new(*spec)
+    rng = random.Random(field.q + 37)
+    for A in _shapes(field, rng):
+        for M in _both_ways(A):
+            twin = MatrixFq._from_packed(M.space, M.packed)
+            r = rank(M)
+            echelon = M.echelon
+            assert rank(M) == r == len(echelon) and M.echelon is echelon
+            assert M == twin and twin == M and hash(M) == hash(twin)
+            assert M.entries == twin.entries == A.entries
+            assert dump_matrix(M) == dump_matrix(twin)
 
 
 @pytest.mark.parametrize("spec", HARNESS_FIELDS, ids=_field_id)
@@ -467,7 +512,7 @@ def test_a_draw_is_refused_or_is_the_rowspace_of_its_product(p, m):
             entries = _oracle_draw_digits(x, field.q, dim * k)
             rows = [entries[i * k : (i + 1) * k] for i in range(dim)]
             product = MatrixFq.from_rows(field, rows).matmul(U.basis)
-            drawn = MatrixFq._from_packed(field, 7, tuple(U.space.draw(U.chunks, x, dim, k)))
+            drawn = MatrixFq._from_packed(U.space, tuple(U.space.draw(U.chunks, x, dim, k)))
             want_rank = oracle_rref_rows(field, rows)[1]
             assert drawn.packed == product.packed and rank(drawn) == want_rank
             got = subspace_from_draw(U, dim, x)

@@ -8,6 +8,7 @@ from flagcodes.linalg import (
     LinAlgError,
     MatrixFq,
     Subspace,
+    _space,
     contains,
     dump_matrix,
     enumerate_subspaces,
@@ -246,7 +247,7 @@ def test_matrix_text_zero_columns(F2):
     # Rows with no entries are empty lines, which parse back as those rows.
     # A row line that is not blank, or a negative row count, is still an error.
     A = MatrixFq(F2, 3, 0, ())
-    assert dump_matrix(A) == dump_matrix(MatrixFq._from_packed(F2, 0, (0, 0, 0))) == "2 3 0\n\n\n"
+    assert dump_matrix(A) == dump_matrix(MatrixFq._from_packed(_space(F2, 0), (0, 0, 0))) == "2 3 0\n\n\n"
     assert parse_matrix(dump_matrix(A)) == A
     with pytest.raises(LinAlgError, match="^expected 3 rows, got 1$"):
         parse_matrix("2 3 0\n0\n\n")

@@ -7,6 +7,7 @@ from flagcodes import MatrixFq, SandwichParams, build_code, field_new, rowspace
 from flagcodes.construction import ConstructionError, Flag, FlagCode
 from flagcodes.linalg import (
     Subspace,
+    _space,
     contains,
     enumerate_subspaces,
     intersect_dim,
@@ -82,7 +83,7 @@ def test_hole_set_maximality_matches_the_oracle(p, m, k1, r):
         # The subspace found lies in the holes: it meets no member.
         field, n = code.params.field, code.params.n
         basis = _find_hole_subspace(field, n, spread_holes(broken), k1)
-        found = rowspace(MatrixFq._from_packed(field, n, tuple(basis)))
+        found = rowspace(MatrixFq._from_packed(_space(field, n), tuple(basis)))
         assert found.dim == k1
         assert all(intersect_dim(found, flag[k1]) == 0 for flag in broken.flags)
 

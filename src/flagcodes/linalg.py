@@ -323,6 +323,11 @@ class _Space:
         self.top = (n - 1) * digits.e  # the shift of entry 0
         self.shifts = tuple(range(self.top, -1, -digits.e))  # entry c's, top - c·e
 
+    def __reduce__(self):
+        # A pickle or copy is the one `_space(field, n)`: `MatrixFq.__eq__`
+        # compares spaces by identity, and `axpy` is a closure.
+        return _space, (self.field, self.n)
+
     def fold(self, row) -> int:
         """The packed integer of a row of field elements."""
         e, slot = self.e, self.slot

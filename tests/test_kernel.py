@@ -4,7 +4,9 @@ The oracles are the textbook algorithms written with the field's scalar
 methods only (`add`, `sub`, `mul`, `inv`), never its lookup tables.
 """
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -352,6 +354,20 @@ def test_rank_keeps_the_echelon_rows_and_changes_nothing_else(spec):
             assert M == twin and twin == M and hash(M) == hash(twin)
             assert M.entries == twin.entries == A.entries
             assert dump_matrix(M) == dump_matrix(twin)
+
+
+@pytest.mark.parametrize("spec", HARNESS_FIELDS, ids=_field_id)
+def test_a_pickled_or_copied_matrix_keeps_its_space(spec):
+    # Matrices compare their spaces by identity, so a pickle or a deep copy
+    # must come back on the one `_space(field, n)`, equal to the original;
+    # a subspace, which holds the space too, round-trips the same way.
+    field = field_new(*spec)
+    A = _full_rank(field, 4, random.Random(field.q + 38), 3)
+    U = rowspace(A)  # A was ranked, so its echelon rows travel with it
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        B, V = clone(A), clone(U)
+        assert B.space is A.space and B == A and rank(B) == 3
+        assert V.space is U.space and V == U
 
 
 @pytest.mark.parametrize("spec", HARNESS_FIELDS, ids=_field_id)

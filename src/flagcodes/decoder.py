@@ -1,20 +1,53 @@
 """Erasure-channel model and the three-step decoder for sandwich codes.
 
+Public entry points: `erase`, `decode`, `simulate`, `ReceivedSequence`,
+`accumulate`, `error_count`, `correctable_budget`, `random_subspace_of`,
+`random_erasure_vector`, `received_to_json` and `received_from_json`.
+
 The channel is abstracted per shot: the receiver of shot i holds a random
 subspace X_i of the sent flag's i-dimensional subspace. Decoding exploits
 that the first k1 projected codes form a partial spread (step 1), that the
 middle band has pairwise intersections of dimension at most i - k1 (step 2),
 and that above the middle band intersections are at most 2i - n (step 3).
 
-Every step looks its trigger subspace Y up in the point table of its
-level ℓ (`construction.level_points`), keyed by the point integers of
+The channel. `erase` keeps an unerased shot as the sent subspace itself and
+a wiped one as {0}, with no random draw, and samples every other shot
+exactly uniformly, from one `randrange` per coefficient matrix, rejected
+until it has full rank. `linalg.accepted_draw` owns the digit format: it
+forms the draw's rows from the sent subspace's cached chunk tables
+(`Subspace.chunks`) and runs the one `rank` test on them; the channel forms
+no `matmul` product and calls no `rref`. That part fixes the seeded stream
+and the number of rejections, so `erase` runs it for every shot and
+consumes all of its rng. The back-substitution of an accepted draw into its
+RREF (`linalg.reduce_draw`) is deferred: the sequence keeps the drawn
+matrix and reduces it into a `Subspace` the first time the shot is read, so
+a decode that stops at step 1 reduces at most one shot. `random_subspace_of`
+is the same draw, reduced at once. `erase` checks every count and builds
+every shot with ambient n and dim i - e_i, so it returns its sequence
+through the unchecked `ReceivedSequence._trusted`; the public
+`ReceivedSequence(n, shots)` keeps every check, for `received_from_json`
+and other callers.
+
+The field check. A `ReceivedSequence` holds the `_Space` its shots share;
+`linalg._space` keeps one per field (by equality) and n, so `decode` and
+`error_count` check the field by the identity of that one object against
+the code's, and read no shot for it: shots over another field, such as the
+same q with another modulus, raise `ChannelError`. `erase` takes the space
+of the sent flag; the public constructor refuses shots over different
+fields.
+
+The lookup. `accumulate` is a generator of Y_1, Y_2, ..., so `decode` builds
+Y_i only up to the level that triggers and reads no shot above it. Every
+step looks its trigger subspace Y up in the point table of its level ℓ
+(`construction.level_points`), keyed by the point integers of
 `linalg.points`, instead of testing all |C| codewords. A codeword c has
 V_ℓ(c) ⊇ Y iff V_ℓ(c) holds every RREF row of Y, and each such row, with
 its pivot entry 1, is a point key. So the codewords holding Y's rows read
 so far are a superset of the matches, and ANDing in the masks of Y's rows
 until at most one codeword is left, then testing it with `contains`,
 gives the matches of the full scan, for any FlagCode and any dim Y. An
-ambiguous Y keeps every match through every row.
+ambiguous Y keeps every match through every row and raises
+`AmbiguousDecodeError`.
 """
 
 from __future__ import annotations
@@ -26,12 +59,14 @@ from dataclasses import asdict, dataclass
 from .construction import Flag, FlagCode, level_points
 from .fields import FiniteField
 from .linalg import (
+    MatrixFq,
     Subspace,
+    accepted_draw,
     contains,
     dump_matrix,
     parse_matrices,
+    reduce_draw,
     rowspace,
-    subspace_from_draw,
     subspace_sum,
 )
 from .metrics import min_flag_distance
@@ -53,36 +88,56 @@ class AmbiguousDecodeError(RuntimeError):
 
 
 class ReceivedSequence:
-    """Per-shot received subspaces X_1 .. X_{n-1} with dim(X_i) <= i."""
+    """Per-shot received subspaces X_1 .. X_{n-1} with dim(X_i) <= i, all over
+    the one `space`.
 
-    __slots__ = ("ambient", "shots")
+    A shot that `erase` drew is kept as its `accepted_draw` until it is
+    read: `received[i]` reduces it into a `Subspace` once and keeps that, and
+    `shots` reduces every shot not read yet.
+    """
+
+    __slots__ = ("ambient", "space", "_shots")
 
     def __init__(self, ambient: int, shots):
         if not isinstance(ambient, int) or isinstance(ambient, bool):
             raise ChannelError(f"ambient {ambient!r} is not an integer")
-        shots = tuple(shots)
+        shots = list(shots)
         if len(shots) != ambient - 1:
             raise ChannelError(f"need {ambient - 1} shots for ambient {ambient}")
+        space = shots[0].space if shots else None
         for i, x in enumerate(shots, start=1):
             if x.ambient != ambient:
                 raise ChannelError(f"shot {i} has ambient {x.ambient}, want {ambient}")
             if x.dim > i:
                 raise ChannelError(f"shot {i} has dim {x.dim} > {i}")
-        self.ambient = ambient
-        self.shots = shots
+            if x.space is not space:
+                raise ChannelError(f"shot {i} is not over the field of shot 1")
+        self.ambient, self.space, self._shots = ambient, space, shots
 
     @classmethod
-    def _trusted(cls, ambient: int, shots: tuple) -> "ReceivedSequence":
-        """Unchecked, as `Flag._nested`: for `erase`, which checks each shot."""
+    def _trusted(cls, ambient: int, space, shots: list) -> "ReceivedSequence":
+        """Unchecked, as `Flag._nested`: for `erase`, which checks each shot,
+        and whose draws stay unreduced until read."""
         received = cls.__new__(cls)
-        received.ambient, received.shots = ambient, shots
+        received.ambient, received.space, received._shots = ambient, space, shots
         return received
 
+    def _read(self, j: int) -> Subspace:
+        shot = self._shots[j]
+        if shot.__class__ is MatrixFq:
+            shot = self._shots[j] = reduce_draw(shot)
+        return shot
+
+    @property
+    def shots(self) -> tuple:
+        """Every shot as a `Subspace`, reducing each draw not read yet."""
+        return tuple(map(self._read, range(len(self._shots))))
+
     def __getitem__(self, i: int) -> Subspace:
-        return self.shots[i - 1]
+        return self._read(i - 1)
 
     def __len__(self):
-        return len(self.shots)
+        return len(self._shots)
 
 
 @dataclass(frozen=True)
@@ -118,11 +173,10 @@ class SimulationReport:
         }
 
 
-def _check_shot_fields(space, received: ReceivedSequence):
-    """A shot of the code's ambient is over its field iff its `space` is `space`."""
-    for x in received.shots:
-        if x.space is not space:
-            raise ChannelError("received shots are not over the code's field")
+def _check_field(space, received: ReceivedSequence):
+    """The shots are over the code's field iff their `space` is `space`."""
+    if received.space is not space:
+        raise ChannelError("received shots are not over the code's field")
 
 
 def error_count(sent: Flag, received: ReceivedSequence) -> int:
@@ -132,7 +186,7 @@ def error_count(sent: Flag, received: ReceivedSequence) -> int:
     """
     if sent.ambient != received.ambient:
         raise ChannelError("ambient mismatch")
-    _check_shot_fields(sent[1].space, received)
+    _check_field(sent[1].space, received)
     total = 0
     for i in range(1, sent.ambient):
         if not contains(sent[i], received[i]):
@@ -147,6 +201,24 @@ def correctable_budget(code: FlagCode) -> int:
     return max(0, (d - 1) // 2)
 
 
+def _draw(sub: Subspace, dim: int, rng: random.Random):
+    """A uniformly random dim-dimensional subspace of sub, as the shot that
+    `erase` keeps: sub itself or {0}, which take no draw, or else the
+    `accepted_draw` that spans it, not yet reduced (see the module
+    docstring)."""
+    if not (0 <= dim <= sub.dim):
+        raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")
+    if dim == sub.dim:
+        return sub
+    if dim == 0:
+        return Subspace.zero(sub.field, sub.ambient)
+    draws = sub.field.q ** (dim * sub.dim)
+    while True:
+        drawn = accepted_draw(sub, dim, rng.randrange(draws))
+        if drawn is not None:
+            return drawn
+
+
 def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     """Uniformly random dim-dimensional subspace of sub.
 
@@ -158,31 +230,22 @@ def random_subspace_of(sub: Subspace, dim: int, rng: random.Random) -> Subspace:
     likely, and every target subspace has the same number |GL(dim, q)| of
     full-rank coefficient matrices, so the result is exactly uniform.
 
-    `linalg.subspace_from_draw` owns that digit format: the coefficients
-    are the coordinates of the target's basis in sub's RREF rows B, so it
-    forms the rows of C·B from sub's cached chunk tables (`sub.chunks`),
-    one lookup per group of digits, and runs the rank test on them. That
-    test is the draw's one elimination: an accepted draw's RREF is the
-    back-substitution of the echelon rows it leaves (`_Space.reduce`), so
-    the shot carries packed rows and builds no `rows`.
+    `linalg.accepted_draw` owns that digit format and runs the rank test,
+    the draw's one elimination, and `linalg.reduce_draw` back-substitutes
+    the echelon rows it leaves into the RREF. This is the draw that `erase`
+    keeps for each shot, reduced at once.
     """
-    if not (0 <= dim <= sub.dim):
-        raise ChannelError(f"cannot take a {dim}-dim subspace of a {sub.dim}-dim one")
-    if dim == sub.dim:
-        return sub
-    if dim == 0:
-        return Subspace.zero(sub.field, sub.ambient)
-    draws = sub.field.q ** (dim * sub.dim)
-    while True:
-        target = subspace_from_draw(sub, dim, rng.randrange(draws))
-        if target is not None:
-            return target
+    shot = _draw(sub, dim, rng)
+    return reduce_draw(shot) if shot.__class__ is MatrixFq else shot
 
 
 def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequence:
     """Apply per-shot erasures: X_i is a random (i - e_i)-dim subspace of the
-    sent i-th subspace. Reproducible for a fixed seed. Only 0 < e_i < i
-    draws; each count is checked here, so the sequence is `_trusted`."""
+    sent i-th subspace. Reproducible for a fixed seed, and every draw is
+    made here, so a passed `random.Random` ends as if every shot were built.
+    Only 0 < e_i < i draws, and such a shot is kept as its accepted draw
+    until it is read (see `ReceivedSequence`). Each count is checked here,
+    so the sequence is `_trusted`, over the sent flag's space."""
     erasures = list(erasures)
     n = sent.ambient
     if len(erasures) != n - 1:
@@ -195,16 +258,16 @@ def erase(sent: Flag, erasures, seed: int | random.Random = 0) -> ReceivedSequen
         if e == i:
             sub = zero = zero or Subspace.zero(sub.field, n)
         elif e:
-            sub = random_subspace_of(sub, i - e, rng)
+            sub = _draw(sub, i - e, rng)
         shots.append(sub)
-    return ReceivedSequence._trusted(n, tuple(shots))
+    return ReceivedSequence._trusted(n, sent[1].space, shots)
 
 
 def accumulate(received: ReceivedSequence, k1: int):
     """Y_1, ..., Y_{n-1}, one at a time: {0} up to k1, then the running span
     of X_{k1+1}..X_i. A generator, so a caller that stops at Y_i never reads
     a shot above i; `tuple(accumulate(...))` gives them all."""
-    current = Subspace.zero(received.shots[0].field, received.ambient)
+    current = Subspace.zero(received.space.field, received.ambient)
     for i in range(1, received.ambient):
         if i > k1:
             current = subspace_sum(current, received[i])
@@ -261,7 +324,7 @@ def decode(code: FlagCode, received: ReceivedSequence) -> DecodeOutcome:
     n, k1, r = p.n, p.k1, p.r
     if received.ambient != n:
         raise ChannelError("received sequence has wrong ambient dimension")
-    _check_shot_fields(code.flags[0].subspaces[0].space, received)
+    _check_field(code.flags[0].subspaces[0].space, received)
     for i in range(1, k1 + 1):
         if received[i].dim > 0:
             return _unique_containing(code, i, received[i], step=1)
@@ -340,7 +403,7 @@ def received_to_json(received: ReceivedSequence) -> str:
     return json.dumps(
         {
             "ambient": received.ambient,
-            "field": received.shots[0].field.spec(),
+            "field": received.space.field.spec(),
             "shots": [dump_matrix(x.basis) for x in received.shots],
         },
         indent=2,

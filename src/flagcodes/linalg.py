@@ -4,10 +4,10 @@ spaces, the subspace lattice, subspace enumeration and matrix text.
 Public entry points: `MatrixFq`, `rref`, `rank`, `rowspace`, `Subspace`,
 `sum_dim`, `intersect_dim`, `contains`, `subspace_sum`, `nests`,
 `orthogonal_complement`, `points`, `line_points`, `prefix_rowspaces`,
-`enumerate_subspaces`, `gaussian_binomial`, `subspace_from_draw`,
-`dump_matrix`, `parse_matrix` and `parse_matrices`. Matrices are immutable;
-subspaces are kept in canonical reduced row echelon form, so equality and
-hashing are structural.
+`enumerate_subspaces`, `gaussian_binomial`, `accepted_draw`,
+`reduce_draw`, `subspace_from_draw`, `dump_matrix`, `parse_matrix` and
+`parse_matrices`. Matrices are immutable; subspaces are kept in canonical
+reduced row echelon form, so equality and hashing are structural.
 
 Packed rows. A vector of F_q^n is one integer. Each F_p digit of an entry
 (an element of F_{p^m} is m digits in the polynomial basis of `fields`) has
@@ -49,13 +49,16 @@ span is doubled by each row in turn, so its points come in another order;
 callers use points only as sets or keys. `line_points` lists the other
 points of the line through each pair of points.
 
-The channel's draw. `subspace_from_draw(U, dim, x)` reads x as the base-q
-digits of a dim x dim U coefficient matrix C and forms the rows of C·B, B
-U's RREF rows, by the method of four Russians (Albrecht, Bard and Hart,
-ACM TOMS 2010): `U.chunks` holds one table per group of `draw_digits` rows
-of B, so one lookup adds a group. `rank` of those rows accepts the draw,
-since rank(C·B) = rank(C), and `reduce` of the echelon rows that `rank`
-kept is the RREF of an accepted draw: one elimination serves both.
+The channel's draw comes in two parts. `accepted_draw(U, dim, x)` reads x
+as the base-q digits of a dim x dim U coefficient matrix C and forms the
+rows of C·B, B U's RREF rows, by the method of four Russians (Albrecht,
+Bard and Hart, ACM TOMS 2010): `U.chunks` holds one table per group of
+`draw_digits` rows of B, so one lookup adds a group. `rank` of those rows
+accepts the draw, since rank(C·B) = rank(C), and the matrix keeps the
+echelon rows that `rank` left. `reduce_draw` back-substitutes them into
+the RREF of the draw, so one elimination serves both, and a caller may run
+it later or never: the decoder reduces a shot only when it reads it.
+`subspace_from_draw` is the two parts at once.
 
 Matrix text. `dump_matrix` writes "q rows cols" and then one line of
 entries a row: one `format()` of the packed integer where every element's
@@ -820,9 +823,10 @@ def sum_dim(U: Subspace, V: Subspace) -> int:
     return len(U.space.echelon(U.packed + V.packed))
 
 
-def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
-    """The subspace of U that the channel's draw x selects, or None if the
-    draw is rank-deficient.
+def accepted_draw(U: Subspace, dim: int, x: int) -> MatrixFq | None:
+    """The rows of C·B that the channel's draw x forms from U, as a matrix
+    that keeps the echelon rows of its rank test, or None if the draw is
+    rank-deficient.
 
     x, below q ** (dim * dim U), is read as the base-q digits of a dim x
     dim U coefficient matrix C, low digit first, row by row: the coordinates
@@ -830,16 +834,26 @@ def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
     of C·B on packed rows from the chunk tables `U.chunks`, and `rank` of
     those rows decides whether the draw is accepted: B's rows are
     independent, so rank(C·B) = rank(C). That `rank` is the draw's one
-    elimination: `_Space.reduce` back-substitutes the echelon rows it
-    leaves on the matrix into the RREF of an accepted draw, which is R·B
-    for R the RREF of C, so the result carries `packed` and `pivots` and
-    no `rows`.
+    elimination; `reduce_draw` back-substitutes the echelon rows it leaves.
     """
     space = U.space
     drawn = MatrixFq._from_packed(space, tuple(space.draw(U.chunks, x, dim, U.dim)))
-    if rank(drawn) != dim:
-        return None
+    return drawn if rank(drawn) == dim else None
+
+
+def reduce_draw(drawn: MatrixFq) -> Subspace:
+    """The subspace an `accepted_draw` spans: `_Space.reduce` of the echelon
+    rows its rank test kept, which is R·B for R the RREF of C, so the result
+    carries `packed` and `pivots` and no `rows`."""
+    space = drawn.space
     return Subspace._from_packed(space, *space.reduce(drawn.echelon))
+
+
+def subspace_from_draw(U: Subspace, dim: int, x: int) -> Subspace | None:
+    """The subspace of U that the channel's draw x selects, or None if the
+    draw is rank-deficient: `reduce_draw` of the `accepted_draw`."""
+    drawn = accepted_draw(U, dim, x)
+    return None if drawn is None else reduce_draw(drawn)
 
 
 def intersect_dim(U: Subspace, V: Subspace) -> int:

@@ -118,6 +118,8 @@ PINNED_FIELDS = {
     "f8": ("--p", "2", "--m", "3", "--modulus", "1,1,0,1"),
     "f5": ("--p", "5"),
     "f9": ("--p", "3", "--m", "2"),
+    "f3": ("--p", "3"),
+    "f16": ("--p", "2", "--m", "4"),
 }
 
 

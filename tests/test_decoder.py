@@ -1,14 +1,16 @@
 import collections
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 
 import pytest
 
-from flagcodes import SandwichParams, build_code, decoder, field_new
+from flagcodes import SandwichParams, build_code, decoder, field_new, linalg
 from flagcodes.construction import FlagCode, level_points
 from flagcodes.decoder import (
     DECODED,
@@ -22,6 +24,7 @@ from flagcodes.decoder import (
     decode,
     erase,
     error_count,
+    random_erasure_vector,
     random_subspace_of,
     received_from_json,
     received_to_json,
@@ -41,7 +44,7 @@ from flagcodes.linalg import (
     rank,
     rowspace,
 )
-from conftest import ORDERS, oracle_rref_rows, point_int
+from conftest import ORDERS, oracle_rref_rows, perturbed_flags, point_int
 
 
 def _zero_received(code):
@@ -836,10 +839,12 @@ def test_deep_decodes_test_one_codeword_each(code_321, monkeypatch):
 
 
 class _RecordingSequence(ReceivedSequence):
-    """A received sequence that records every level it is asked for."""
+    """A received sequence that records every level it is asked for. It
+    takes over the shots of `received` as they stand, so the draws of a
+    fresh `erase` stay unreduced until `decode` reads them."""
 
     def __init__(self, received):
-        super().__init__(received.ambient, received.shots)
+        self.ambient, self.space, self._shots = received.ambient, received.space, received._shots
         self.read = set()
 
     def __getitem__(self, i):
@@ -852,22 +857,145 @@ def code_331():
     return build_code(SandwichParams(field_new(3), 3, 1))
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """The field order of each back-substitution (`reduce`) of every kernel,
+    one entry a call, from the time the fixture is set up."""
+    calls = []
+    for kernel in (linalg._Space, linalg._F2Space):
+
+        def counting(space, echelon, original=vars(kernel)["reduce"]):
+            calls.append(space.field.q)
+            return original(space, echelon)
+
+        monkeypatch.setattr(kernel, "reduce", counting)
+    return calls
+
+
+def _drawn(erasures, levels):
+    """How many of `levels` `erase` draws at random: those with 0 < e_i < i."""
+    return sum(0 < erasures[i - 1] < i for i in levels)
+
+
 @pytest.mark.parametrize("name", ["code_232", "code_331"])
-def test_decode_reads_no_shot_above_its_trigger(name, request):
+def test_decode_reads_no_shot_above_its_trigger(name, request, reductions):
+    # Nor does it reduce one: each drawn shot up to the trigger is reduced
+    # once, when `accumulate` reads it, so no more than shot_index shots. A
+    # field check that read `received.shots` would reduce them all.
     code = request.getfixturevalue(name)
     rng = random.Random(name)
     steps = set()
     for k, vec in enumerate(_deep_vectors(code)):
         sent = rng.randrange(len(code))
         received = _RecordingSequence(erase(code.flags[sent], vec, seed=k))
+        reductions.clear()
         outcome = decode(code, received)
         assert (outcome.status, outcome.flag_index) == (DECODED, sent + 1), vec
         assert max(received.read) == outcome.shot_index, vec
+        assert len(reductions) == _drawn(vec, range(1, outcome.shot_index + 1)), vec
+        assert len(reductions) <= outcome.shot_index
         steps.add(outcome.step)
     assert steps == {2, 3}
     received = _RecordingSequence(_zero_received(code))
     assert decode(code, received).status == FAILURE
     assert received.read == set(range(1, code.ambient))
+
+
+def test_a_step1_decode_reduces_at_most_its_trigger(code_232, reductions):
+    # `erase` draws every shot but reduces none; a decode that stops at
+    # step 1 reduces its trigger shot alone, and only if it was drawn.
+    n, budget = code_232.ambient, correctable_budget(code_232)
+    rng = random.Random("step 1")
+    drawn_triggers = kept_triggers = 0
+    for _ in range(300):
+        sent = rng.randrange(len(code_232))
+        vec = random_erasure_vector(n, budget, rng)
+        received = erase(code_232.flags[sent], vec, rng)
+        assert not reductions
+        outcome = decode(code_232, received)
+        assert (outcome.status, outcome.flag_index) == (DECODED, sent + 1), vec
+        if outcome.step == 1:
+            assert len(reductions) == _drawn(vec, [outcome.shot_index]) <= 1, vec
+            drawn_triggers += len(reductions)
+            kept_triggers += 1 - len(reductions)
+        reductions.clear()
+    assert drawn_triggers and kept_triggers
+
+
+# The channel's kernels: F_2, XOR entries of 2 and 3 bits (F_8 by
+# x^3 + x + 1), and odd p with one and with two digit slots an entry.
+DEFERRED_FIELDS = [
+    (2, 1, None), (2, 2, None), (2, 3, (1, 1, 0, 1)), (3, 1, None), (3, 2, None), (5, 2, None),
+]
+
+
+def _eager_shots(flag, erasures, rng):
+    """Each shot of `erase(flag, erasures, rng)` built as it is drawn: the
+    sent subspace, {0}, or `random_subspace_of` on the same rng stream."""
+    return tuple(
+        flag[i] if not e else Subspace.zero(flag[i].field, flag.ambient) if e == i
+        else random_subspace_of(flag[i], i - e, rng)
+        for i, e in enumerate(erasures, start=1)
+    )
+
+
+@pytest.mark.parametrize("spec", DEFERRED_FIELDS, ids=_source_id)
+def test_deferred_shots_equal_the_eager_draws(spec, reductions):
+    # However an erased sequence is read, its shots are the draws of
+    # `random_subspace_of` on the same stream, and `erase` leaves the rng
+    # where that stream ends. A pickle or copy of a sequence whose draws
+    # are unread carries them unreduced, to be reduced once each.
+    field = field_new(*spec)
+    rng = random.Random(f"deferred:{_source_id(spec)}")
+    n = 6
+    drawn = 0
+    for flag in perturbed_flags(field, n, 6, rng):
+        vec = [rng.randint(0, i) for i in range(1, n)]
+        seed = rng.getrandbits(32)
+        eager_rng, erase_rng = random.Random(seed), random.Random(seed)
+        want = _eager_shots(flag, vec, eager_rng)
+        received = erase(flag, vec, erase_rng)
+        assert erase_rng.getstate() == eager_rng.getstate()
+        order = rng.sample(range(1, n), n - 1)
+        reductions.clear()
+        shuffled = {i: received[i] for i in order}
+        assert tuple(shuffled[i] for i in range(1, n)) == want
+        assert received.shots == want and len(reductions) == _drawn(vec, range(1, n))
+        assert erase(flag, vec, seed).shots == want
+        assert ReceivedSequence(n, erase(flag, vec, seed).shots).shots == want
+        for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+            back = clone(erase(flag, vec, seed))
+            reductions.clear()
+            assert back.space is received.space
+            assert [back[i] for i in reversed(range(1, n))] == list(reversed(want))
+            assert back.shots == want and len(reductions) == _drawn(vec, range(1, n))
+        drawn += _drawn(vec, range(1, n))
+    assert drawn
+
+
+def test_the_field_check_reads_no_shot(reductions):
+    # An erased sequence over F_8 by x^3 + x + 1 against the code over the
+    # default modulus: both checks raise before any draw is reduced.
+    code = build_code(SandwichParams(field_new(2, 3), 2, 0))
+    other = build_code(SandwichParams(field_new(2, 3, (1, 1, 0, 1)), 2, 0))
+    received = erase(other.flags[3], [0, 1, 2], seed=1)
+    with pytest.raises(ChannelError, match="field"):
+        decode(code, received)
+    with pytest.raises(ChannelError, match="field"):
+        error_count(code.flags[3], received)
+    assert not reductions
+    assert decode(other, received).flag_index == 4
+
+
+def test_a_sequence_over_two_fields_is_refused():
+    # Shots over F_8 and over F_8 by x^3 + x + 1 in one sequence: the
+    # public constructor refuses them, so no decode of it starts.
+    code = build_code(SandwichParams(field_new(2, 3), 2, 0))
+    shots = erase(code.flags[3], [0, 1, 2], seed=1).shots
+    foreign = _over(field_new(2, 3, (1, 1, 0, 1)), erase(code.flags[3], [0, 1, 2], seed=1))
+    mixed = [shots[0], foreign[2], shots[2]]
+    with pytest.raises(ChannelError, match="shot 2 is not over the field of shot 1"):
+        decode(code, ReceivedSequence(code.ambient, mixed))
 
 
 # -- the pinned channel stream -----------------------------------------------------

@@ -1,10 +1,49 @@
 """Construction of sandwich full flag codes from partial spreads.
 
+Public entry points: `SandwichParams`, `build_code` (a `FlagCode` of
+`Flag`s), `flag_from_generator`, `layer_A`, `layer_B`, `layer_S`,
+`companion_matrix`, `find_primitive_poly`, `is_primitive`, `field_power`,
+`matrix_power`, `matrix_order`, `level_points` and the code file
+(`code_to_json`, `code_from_json`, `code_to_dict`, `code_from_dict`).
+Errors raise `ConstructionError`.
+
 A code with parameters (q, k1, r) lives in F_q^n with n = 2*k1 + r and
 k2 = k1 + r. Its q^k2 + 1 generator matrices S[i] stack three layers: a
 partial-spread layer A[i], a middle layer B[i] of r rows, and the next
 partial-spread layer A[i+1] (wrapping around at the last index). Flag i is
 the chain of row spaces of the leading j-row slices of S[i].
+
+The polynomial. `is_primitive` computes x^e modulo the polynomial by
+square-and-multiply over the field's `mul_table` and `sub_table`, and tests
+that x has order q^k - 1. So a code load checks its polynomial with no
+companion-matrix `matmul` and no `rank`. The tests check it against
+`matrix_order` of the companion matrix. A coefficient outside F_q is
+refused.
+
+The generators. Every power of the companion matrix M comes from one walk
+over the field F_q[M], cached as `SandwichParams.powers`. One block
+builder reads the k2 x n top [A[i]; B[i]] of each S[i] off that walk on
+packed rows, so `layer_A` and `layer_B` are its first k1 and last r rows,
+and `layer_S` stacks it over A[i+1]. `build_code` builds each block once
+and stacks block i over the first k1 rows of block i + 1.
+
+Flags. `flag_from_generator` loads flag i in one elimination pass,
+`linalg.prefix_rowspaces` of rows 1..n-1 of S[i]. Those levels are nested
+by construction, so they become a flag through the trusted `Flag._nested`,
+which checks nothing. The public `Flag(...)`, for bare fixtures, checks
+every dimension and the nesting, and `verify.check_flag_nesting` re-checks
+the nesting of every loaded flag; both use the rank rule `linalg.nests`.
+
+Loading. `SandwichParams` refuses a `k1`, an `r` or a `prim_poly`
+coefficient that is not an `int` (a float such as 2.0, or a bool) rather
+than truncating it. `code_from_dict` refuses a generator that is not
+n x n, naming its index and shape, before any flag is built.
+
+Point tables. `level_points(code, level)` maps each point of a level
+subspace, keyed by its integer from `linalg.points`, to a bitmask of the
+codewords whose subspace covers it. It is built on first use and cached on
+the code per level; level k1 is the partial spread's table, one bit a
+point. The decoder and `verify.spread_holes` read it.
 """
 
 from __future__ import annotations

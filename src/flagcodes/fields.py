@@ -1,11 +1,27 @@
 """Exact arithmetic in the finite field F_q, q = p^m.
 
+Public entry points: `FiniteField`, `field_new`, `field_from_order`,
+`parse_field_spec`, `is_prime` and `MAX_ORDER`. Errors raise `FieldError`.
+
 Elements are plain ints in [0, q) encoding the coefficient vector
 c_0 + c_1*p + ... + c_{m-1}*p^(m-1) of the element in the polynomial basis.
 All operations go through a FiniteField instance; ints are never interpreted
 without one. The scalar methods define the arithmetic; each field also
 carries lookup tables derived from them, which the row operations of
 linalg use, so q is limited to MAX_ORDER.
+
+The size guard. A larger order raises `FieldError` before anything is
+built: before p's primality test and, in `field_from_order` (a matrix
+header with no field spec), before any prime search.
+
+The tables. The scalar methods (`add`, `sub`, `mul`, `neg`, `inv`) define
+the arithmetic. Each field derives its kernel tables `mul_table`,
+`sub_table` (q x q) and `inv_table` from them, with m scalar calls a table
+row and one lookup an entry.
+
+Identity. A field is immutable and hashes on (p, m, modulus), computed once
+when it is built, since it keys every cached kernel of `linalg` (`_space`,
+`_digits`, `_text_digits`): equal fields built apart share one kernel.
 """
 
 from __future__ import annotations

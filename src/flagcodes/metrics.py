@@ -1,4 +1,45 @@
-"""Distances, projected codes, ODFC/QODFC classification, and size bounds."""
+"""Distances, projected codes, ODFC/QODFC classification, and size bounds.
+
+Public entry points: `subspace_distance`, `flag_distance`, `max_distance`,
+`projected_code` (a `ProjectedCode`), `projected_min_distance`,
+`pairwise_sweep`, `min_flag_distance`, `classify` (a `CodeReport`),
+`partial_spread_bound`, `aq_exact`, `bound_verdict` and
+`cardinality_bound_check`. Errors raise `MetricsError`.
+
+One sweep. `pairwise_sweep` computes a code's projected codes once and
+caches them on the code, so `min_flag_distance`, `classify` and `verify`
+share one O(N^2) pass. It runs outward from the middle, one side at a time:
+levels n//2 down to 1, then ceil(n/2) up to n - 1, with the middle level of
+an even n computed once for both sides. A level is apart when every flag
+has its own subspace there and no pair is below the level maximum. Every
+level further out on that side is then apart too, and is built directly,
+with no point set, complement or index. `pairwise_sweep` gives the proof,
+which rests on the flags being nested.
+
+Distances from points. For equal dimensions k, `subspace_distance`
+intersects the two `distance_points` sets:
+d_S = 2 min(k, n - k) - 2 log_q((q - 1) |P_U ∩ P_V| + 1), using
+d_S(U, V) = d_S(U⊥, V⊥) above n/2. Two disjoint point sets, the common case
+on the paper's codes, give the level maximum after one `isdisjoint`.
+Unequal dimensions use 2 dim(U + V) - dim U - dim V by `sum_dim`.
+
+The point index. `projected_code` sweeps a level by point incidence, not
+pair by pair: each point of the members' `distance_points` is indexed by
+the members holding it, shared points are counted only within each point's
+list, and each sharing pair's distance is read off its count. Pairs sharing
+no point are at the maximum and are never visited. A level whose point
+entries reach the C(N, 2) pairs of its N members makes one
+`subspace_distance` call per pair instead. A `ProjectedCode` keeps only the
+pairs below the level maximum, in the read-only mapping `below`. Members
+of different fields raise `LinAlgError` before any point is compared,
+since point integers of two fields can coincide.
+
+d_f. d_f is `max_distance(n)` less the largest total deficit of a pair of
+flags. Two flags sharing their i-th subspace owe the whole level maximum,
+and each kept pair of members owes maximum - d to every pair of flags
+mapped onto those two members, so no flag pair is summed level by level.
+An apart level owes nothing and is skipped.
+"""
 
 from __future__ import annotations
 

@@ -1,5 +1,34 @@
 """Invariant suite for built codes: everything the construction promises,
-checked by brute force at desk scale."""
+checked by brute force at desk scale.
+
+Public entry points: `verify_code`, which returns one `CheckResult` (PASS,
+FAIL or SKIPPED) a check; the checks themselves (`check_cardinality`,
+`check_generator_ranks`, `check_flag_nesting`, `check_spread_disjoint`,
+`check_spread_maximal`, `check_distance_profile`,
+`check_distance_sum_identity`); `spread_holes`; and
+`expected_projected_distances`.
+
+Shared work. Spread disjointness, the distance profile and the
+distance-sum identity read the cached `metrics.pairwise_sweep`, the one
+`classify` reads, so a loaded code is swept once however many of them run.
+`check_spread_disjoint` reads the first meeting pair of the level-k1
+projected code, which on a partial spread the point index finds empty with
+no per-pair call. `check_flag_nesting` applies `linalg.nests` to each level
+pair of each flag: one elimination of the two levels' packed rows stacked.
+
+Spread maximality. The partial spread is maximal iff no k1-subspace
+consists of holes, the points of PG(n - 1, q) that no member covers.
+`spread_holes` enumerates the points and tests each point integer against
+the keys of `construction.level_points(code, k1)`, the decoder's level-k1
+table. A pruned search then grows spans of holes one hole at a time
+(`_find_hole_subspace`); its table of the q - 1 other points on the line
+through each pair of holes comes from `linalg.line_points`. The
+enumeration cap bounds the [n, 1]_q points; above it the check is SKIPPED.
+
+The brute-force oracles stay in the tests: a per-pair `subspace_distance`
+loop for every projected code, and the Gr_q(n, k1) enumeration for spread
+maximality.
+"""
 
 from __future__ import annotations
 

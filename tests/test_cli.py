@@ -753,3 +753,138 @@ def test_malformed_code_file(tmp_path, capsys):
     bad.write_text("{\"nope\": 1}")
     exit_code, _ = run(capsys, "report", "--code", str(bad))
     assert exit_code == EXIT_USAGE
+
+
+# The CLI table: each row builds one code with `construct` and runs one check
+# on it through `main`, in-process. The codes, named q-k1-r, cover every way
+# the library packs a field: single bits (F_2), XOR digits (F_4, F_8 by
+# x^3 + x + 1, F_16), one slot an entry (F_3, F_5, F_7) and m slots an entry
+# (F_9, F_25). The others are built from their default modulus.
+TABLE_CODES = {
+    "2-2-0": ("--p", "2", "--k1", "2", "--r", "0"),
+    "2-2-1": ("--p", "2", "--k1", "2", "--r", "1"),
+    "3-2-1": ("--p", "3", "--k1", "2", "--r", "1"),
+    "3-3-1": ("--p", "3", "--k1", "3", "--r", "1"),
+    "4-2-0": ("--p", "2", "--m", "2", "--k1", "2", "--r", "0"),
+    "5-2-1": ("--p", "5", "--k1", "2", "--r", "1"),
+    "7-2-0": ("--p", "7", "--k1", "2", "--r", "0"),
+    "8-2-1": ("--p", "2", "--m", "3", "--modulus", "1,1,0,1", "--k1", "2", "--r", "1"),
+    "9-2-1": ("--p", "3", "--m", "2", "--k1", "2", "--r", "1"),
+    "16-2-0": ("--p", "2", "--m", "4", "--k1", "2", "--r", "0"),
+    "25-2-0": ("--p", "5", "--m", "2", "--k1", "2", "--r", "0"),
+}
+# The codeword whose levels 1..k1 the `wiped-decode` check erases: on F_8 it
+# is codeword 100, whose shots hold the entries 2..7.
+WIPED_CODEWORD = {"8-2-1": 100}
+
+
+def _k1_r(path):
+    params = json.loads(path.read_text())["params"]
+    return params["k1"], params["r"]
+
+
+def _check_report(path, capsys):
+    # The paper's distance d_f = (n^2 - r^2)/2: ODFC for r <= 1. On (2,2,0)
+    # level 2 takes the pair loop of the projected-code sweep.
+    k1, r = _k1_r(path)
+    n = 2 * k1 + r
+    exit_code, out = run(capsys, "report", "--code", str(path))
+    assert exit_code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["d_f"], doc["classification"]) == ((n * n - r * r) // 2, "ODFC")
+
+
+def _check_verify(path, capsys):
+    exit_code, out = run(capsys, "verify", "--code", str(path))
+    assert exit_code == EXIT_OK
+    assert {c["status"] for c in json.loads(out)["checks"]} == {"PASS"}
+
+
+def _check_simulate(path, capsys):
+    exit_code, out = run(capsys, "simulate", "--code", str(path), "--trials", "20")
+    assert exit_code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["successes"], doc["misdecodes"]) == (20, 0)
+
+
+def _check_wiped_decode(path, capsys):
+    # Levels 1..k1 wiped leave step 1 nothing to read, so the decode is
+    # found above k1.
+    k1, r = _k1_r(path)
+    codeword = WIPED_CODEWORD.get(path.stem, 1)
+    erasures = ",".join(map(str, [*range(1, k1 + 1), *[0] * (k1 + r - 1)]))
+    received = path.with_name("received.json")
+    argv = ["--codeword", str(codeword), "--erasures", erasures, "--out", str(received)]
+    assert main(["erase", "--code", str(path), *argv]) == EXIT_OK
+    exit_code, out = run(capsys, "decode", "--code", str(path), "--received", str(received))
+    assert exit_code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["status"], doc["flag_index"]) == ("DECODED", codeword)
+    assert doc["step"] > 1
+
+
+def _check_step3_decode(path, capsys):
+    # (3,3,1): codeword 7 with levels 1..5 wiped is found by step 3 at level
+    # 6, through that level's point table, the largest on the benchmark grid.
+    received = path.with_name("received.json")
+    argv = ["--codeword", "7", "--erasures", "1,2,3,4,5,0", "--seed", "9", "--out", str(received)]
+    assert main(["erase", "--code", str(path), *argv]) == EXIT_OK
+    exit_code, out = run(capsys, "decode", "--code", str(path), "--received", str(received))
+    assert exit_code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["status"], doc["step"], doc["shot_index"], doc["flag_index"]) == ("DECODED", 3, 6, 7)
+
+
+def _check_round_trip(path, capsys):
+    # The code file loads and dumps back to itself byte for byte: F_5 and
+    # F_7 write their rows as base-16 digits, F_3 as base-8 digits, F_9 and
+    # F_25 token by token.
+    from flagcodes.construction import code_from_json, code_to_json
+
+    text = path.read_text()
+    assert code_to_json(code_from_json(text)) == text
+
+
+def _check_token_01(path, capsys):
+    # One generator entry 1 rewritten as "01" loads the same code: the
+    # report is the same byte for byte.
+    doc = json.loads(path.read_text())
+    lines = doc["generators"][0].split("\n")
+    tokens = lines[1].split()
+    tokens[tokens.index("1")] = "01"
+    lines[1] = " ".join(tokens)
+    doc["generators"][0] = "\n".join(lines)
+    rewritten = path.with_name("code-01.json")
+    rewritten.write_text(json.dumps(doc))
+    exit_code, want = run(capsys, "report", "--code", str(path))
+    assert exit_code == EXIT_OK
+    assert run(capsys, "report", "--code", str(rewritten)) == (EXIT_OK, want)
+
+
+TABLE_CHECKS = {
+    "report": _check_report,
+    "verify": _check_verify,
+    "simulate": _check_simulate,
+    "wiped-decode": _check_wiped_decode,
+    "step3-decode": _check_step3_decode,
+    "round-trip": _check_round_trip,
+    "token-01": _check_token_01,
+}
+FIELD_CODES = ["3-2-1", "4-2-0", "5-2-1", "7-2-0", "8-2-1", "9-2-1", "16-2-0", "25-2-0"]
+CLI_TABLE = [
+    *[(check, name) for name in FIELD_CODES for check in ("report", "verify", "simulate", "wiped-decode")],
+    ("report", "2-2-0"),
+    ("step3-decode", "3-3-1"),
+    *[("round-trip", name) for name in ("5-2-1", "7-2-0", "3-2-1", "9-2-1", "25-2-0")],
+    ("token-01", "2-2-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, name", CLI_TABLE, ids=[f"{check}-{name}" for check, name in CLI_TABLE]
+)
+def test_cli_table(check, name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    assert main(["construct", *TABLE_CODES[name], "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    TABLE_CHECKS[check](path, capsys)

@@ -843,48 +843,29 @@ def test_matmul_matches_oracle(field):
     assert A.matmul(Z) == Z and Z.matmul(A) == Z
 
 
-def _row_list_matmul(A, B):
-    """The product on entry lists, row by row: row i is sum_k a_ik times
-    row k of B, accumulated as acc - (-a_ik)·(row k of B) by the field's
-    tables. This is how `MatrixFq.matmul` formed it before it ran on packed
-    rows."""
-    F = A.field
-    mul, sub = F.mul_table, F.sub_table
-    neg = sub[0]
-    right = [B.row(k) for k in range(B.rows)]
-    out = []
-    for i in range(A.rows):
-        acc = [0] * B.cols
-        for a, row in zip(A.row(i), right):
-            if a:
-                m = mul[neg[a]]
-                acc = [sub[x][m[y]] for x, y in zip(acc, row)]
-        out.extend(acc)
-    return MatrixFq(F, A.rows, B.cols, out)
-
-
 MATMUL_SHAPES = [(4, 4, 4), (1, 1, 1), (2, 5, 3), (5, 2, 6), (6, 6, 1), (0, 3, 4), (3, 0, 2), (3, 4, 0), (0, 0, 0)]
 
 
 @pytest.mark.parametrize("spec", TEXT_FIELDS, ids=_field_id)
 def test_packed_matmul_matches_the_row_list_product(spec):
     # Square and non-square operands, 0-row and 0-column ones and a 0 inner
-    # dimension: the product on packed rows is the row-list product on every
-    # reader, and holds packed rows only. Powers of a companion matrix
-    # commute, so M·P is P·M, the step `SandwichParams.powers` takes.
+    # dimension: the product on packed rows is the scalar oracle's product,
+    # read into a checked `MatrixFq`, on every reader, and holds packed rows
+    # only. Powers of a companion matrix commute, so M·P is P·M, the step
+    # `SandwichParams.powers` takes.
     field = field_new(*spec)
     rng = random.Random(f"matmul:{field.spec()}")
     for rows, inner, cols in MATMUL_SHAPES:
         A = _random_matrix(field, rows, inner, rng)
         B = _random_matrix(field, inner, cols, rng)
-        C, want = A.matmul(B), _row_list_matmul(A, B)
+        C, want = A.matmul(B), MatrixFq(field, rows, cols, oracle_matmul(A, B))
         assert C._entries is None
         assert (C.rows, C.cols, C.packed, C.entries) == (rows, cols, want.packed, want.entries)
         assert C == want and hash(C) == hash(want)
     M = companion_matrix(find_primitive_poly(field, 3), field)
     P = M
     for _ in range(12):
-        assert M.matmul(P) == P.matmul(M) == _row_list_matmul(M, P)
+        assert M.matmul(P) == P.matmul(M) == MatrixFq(field, 3, 3, oracle_matmul(M, P))
         P = M.matmul(P)
 
 
